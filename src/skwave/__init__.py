@@ -18,7 +18,6 @@ from .kernel import (
     torus_grid,
 )
 from .elliptic import (
-    EllipticModulus,
     complete_E,
     complete_K,
     complete_Pi,
@@ -42,10 +41,8 @@ from .waves import (
     solve_solitary,
 )
 from .functionals import (
-    ConservedPair,
     VkSlopeResult,
     closed_form_tau,
-    conserved,
     energy,
     mass,
     mass_closed_form,

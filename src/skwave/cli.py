@@ -135,7 +135,9 @@ def _add_selectors(p: argparse.ArgumentParser, theta_only: bool = False) -> None
     p.add_argument("--n", type=int, default=None, help="grid size")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser(defaults: dict) -> argparse.ArgumentParser:
+    """The waves parser; ``defaults`` replace the built-in defaults of the
+    subcommand flags, and explicit flags still win."""
     top = argparse.ArgumentParser(
         prog="waves",
         description="standing waves of the 1D Schrodinger-Kirchhoff "
@@ -171,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="perturb, evolve, and track the orbit distance")
     _add_selectors(p)
+    p.set_defaults(n=512)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--dt", type=float, default=1e-3)
@@ -183,40 +186,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_figures)
 
+    for p in sub.choices.values():
+        p.set_defaults(**defaults)
     return top
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    # first pass only to locate --config; then re-parse with its defaults
-    probe, _ = parser.parse_known_args(argv)
-    if probe.config:
-        with open(probe.config) as fh:
-            config = json.load(fh)
-        fresh = build_parser()
-        for action in fresh._subparsers._group_actions[0].choices.values():
-            action.set_defaults(**{k.replace("-", "_"): v
-                                   for k, v in config.items()
-                                   if _knows(action, k)})
-        parser = fresh
-    args = parser.parse_args(argv)
-    # evolve defaults that may come from config need the n fallback
-    if getattr(args, "n", None) is None and args.command == "evolve":
-        args.n = 512
+    args = _build_parser({}).parse_args(argv)
+    if args.config:
+        with open(args.config) as fh:
+            config = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
+        # the first parse tells which flags the chosen subcommand has;
+        # the second takes their defaults from the config, and config
+        # keys the subcommand lacks are dropped
+        known = {k: v for k, v in config.items()
+                 if k in vars(args) and k not in ("config", "command", "func")}
+        args = _build_parser(known).parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, UsageError, BracketError, DimensionError, KeyError) as exc:
+    except (DomainError, UsageError, BracketError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StiffnessError, BlowUpError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-
-
-def _knows(subparser: argparse.ArgumentParser, flag: str) -> bool:
-    dest = flag.replace("-", "_")
-    return any(a.dest == dest for a in subparser._actions)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from the same AGM scale (A&S 16.4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,20 +18,6 @@ from .errors import DomainError
 
 _AGM_REL = 1e-15          # |a_n - b_n| <= 1e-15 * a_n stops the AGM
 _K_MAX = 1.0 - 1e-10      # moduli closer to 1 are rejected, K diverges
-
-
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Modulus k in (0,1) paired with its complement sqrt(1-k^2)."""
-
-    k: float
-    k_c: float
-
-    @classmethod
-    def from_k(cls, k: float) -> "EllipticModulus":
-        if not 0.0 < k < 1.0:
-            raise DomainError(f"modulus must lie in (0, 1), got {k}")
-        return cls(k, math.sqrt((1.0 - k) * (1.0 + k)))
 
 
 def _check_modulus(k: float) -> None:

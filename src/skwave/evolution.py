@@ -60,15 +60,20 @@ class EvolutionState:
     monitors: Monitors = field(default_factory=Monitors)
 
 
+def _parseval(grid: Grid, symbol: np.ndarray, vh: np.ndarray) -> float:
+    """(L/n^2) sum symbol |v_hat|^2 from the DFT ``vh`` of a state: by
+    Parseval, int |v_x|^2 for symbol m^2 and the squared H^1 norm for
+    1 + m^2."""
+    scale = grid.circumference / grid.n ** 2
+    return scale * float(np.sum(symbol * np.abs(vh) ** 2))
+
+
 def kirchhoff_coefficient(u: np.ndarray, grid: Grid) -> float:
     """1 + int |u_x|^2 with spectral differentiation."""
     if grid.topology != "torus":
         raise UsageError("evolution states live on torus grids")
     m = wavenumbers(grid)
-    uh = np.fft.fft(u)
-    # Parseval: int |u_x|^2 = (L/n^2) sum m^2 |u_hat|^2
-    scale = grid.circumference / grid.n ** 2
-    return 1.0 + scale * float(np.sum(m * m * np.abs(uh) ** 2))
+    return 1.0 + _parseval(grid, m * m, np.fft.fft(u))
 
 
 def step_strang(state: EvolutionState, dt: float) -> EvolutionState:
@@ -77,10 +82,9 @@ def step_strang(state: EvolutionState, dt: float) -> EvolutionState:
         raise DomainError("dt must be positive")
     grid, r = state.grid, state.r
     m = wavenumbers(grid)
-    scale = grid.circumference / grid.n ** 2
     u = state.u * np.exp(0.5j * dt * (state.u.real ** 2 + state.u.imag ** 2) ** r)
     uh = np.fft.fft(u)
-    c = 1.0 + scale * float(np.sum(m * m * np.abs(uh) ** 2))
+    c = 1.0 + _parseval(grid, m * m, uh)
     uh *= np.exp(-1j * c * m * m * dt)
     u = np.fft.ifft(uh)
     u = u * np.exp(0.5j * dt * (u.real ** 2 + u.imag ** 2) ** r)
@@ -105,6 +109,7 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
            monitor_tail: bool = False) -> EvolutionResult:
     """Repeated Strang stepping with per-step conservation monitoring.
 
+    T must be a whole number of steps dt, so the run ends at T exactly.
     Mass drift is recorded at machine level, energy drift at the
     splitting level O(dt^2).  A non-finite state sets the blow-up flag
     with its time stamp and stops the run (relevant for the r = 4
@@ -120,19 +125,21 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
             "r = 4 evolution: global existence requires small initial mass "
             "(no quantitative bound); non-finite states are flagged, not "
             "prevented", stacklevel=2)
-    n_steps = max(1, round(T / dt))
+    n_steps = round(T / dt)
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * T:
+        raise DomainError(
+            f"T = {T} is not a positive whole number of steps dt = {dt}")
     if log_every is None:
         log_every = max(1, n_steps // 200)
     state = EvolutionState(np.asarray(u0, dtype=complex), 0.0, r, grid)
     mon = state.monitors
     m = wavenumbers(grid)
-    spec_scale = grid.circumference / grid.n ** 2
+    m2 = m * m
 
     def record(s: EvolutionState, step: int) -> bool:
         # one transform serves the gradient norm and the Kirchhoff
         # coefficient; everything else is pointwise
-        uh = np.fft.fft(s.u)
-        grad = spec_scale * float(np.sum(m * m * np.abs(uh) ** 2))
+        grad = _parseval(grid, m2, np.fft.fft(s.u))
         mod2 = s.u.real ** 2 + s.u.imag ** 2
         F = 0.5 * quadrature(grid, mod2)
         E = 0.5 * grad + 0.5 * grad ** 2 - quadrature(grid, mod2 ** (r + 1)) / (2 * r + 2)
@@ -191,9 +198,7 @@ class OrbitalDistanceResult:
 def h1_norm_sq(grid: Grid, v: np.ndarray) -> float:
     """Spectral H^1 norm squared, sum (1 + m^2) |v_hat|^2 weighted."""
     m = wavenumbers(grid)
-    vh = np.fft.fft(v)
-    scale = grid.circumference / grid.n ** 2
-    return scale * float(np.sum((1 + m * m) * np.abs(vh) ** 2))
+    return _parseval(grid, 1 + m * m, np.fft.fft(v))
 
 
 def orbital_distance(u: np.ndarray, phi_profile: wv.Profile,
@@ -216,8 +221,8 @@ def orbital_distance(u: np.ndarray, phi_profile: wv.Profile,
     scale = grid.circumference / grid.n ** 2
     uh = np.fft.fft(u)
     ph = np.fft.fft(phi_profile.phi)
-    nu = scale * float(np.sum(wgt * np.abs(uh) ** 2))
-    np_ = scale * float(np.sum(wgt * np.abs(ph) ** 2))
+    nu = _parseval(grid, wgt, uh)
+    np_ = _parseval(grid, wgt, ph)
     if rotation_only:
         inner = scale * complex(np.sum(wgt * uh * np.conj(ph)))
         best, theta, shift = abs(inner), math.atan2(inner.imag, inner.real), 0.0

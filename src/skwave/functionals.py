@@ -21,14 +21,6 @@ from .kernel import Grid, quadrature, spectral_derivative
 
 
 @dataclass(frozen=True)
-class ConservedPair:
-    """Energy and mass of a state (mass = half the squared L2 norm)."""
-
-    energy: float
-    mass: float
-
-
-@dataclass(frozen=True)
 class VkSlopeResult:
     """d/domega of the squared norm along the family.
 
@@ -91,10 +83,6 @@ def energy(state, grid: Grid = None, r: int = None) -> float:
         u = np.asarray(state)
     pot = quadrature(grid, np.abs(u) ** (2 * r + 2))
     return 0.5 * grad + 0.5 * grad ** 2 - pot / (2 * r + 2)
-
-
-def conserved(state, grid: Grid, r: int) -> ConservedPair:
-    return ConservedPair(energy(state, grid, r), mass(state, grid))
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,14 @@ import numpy as np
 from . import functionals as fn
 from . import spectral as sp
 from . import waves as wv
-from .errors import DomainError
+from .errors import (
+    BracketError,
+    DegenerateProfileError,
+    DimensionError,
+    DomainError,
+    StiffnessError,
+    UsageError,
+)
 
 SLOPE_PLUS = "+"
 SLOPE_MINUS = "-"
@@ -79,12 +86,21 @@ def _solve(family: str, r: int, at: float) -> wv.WaveParams:
     return wv.solve_family(family, r, at)
 
 
+def _block(prof: wv.Profile, count, tol_kernel: Optional[float]):
+    """Count L_Re, then L_Im, with ``count`` (``sp.spectrum`` or
+    ``sp.spectrum_even``); returns (s_re, s_im, block summary)."""
+    s_re = count(sp.assemble("L_Re", prof), tol_kernel)
+    s_im = count(sp.assemble("L_Im", prof), tol_kernel)
+    return s_re, s_im, sp.block_summary(s_re, s_im)
+
+
 def verdict(family: str, r: int, at: float, n: Optional[int] = None,
             tol_kernel: Optional[float] = None) -> StabilityVerdict:
     """Run the full pipeline at one family point.
 
-    Any stage failure produces an inconclusive verdict naming the stage
-    instead of raising.
+    A numerical or domain failure in any stage produces an inconclusive
+    verdict naming the stage instead of raising; programming errors
+    propagate.
     """
     evidence: dict = {"parameter": at}
     stage = "construct"
@@ -95,9 +111,7 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
         prof = wv.sample_profile(params, wv.default_grid(params, n))
 
         stage = "spectrum"
-        s_re = sp.spectrum(sp.assemble("L_Re", prof), tol_kernel)
-        s_im = sp.spectrum(sp.assemble("L_Im", prof), tol_kernel)
-        block = sp.block_summary(s_re, s_im)
+        s_re, s_im, block = _block(prof, sp.spectrum, tol_kernel)
         evidence["L_Re"] = {"n_neg": s_re.n_neg, "z_kernel": s_re.z_kernel}
         evidence["L_Im"] = {"n_neg": s_im.n_neg, "z_kernel": s_im.z_kernel}
         evidence["block"] = {"n_neg": block.n_neg, "z_kernel": block.z_kernel}
@@ -118,13 +132,15 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
         even_counts = None
         if sign == SLOPE_MINUS:
             stage = "even_restriction"
-            e_re = sp.spectrum_even(sp.assemble("L_Re", prof), tol_kernel)
-            e_im = sp.spectrum_even(sp.assemble("L_Im", prof), tol_kernel)
-            even_counts = (e_re.n_neg + e_im.n_neg,
-                           e_re.z_kernel + e_im.z_kernel)
-            evidence["even_block"] = {"n_neg": even_counts[0],
-                                      "z_kernel": even_counts[1]}
-    except Exception as exc:  # verdicts never guess past a failed stage
+            even = _block(prof, sp.spectrum_even, tol_kernel)[2]
+            even_counts = (even.n_neg, even.z_kernel)
+            evidence["even_block"] = {"n_neg": even.n_neg,
+                                      "z_kernel": even.z_kernel}
+    except (DomainError, BracketError, UsageError, DimensionError,
+            DegenerateProfileError, StiffnessError,
+            np.linalg.LinAlgError) as exc:
+        # verdicts never guess past a failed stage; any other exception
+        # is a programming error and propagates
         evidence["failed_stage"] = stage
         evidence["error"] = f"{type(exc).__name__}: {exc}"
         return StabilityVerdict(family, r, at, None, None, None, None,
@@ -139,9 +155,7 @@ def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None,
     """Machine-readable spectrum summary of the block operator."""
     params = _solve(family, r, at)
     prof = wv.sample_profile(params, wv.default_grid(params, n))
-    s_re = sp.spectrum(sp.assemble("L_Re", prof), tol_kernel)
-    s_im = sp.spectrum(sp.assemble("L_Im", prof), tol_kernel)
-    block = sp.block_summary(s_re, s_im)
+    s_re, s_im, block = _block(prof, sp.spectrum, tol_kernel)
     theta = None
     if family != wv.SOLITARY:
         theta = sp.floquet_theta(prof).theta

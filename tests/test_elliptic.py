@@ -166,10 +166,3 @@ def test_derivatives_near_zero_modulus():
     # removable singularity path
     assert el.dK_dk(1e-7) == pytest.approx(np.pi * 1e-7 / 4, rel=1e-6)
     assert el.dE_dk(1e-7) == pytest.approx(-np.pi * 1e-7 / 4, rel=1e-6)
-
-
-def test_modulus_type():
-    m = el.EllipticModulus.from_k(0.6)
-    assert abs(m.k ** 2 + m.k_c ** 2 - 1) < 1e-15
-    with pytest.raises(DomainError):
-        el.EllipticModulus.from_k(1.2)

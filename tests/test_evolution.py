@@ -74,6 +74,13 @@ def test_zero_initial_data():
     assert np.all(res.state.u == 0)
 
 
+def test_evolve_rejects_fractional_step_count():
+    # 1.0 / 0.3 steps would silently end the run at t = 0.9
+    g = torus_grid(64)
+    with pytest.raises(DomainError):
+        ev.evolve(np.zeros(64, complex), g, 1, 1.0, 0.3)
+
+
 def test_plane_wave_closed_form():
     # one Fourier mode: the Kirchhoff coefficient is constant in time and
     # the solution is A e^{i m x} e^{i(|A|^{2r} - c m^2) t} exactly

@@ -54,6 +54,16 @@ def test_verdict_failure_names_stage():
     assert "ExistenceError" in v.evidence["error"]
 
 
+def test_verdict_programming_error_propagates(monkeypatch):
+    # only numerical and domain failures become an inconclusive verdict
+    def broken(prof, *args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(rp.sp, "floquet_theta", broken)
+    with pytest.raises(TypeError):
+        rp.verdict("periodic_dn", 1, 0.5, n=128)
+
+
 def test_verdict_solitary_r4_even_evidence():
     v = rp.verdict("solitary", 4, 0.3, n=512)
     assert v.verdict == rp.UNSTABLE_EVEN
@@ -199,6 +209,18 @@ def test_cli_config_defaults(tmp_path, capsys):
     assert out["k"] == 0.3
 
 
+def test_cli_evolve_n_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 64, "tol_kernel": 1.0}))
+    ret = cli.main(["--config", str(cfg), "evolve", "--family", "dn",
+                    "--r", "1", "--k", "0.5", "--epsilon", "0.01",
+                    "--T", "0.05", "--dt", "0.005", "--out", str(tmp_path)])
+    assert ret == 0
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["n"] == 64
+    capsys.readouterr()
+
+
 def test_cli_evolve(tmp_path, capsys):
     ret = cli.main(["evolve", "--family", "dn", "--r", "1", "--k", "0.5",
                     "--epsilon", "0.01", "--T", "0.5", "--dt", "0.005",
@@ -206,6 +228,7 @@ def test_cli_evolve(tmp_path, capsys):
     assert ret == 0
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["blow_up"] is None
+    assert man["n"] == 512
     assert (tmp_path / "trajectory.csv").exists()
     capsys.readouterr()
 

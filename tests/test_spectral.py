@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,42 @@ from skwave import functionals as fn
 from skwave import spectral as sp
 from skwave import waves as wv
 from skwave.errors import DegenerateProfileError, UsageError
-from skwave.kernel import IvpProblem, integrate_ivp, quadrature, symmetric_eigen
+from skwave.kernel import Grid, IvpProblem, integrate_ivp, quadrature, symmetric_eigen
+
+
+# ----------------------------------------------------------------------
+# oracles
+# ----------------------------------------------------------------------
+
+def apply_lre_direct(p: wv.Profile, P: np.ndarray) -> np.ndarray:
+    """Unsymmetrized node-wise action of L_Re, kept as a matvec oracle:
+    -c P'' - 2 (phi', P') phi'' + omega P - (2r+1) phi^2r P."""
+    from skwave.functionals import state_derivative
+
+    P = np.asarray(P, dtype=float)
+    dP = state_derivative(p.grid, P)
+    d2P = state_derivative(p.grid, dP)
+    r, w, c = p.params.r, p.params.omega, p.params.c
+    cross = quadrature(p.grid, p.dphi * dP)
+    return -c * d2P - 2 * cross * p.d2phi + w * P - (2 * r + 1) * p.phi ** (2 * r) * P
+
+
+def even_restriction(grid: Grid) -> np.ndarray:
+    """Orthonormal basis (columns) of the even-reflection subspace."""
+    n = grid.n
+    if grid.topology == "torus":
+        ncols = n // 2 + 1
+        B = np.zeros((n, ncols))
+        B[0, 0] = 1.0
+        B[n // 2, n // 2] = 1.0
+        for j in range(1, n // 2):
+            B[j, j] = B[n - j, j] = 1 / math.sqrt(2)
+        return B
+    ncols = n // 2
+    B = np.zeros((n, ncols))
+    for j in range(ncols):
+        B[j, j] = B[n - 1 - j, j] = 1 / math.sqrt(2)
+    return B
 
 
 # ----------------------------------------------------------------------
@@ -49,7 +86,7 @@ def test_assembled_lre_matches_direct_action(dn_profile, solitary_r1_profile, rn
         else:
             P = np.exp(-g.nodes ** 2 / 6) * (1 + 0.2 * g.nodes)
         lhs = sp.assemble("L_Re", prof).matrix @ P
-        rhs = sp.apply_lre_direct(prof, P)
+        rhs = apply_lre_direct(prof, P)
         scale = np.max(np.abs(rhs))
         # the direct route squares D1 where the matrix carries D2; on the
         # line the two differ at the h^4 truncation level (~4e-6)
@@ -247,8 +284,24 @@ def test_even_counts_solitary_r4(solitary_r4_profile):
 
 
 def test_even_restriction_orthonormal(dn_profile):
-    B = sp.even_restriction(dn_profile.grid)
+    B = even_restriction(dn_profile.grid)
     assert np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) < 1e-14
+
+
+def test_spectrum_even_matches_basis_oracle(dn_profile, solitary_r4_profile):
+    # the index-built even block agrees with B^T M B on both topologies
+    for prof in (dn_profile, solitary_r4_profile):
+        B = even_restriction(prof.grid)
+        for kind in ("L_Re", "L_Im"):
+            op = sp.assemble(kind, prof)
+            norm = float(np.max(np.abs(op.matrix)))
+            w, _ = symmetric_eigen(B.T @ op.matrix @ B)
+            tol = 1e-6 * norm
+            s = sp.spectrum_even(op)
+            assert s.tol_kernel == tol
+            assert np.max(np.abs(np.array(s.lowest) - w[:5])) <= 1e-12 * norm
+            assert (s.n_neg, s.z_kernel) == (int(np.sum(w < -tol)),
+                                             int(np.sum(np.abs(w) <= tol)))
 
 
 # ----------------------------------------------------------------------
