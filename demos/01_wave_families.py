@@ -53,8 +53,8 @@ print(f"dnoidal range: [{prof.phi.min():.4f}, {prof.phi.max():.4f}] "
 write_profile_csv(prof, "dn_profile.csv")
 print("\nwrote dn_profile.csv (x, phi, dphi, d2phi with a JSON header)")
 
-# the closed-form width equation is scanned and root-solved for general
-# r; the r=1 branch is also available in closed form and both agree
+# every width is the real root of the cubic A(r) a^2/r^2 b^3 + b^2 - omega r^2,
+# taken from Cardano's formula; at r=1 the cubic reads (4/3) w b^3 + b^2 - w
 p_closed = solve_solitary(1, 1.0)
 print("\nwidth cubic check at r=1, omega=1: "
       f"(4/3) b^3 + b^2 - 1 = {(4 / 3) * p_closed.b ** 3 + p_closed.b ** 2 - 1:.2e}")

@@ -14,7 +14,7 @@ Parseval reads ``sum |v|^2 = (1/n) sum |dft(v)|^2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -165,10 +165,9 @@ class IvpResult:
     y_end: np.ndarray
     t: np.ndarray          # accepted step times
     y: np.ndarray          # solution at accepted steps, shape (m, len(t))
-    sol: object = field(default=None, repr=False)  # dense interpolant
 
 
-def integrate_ivp(problem: IvpProblem, dense: bool = False) -> IvpResult:
+def integrate_ivp(problem: IvpProblem) -> IvpResult:
     """Integrate with an embedded Dormand-Prince 5(4) pair.
 
     The requested tolerances are handed to the step controller with a
@@ -179,14 +178,13 @@ def integrate_ivp(problem: IvpProblem, dense: bool = False) -> IvpResult:
     """
     out = _integrate.solve_ivp(
         problem.rhs, problem.t_span, np.asarray(problem.y0, dtype=float),
-        method="RK45", rtol=problem.rel_tol / 4, atol=problem.abs_tol / 4,
-        dense_output=dense)
+        method="RK45", rtol=problem.rel_tol / 4, atol=problem.abs_tol / 4)
     if not out.success:
         raise StiffnessError(out.message)
     y_end = out.y[:, -1]
     if not np.all(np.isfinite(y_end)):
         raise StiffnessError("non-finite state at end of integration")
-    return IvpResult(y_end, out.t, out.y, out.sol if dense else None)
+    return IvpResult(y_end, out.t, out.y)
 
 
 # ----------------------------------------------------------------------

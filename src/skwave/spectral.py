@@ -42,7 +42,7 @@ from .kernel import (
 
 TWO_PI = 2.0 * math.pi
 
-OPERATOR_KINDS = ("L_Re", "L_Im", "L1")
+OPERATOR_KINDS = ("L_Re", "L_Im")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +124,7 @@ def diff_matrix(grid: Grid, order: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def assemble(kind: str, p: wv.Profile) -> OperatorMatrix:
-    """Dense symmetric discretization of L_Re, L_Im or the local part L1."""
+    """Dense symmetric discretization of L_Re or L_Im."""
     if kind not in OPERATOR_KINDS:
         raise UsageError(f"operator kind must be one of {OPERATOR_KINDS}")
     r, w, c = p.params.r, p.params.omega, p.params.c

@@ -10,17 +10,23 @@ with a positive profile:
 * ``periodic_dn``           phi = a dn(b x, k)                   on the 2*pi torus, r = 1
 * ``periodic_dn_quotient``  phi = a dn / sqrt(1 - alpha sn^2)    on the 2*pi torus, r = 2
 
-Substituting the solitary ansatz gives a^(2r) = (r+1)*omega together
-with a cubic for the inverse width,
+Every family's parameters are closed forms; nothing is scanned or
+root-solved.  Substituting the solitary ansatz gives a^(2r) = (r+1)*omega
+together with a cubic for the inverse width,
 
     A(r)*a^2/r^2 * b^3 + b^2 - omega*r^2 = 0,
 
 whose unique positive root exists for every omega > 0; the family is
 nevertheless restricted to the regime where the cubic's discriminant is
-negative (a single real root), which is exactly where the closed-form
-amplitude/width expressions are real.  That regime boundary is
+negative (a single real root), which is exactly where Cardano's formula
+gives b with real radicals.  That regime boundary is
 
     omega_thr(r) = [4 r^2 / (27 A(r)^2 (r+1)^(2/r))]^(r/(r+2)).
+
+The dnoidal parameters are closed forms in K(k) and E(k).  The dn quotient
+has b = K(k)/pi and alpha, kappa from k; its squared amplitude is the
+positive root of a quadratic whose one integral coefficient, int psi'^2
+over the period, is a rectangle rule at roundoff.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -110,38 +116,21 @@ def solitary_threshold(r: int) -> float:
 # solitary waves
 # ----------------------------------------------------------------------
 
-def _gensolit_a(r: int, omega: float, A: float, b: float) -> float:
-    """Amplitude in terms of the width candidate b."""
-    disc = A * b * (r * r * omega - b * b)
-    if disc <= 0:
-        raise DomainError("width candidate outside the admissible range")
-    return math.sqrt(disc) * r / (A * b * b)
-
-
-def _gensolit_residual(r: int, omega: float, A: float, b: float) -> float:
-    """Width equation: vanishes exactly on the solitary branch."""
-    root = math.sqrt(A * b * (r * r * omega - b * b))
-    a = root * r / (A * b * b)
-    return (-(a ** (2 * r + 1)) * r ** 4
-            + (1 + r) * root * r * (r * r + (r * r * omega - b * b) * r * r / (b * b)) / A)
-
-
-def _solve_solitary_r1(omega: float) -> tuple[float, float]:
-    """Closed-form (a, b) for r = 1."""
-    inner = (12 * omega ** 3 - 1) / omega
-    D = 24 * omega ** 3 - 1 + 4 * math.sqrt(3) * math.sqrt(inner) * omega ** 2
-    cbrt = D ** (1.0 / 3)
-    b = (cbrt + 1.0 / cbrt - 1.0) / (4 * omega)
-    a = math.sqrt(6 * b * (omega - b * b)) / (2 * b * b)
-    return a, b
-
-
 def solve_solitary(r: int, omega: float, validate: bool = True) -> WaveParams:
-    """Solitary-wave parameters at frequency omega.
+    """Solitary-wave parameters at frequency omega, in closed form.
 
-    Raises ExistenceError below the family threshold.  The returned
-    parameters are cross-validated against the stationary equation on a
-    default grid unless ``validate`` is disabled.
+    a = ((r+1) omega)^(1/2r), and b is the real root of the width cubic
+    p b^3 + b^2 - q = 0 (p = A(r) a^2 / r^2, q = omega r^2) by Cardano:
+
+        Q = 2/(27 p^3) - q/p,
+        u = cbrt(-Q/2 + sqrt(max(Q^2/4 - 1/(729 p^6), 0))),
+        b = u + 1/(9 p^2 u) - 1/(3 p),
+
+    and c = omega r^2 / b^2.  The discriminant under the square root
+    changes sign at the family threshold; the clamp only absorbs roundoff
+    just above it.  Raises ExistenceError at or below the threshold.  The
+    returned parameters are cross-validated against the stationary
+    equation on a default grid unless ``validate`` is disabled.
     """
     if r < 1:
         raise DomainError("nonlinearity exponent r must be >= 1")
@@ -150,33 +139,12 @@ def solve_solitary(r: int, omega: float, validate: bool = True) -> WaveParams:
         raise ExistenceError(
             f"solitary family with r={r} requires omega > {thr:.6f}, got {omega}")
     A, _ = shape_constants(r)
-    if r == 1:
-        a, b = _solve_solitary_r1(omega)
-    else:
-        bmax = r * math.sqrt(omega)
-        lo, hi = 1e-6 * bmax, (1 - 1e-9) * bmax
-        # single sign change on (0, bmax); scan picks the subinterval,
-        # keeping the branch that continues from b -> 0
-        bs = np.linspace(lo, hi, 129)
-        vals = [_gensolit_residual(r, omega, A, float(x)) for x in bs]
-        bracket = None
-        for i in range(len(bs) - 1):
-            if vals[i] == 0.0:
-                bracket = (bs[i], bs[i])
-                break
-            if vals[i] * vals[i + 1] < 0:
-                bracket = (float(bs[i]), float(bs[i + 1]))
-                break
-        if bracket is None:
-            raise ExistenceError(
-                f"no width root in (0, {bmax:.4f}) for r={r}, omega={omega}")
-        if bracket[0] == bracket[1]:
-            b = bracket[0]
-        else:
-            b = find_root_bracketed(
-                lambda x: _gensolit_residual(r, omega, A, x),
-                bracket[0], bracket[1], tol=1e-14)
-        a = _gensolit_a(r, omega, A, b)
+    a = ((r + 1) * omega) ** (1.0 / (2 * r))
+    p = A * a * a / (r * r)
+    q = omega * r * r
+    Q = 2 / (27 * p ** 3) - q / p
+    u = (-Q / 2 + math.sqrt(max(Q * Q / 4 - 1 / (729 * p ** 6), 0.0))) ** (1.0 / 3)
+    b = u + 1 / (9 * p * p * u) - 1 / (3 * p)
     c = omega * r * r / (b * b)
     params = WaveParams(SOLITARY, r, omega, a, b, c)
     if validate:
@@ -235,53 +203,36 @@ def dnq_omega_coefficient(k: float) -> float:
             / (alpha * alpha * (alpha - 2)))
 
 
-def solve_periodic_r2(k: float, n_quad: int = DEFAULT_N_TORUS,
-                      validate: bool = True) -> WaveParams:
-    """Quotient-family parameters at modulus k.
+def solve_periodic_r2(k: float, validate: bool = True) -> WaveParams:
+    """Quotient-family parameters at modulus k, in closed form.
 
-    b and alpha are closed forms; the amplitude solves the scalar
-    consistency condition <residual(a), phi_a> = 0 where the residual is
-    the stationary equation with omega = kappa * a^4 and the Kirchhoff
-    constant recomputed from the candidate profile.
+    b = K(k)/pi, alpha and omega = kappa a^4 are closed forms.  With
+    phi = a psi(b x) the stationary equation needs c b^2 = mu a^4, and the
+    Kirchhoff constant is c = 1 + a^2 b^2 J with J = int_0^2pi psi'(b x)^2
+    dx, so A = a^2 is the positive root of
+
+        mu A^2 - b^4 J A - b^2 = 0,
+
+    where -mu psi'' + kappa psi - psi^5 = 0 for the quotient shape
+    psi = dn / sqrt(1 - alpha sn^2), with mu = (1 - 2k^2 +
+    2 sqrt(k^4 - k^2 + 1))/3: that is (kappa - 1)/(alpha - k^2) without
+    its cancellation at small k.  J is the rectangle rule on the default
+    torus grid, already at roundoff for the smooth periodic integrand.
     """
     if not 0 < k < 1:
         raise DomainError(f"modulus must lie in (0, 1), got {k}")
     alpha = dnq_alpha(k)
-    kappa = dnq_omega_coefficient(k)
+    mu = (1 - 2 * k * k + 2 * math.sqrt(k ** 4 - k * k + 1)) / 3
     b = el.complete_K(k) / math.pi
-    grid = torus_grid(n_quad)
-    sn, cn, dn = el.jacobi(b * grid.nodes, k)
-    g = 1 - alpha * sn ** 2
-
-    def fields(a: float):
-        phi = a * dn / np.sqrt(g)
-        dphi = a * b * (alpha - k * k) * sn * cn * g ** -1.5
-        d2phi = (a * b * b * (alpha - k * k) * dn * g ** -2.5
-                 * ((cn ** 2 - sn ** 2) * g + 3 * alpha * sn ** 2 * cn ** 2))
-        return phi, dphi, d2phi
-
-    def projected_residual(a: float) -> float:
-        phi, dphi, d2phi = fields(a)
-        c = 1 + quadrature(grid, dphi ** 2)
-        omega = kappa * a ** 4
-        resid = -c * d2phi + omega * phi - phi ** 5
-        return quadrature(grid, resid * phi)
-
-    lo, hi = 0.05, 10.0
-    aa = np.linspace(lo, hi, 200)
-    vals = [projected_residual(float(x)) for x in aa]
-    bracket = None
-    for i in range(len(aa) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            bracket = (float(aa[i]), float(aa[i + 1]))
-            break
-    if bracket is None:
-        raise ExistenceError(
-            f"no amplitude root in ({lo}, {hi}) for the quotient family at k={k}")
-    a = find_root_bracketed(projected_residual, bracket[0], bracket[1], tol=1e-14)
-    _, dphi, _ = fields(a)
-    c = 1 + quadrature(grid, dphi ** 2)
-    omega = kappa * a ** 4
+    grid = torus_grid(DEFAULT_N_TORUS)
+    sn, cn, _ = el.jacobi(b * grid.nodes, k)
+    J = quadrature(grid, ((alpha - k * k) * sn * cn
+                          * (1 - alpha * sn ** 2) ** -1.5) ** 2)
+    b4J = b ** 4 * J
+    A = (b4J + math.sqrt(b4J * b4J + 4 * mu * b * b)) / (2 * mu)
+    a = math.sqrt(A)
+    c = 1 + A * b * b * J
+    omega = dnq_omega_coefficient(k) * A * A
     params = WaveParams(PERIODIC_DNQ, 2, omega, a, b, c, k=k, alpha=alpha)
     if validate:
         _validate_params(params)
@@ -299,7 +250,7 @@ def solve_family(family: str, r: int, at: float, validate: bool = True) -> WaveP
     if family == PERIODIC_DNQ:
         if r != 2:
             raise UsageError("the dn-quotient family has r = 2")
-        return solve_periodic_r2(at, validate=validate)
+        return solve_periodic_r2(at, validate)
     raise UsageError(f"unknown family {family!r}")
 
 

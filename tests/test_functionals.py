@@ -147,6 +147,19 @@ def test_vk_slope_signs():
     assert fn.vk_slope("periodic_dn_quotient", 2, 0.5).slope > 0
 
 
+@pytest.mark.parametrize("k", [0.05, 0.08, 0.1])
+def test_vk_slope_dnq_small_k(k):
+    # domega/dk is small here, so 1e-10 relative noise in the amplitude
+    # is enough to flag the chain-rule slope or flip its sign
+    from skwave.report import SLOPE_PLUS, slope_sign_of
+
+    res = fn.vk_slope(wv.PERIODIC_DNQ, 2, k)
+    ref = fn.vk_slope(wv.PERIODIC_DNQ, 2, 0.15).slope
+    assert not res.flagged
+    assert slope_sign_of(res) == SLOPE_PLUS
+    assert abs(res.slope - ref) <= 1e-3 * abs(ref)
+
+
 def test_vk_slope_r1_implicit_differentiation_oracle():
     # m(w) = 4w/b(w); differentiate the width cubic implicitly:
     # b' = (1 - (4/3) b^3) / (4 w b^2 + 2 b)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from skwave import functionals as fn
 from skwave import spectral as sp
 from skwave import waves as wv
 from skwave.errors import DegenerateProfileError, UsageError
-from skwave.kernel import Grid, IvpProblem, integrate_ivp, quadrature, symmetric_eigen
+from skwave.kernel import Grid, quadrature, symmetric_eigen
 
 
 # ----------------------------------------------------------------------
@@ -208,9 +209,8 @@ def test_theta_via_translation_relation(dn_profile):
         v = float(phi_f(x))
         return np.array([y[1], (w - 3 * v * v) / c * y[0]])
 
-    res = integrate_ivp(IvpProblem(rhs, np.array([-1 / phidd0, 0.0]),
-                                   (0.0, 4 * np.pi), rel_tol=1e-11,
-                                   abs_tol=1e-13), dense=True)
+    res = solve_ivp(rhs, (0.0, 4 * np.pi), np.array([-1 / phidd0, 0.0]),
+                    method="RK45", rtol=2.5e-12, atol=2.5e-14, dense_output=True)
     xs = np.array([0.7, 1.9, 3.1, 4.4, 5.6])
     vals = (res.sol(xs + 2 * np.pi)[0] - res.sol(xs)[0]) / dphi_f(xs)
     theta_fit = float(np.mean(vals))
@@ -228,9 +228,8 @@ def test_wronskian_constant(dn_profile):
         v = float(phi_f(x))
         return np.array([y[1], (w - 3 * v * v) / c * y[0]])
 
-    res = integrate_ivp(IvpProblem(rhs, np.array([-1 / phidd0, 0.0]),
-                                   (0.0, 2 * np.pi), rel_tol=1e-11,
-                                   abs_tol=1e-13), dense=True)
+    res = solve_ivp(rhs, (0.0, 2 * np.pi), np.array([-1 / phidd0, 0.0]),
+                    method="RK45", rtol=2.5e-12, atol=2.5e-14, dense_output=True)
     xs = np.linspace(0.1, 2 * np.pi - 0.1, 9)
     ybar = res.sol(xs)
     wronskian = dphi_f(xs) * ybar[1] - d2phi_f(xs) * ybar[0]
