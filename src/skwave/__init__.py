@@ -7,11 +7,9 @@ orbital-stability verdicts, and split-step time evolution.
 
 from .kernel import (
     Grid,
-    IvpProblem,
     dft,
     find_root_bracketed,
     idft,
-    integrate_ivp,
     line_grid,
     quadrature,
     symmetric_eigen,

@@ -24,7 +24,6 @@ from .errors import (
     BracketError,
     DimensionError,
     DomainError,
-    StiffnessError,
     UsageError,
 )
 
@@ -208,7 +207,7 @@ def main(argv=None) -> int:
     except (DomainError, UsageError, BracketError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StiffnessError, BlowUpError, np.linalg.LinAlgError) as exc:
+    except (BlowUpError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

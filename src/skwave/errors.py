@@ -21,10 +21,6 @@ class UsageError(ValueError):
     """Incompatible combination of arguments, e.g. grid topology mismatch."""
 
 
-class StiffnessError(RuntimeError):
-    """Adaptive ODE integration failed to reach the end of the interval."""
-
-
 class DegenerateProfileError(ValueError):
     """Profile violates a nondegeneracy requirement (e.g. phi''(0) = 0)."""
 

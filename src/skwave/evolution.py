@@ -248,10 +248,7 @@ def periodized_profile(params: wv.WaveParams, grid: Grid) -> wv.Profile:
     """
     if grid.topology != "torus":
         raise UsageError("periodized profiles live on torus grids")
-    phi_f, dphi_f, d2phi_f = wv.closed_form_evaluators(params)
-    x = grid.nodes
-    return wv.Profile(params, grid, np.asarray(phi_f(x), float),
-                      np.asarray(dphi_f(x), float), np.asarray(d2phi_f(x), float))
+    return wv.Profile(params, grid, *wv.profile_values(params, grid.nodes))
 
 
 def experiment_grid(params: wv.WaveParams, n: int = 512) -> Grid:

@@ -1,9 +1,8 @@
 """Shared low-level numerics.
 
-Grids with quadrature weights, bracketed root finding, adaptive ODE
-integration, dense symmetric eigendecomposition and the DFT pair.  All
-operations are pure functions of their inputs and safe to call
-concurrently.
+Grids with quadrature weights, bracketed root finding, dense symmetric
+eigendecomposition and the DFT pair.  All operations are pure functions
+of their inputs and safe to call concurrently.
 
 DFT convention
 --------------
@@ -18,14 +17,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import optimize as _optimize
 
 from .errors import (
     BracketError,
     DimensionError,
     DomainError,
-    StiffnessError,
     UsageError,
 )
 
@@ -135,56 +132,6 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
             f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3g}, f(hi)={fhi:.3g}")
     return float(_optimize.brentq(checked, lo, hi, xtol=tol, rtol=8.9e-16,
                                   maxiter=200))
-
-
-# ----------------------------------------------------------------------
-# initial value problems
-# ----------------------------------------------------------------------
-
-@dataclass
-class IvpProblem:
-    """First-order system y' = rhs(t, y) on t_span with given tolerances."""
-
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    y0: np.ndarray
-    t_span: tuple[float, float]
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        t0, t1 = self.t_span
-        if not t1 > t0:
-            raise DomainError("t_span must satisfy t1 > t0")
-        for tol in (self.rel_tol, self.abs_tol):
-            if not 0 < tol < 1:
-                raise DomainError("tolerances must lie in (0, 1)")
-
-
-@dataclass
-class IvpResult:
-    y_end: np.ndarray
-    t: np.ndarray          # accepted step times
-    y: np.ndarray          # solution at accepted steps, shape (m, len(t))
-
-
-def integrate_ivp(problem: IvpProblem) -> IvpResult:
-    """Integrate with an embedded Dormand-Prince 5(4) pair.
-
-    The requested tolerances are handed to the step controller with a
-    safety factor of 4 so that the accumulated terminal error stays
-    within the stated tolerances (the controller only bounds per-step
-    errors).  Raises StiffnessError when the controller cannot complete
-    the interval (step underflow) or the state leaves the finite range.
-    """
-    out = _integrate.solve_ivp(
-        problem.rhs, problem.t_span, np.asarray(problem.y0, dtype=float),
-        method="RK45", rtol=problem.rel_tol / 4, atol=problem.abs_tol / 4)
-    if not out.success:
-        raise StiffnessError(out.message)
-    y_end = out.y[:, -1]
-    if not np.all(np.isfinite(y_end)):
-        raise StiffnessError("non-finite state at end of integration")
-    return IvpResult(y_end, out.t, out.y)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .errors import (
     DegenerateProfileError,
     DimensionError,
     DomainError,
-    StiffnessError,
     UsageError,
 )
 
@@ -137,8 +136,7 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
             evidence["even_block"] = {"n_neg": even.n_neg,
                                       "z_kernel": even.z_kernel}
     except (DomainError, BracketError, UsageError, DimensionError,
-            DegenerateProfileError, StiffnessError,
-            np.linalg.LinAlgError) as exc:
+            DegenerateProfileError, np.linalg.LinAlgError) as exc:
         # verdicts never guess past a failed stage; any other exception
         # is a programming error and propagates
         evidence["failed_stage"] = stage

@@ -16,7 +16,10 @@ use 4th-order centered differences with Dirichlet (decay) truncation.
 The kernel position of the periodic Hill operator is certified by the
 Floquet constant theta: the second fundamental solution satisfies
 y2(x + 2*pi) = y2(x) + theta*y1(x), and zero is a simple eigenvalue of
-the Hill operator iff theta != 0.
+the Hill operator iff theta != 0.  theta is read off the monodromy
+matrix of the Hill equation, a product of 4th-order Magnus propagators
+(Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+2009) over the Gauss-node samples of the closed-form profile.
 """
 
 from __future__ import annotations
@@ -32,9 +35,7 @@ from . import waves as wv
 from .errors import DegenerateProfileError, DomainError, UsageError
 from .kernel import (
     Grid,
-    IvpProblem,
     find_root_bracketed,
-    integrate_ivp,
     quadrature,
     symmetric_eigen,
     wavenumbers,
@@ -43,6 +44,8 @@ from .kernel import (
 TWO_PI = 2.0 * math.pi
 
 OPERATOR_KINDS = ("L_Re", "L_Im")
+
+MAGNUS_CELLS = 2048     # a power of two, for the pairwise product
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,36 +236,54 @@ def spectrum_even(op: OperatorMatrix, tol_kernel: float = None) -> SpectrumSumma
 # Floquet constant
 # ----------------------------------------------------------------------
 
-def floquet_theta(p: wv.Profile, rel_tol: float = 1e-10) -> FloquetResult:
-    """theta from the initial value problem
+def floquet_theta(p: wv.Profile) -> FloquetResult:
+    """theta from the monodromy of the Hill equation
 
-        -ybar'' + (omega/c) ybar - ((2r+1) phi^2r / c) ybar = 0,
+        ybar'' = q ybar,  q = (omega - (2r+1) phi^2r) / c,
         ybar(0) = -1/phi''(0),  ybar'(0) = 0,
 
-    integrated over one period with the closed-form profile (the
-    integrator needs values between grid nodes).  With y1 = phi' odd
-    and ybar even, theta = ybar'(2*pi)/phi''(0); the normalization makes
-    the Wronskian of {phi', ybar} identically one.
+    over one period of the closed-form profile.  With y1 = phi' odd and
+    ybar even, theta = ybar'(2*pi)/phi''(0); the normalization makes the
+    Wronskian of {phi', ybar} identically one.
+
+    The monodromy M is a product of 4th-order Magnus propagators on
+    MAGNUS_CELLS uniform cells of width h.  On each cell q is sampled at
+    the left and right Gauss nodes (q1, q2, mean qbar), and
+
+        Omega = [[d, h], [h qbar, -d]],  d = sqrt(3) h^2 (q1 - q2) / 12,
+
+    squares to s^2 I with s^2 = d^2 + h^2 qbar, so that exp(Omega) =
+    cosh(s) I + sinh(s)/s Omega.  The cell propagators are multiplied
+    pairwise in batches, and (ybar, ybar')(2*pi) = M[:, 0] ybar(0).
     """
     if p.grid.topology != "torus":
         raise UsageError("the Floquet constant is defined for periodic waves")
-    phi_f, _, d2phi_f = wv.closed_form_evaluators(p.params)
-    phi_dd0 = float(d2phi_f(0.0))
+    phi_dd0 = float(wv.profile_values(p.params, 0.0)[2])
     scale = float(np.max(np.abs(p.d2phi)))
     if abs(phi_dd0) < 1e-12 * max(scale, 1.0):
         raise DegenerateProfileError("phi''(0) vanishes, theta is undefined")
     r, w, c = p.params.r, p.params.omega, p.params.c
-    two_r = 2 * r
-
-    def rhs(x, y):
-        val = float(phi_f(x))
-        return np.array([y[1], (w - (two_r + 1) * val ** two_r) / c * y[0]])
-
-    problem = IvpProblem(rhs, np.array([-1.0 / phi_dd0, 0.0]), (0.0, TWO_PI),
-                         rel_tol=rel_tol, abs_tol=1e-12)
-    res = integrate_ivp(problem)
-    theta = float(res.y_end[1] / phi_dd0)
-    return FloquetResult(theta, w, tuple(res.y_end), phi_dd0)
+    h = TWO_PI / MAGNUS_CELLS
+    gauss = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6
+    x = h * (np.arange(MAGNUS_CELLS)[:, None] + gauss)
+    phi = wv.profile_values(p.params, x)[0]
+    q = (w - (2 * r + 1) * phi ** (2 * r)) / c
+    qbar = (q[:, 0] + q[:, 1]) / 2
+    d = math.sqrt(3) * h * h * (q[:, 0] - q[:, 1]) / 12
+    s = np.sqrt(d * d + h * h * qbar + 0j)
+    cosh_s = np.cosh(s).real
+    # sinh(s)/s as sin(i s)/(i s): real for either sign of s^2, 1 at s = 0
+    sinhc_s = np.sinc(1j * s / math.pi).real
+    cells = np.empty((MAGNUS_CELLS, 2, 2))
+    cells[:, 0, 0] = cosh_s + sinhc_s * d
+    cells[:, 0, 1] = sinhc_s * h
+    cells[:, 1, 0] = sinhc_s * h * qbar
+    cells[:, 1, 1] = cosh_s - sinhc_s * d
+    while len(cells) > 1:
+        cells = cells[1::2] @ cells[0::2]
+    ybar_end = cells[0, :, 0] * (-1.0 / phi_dd0)
+    theta = float(ybar_end[1] / phi_dd0)
+    return FloquetResult(theta, w, tuple(ybar_end), phi_dd0)
 
 
 # ----------------------------------------------------------------------
@@ -358,9 +379,9 @@ def finite_difference_eta(p: wv.Profile, h: float) -> np.ndarray:
     inverting omega(k)."""
     pp = _params_at_omega(p, p.params.omega + h)
     pm = _params_at_omega(p, p.params.omega - h)
-    phi_p = wv.closed_form_evaluators(pp)[0](p.grid.nodes)
-    phi_m = wv.closed_form_evaluators(pm)[0](p.grid.nodes)
-    return -(np.asarray(phi_p) - np.asarray(phi_m)) / (2 * h)
+    phi_p = wv.profile_values(pp, p.grid.nodes)[0]
+    phi_m = wv.profile_values(pm, p.grid.nodes)[0]
+    return -(phi_p - phi_m) / (2 * h)
 
 
 def eta_equation_check(p: wv.Profile, d_omega_step: float = None) -> float:

@@ -258,61 +258,44 @@ def solve_family(family: str, r: int, at: float, validate: bool = True) -> WaveP
 # profiles
 # ----------------------------------------------------------------------
 
-def closed_form_evaluators(params: WaveParams):
-    """(phi, dphi, d2phi) callables accepting scalars or arrays."""
+def profile_values(params: WaveParams, x):
+    """(phi, phi', phi'') of the closed form at x, a scalar or an array.
+
+    The periodic families make one ``jacobi`` call for all three.
+    """
     a, b, r = params.a, params.b, params.r
+    y = b * np.asarray(x)
     if params.family == SOLITARY:
         inv_r = 1.0 / r
-
-        def phi(x):
-            return a * np.cosh(b * np.asarray(x)) ** -inv_r
-
-        def dphi(x):
-            y = b * np.asarray(x)
-            return -(a * b / r) * np.cosh(y) ** -inv_r * np.tanh(y)
-
-        def d2phi(x):
-            y = b * np.asarray(x)
-            s = 1.0 / np.cosh(y)
-            t = np.tanh(y)
-            return (a * b * b / r) * s ** inv_r * (t * t / r - s * s)
-
-    elif params.family == PERIODIC_DN:
+        ch = np.cosh(y)
+        ch_pow = ch ** -inv_r
+        s = 1.0 / ch
+        t = np.tanh(y)
+        return (a * ch_pow,
+                -(a * b / r) * ch_pow * t,
+                (a * b * b / r) * s ** inv_r * (t * t / r - s * s))
+    if params.family == PERIODIC_DN:
         k = params.k
-
-        def phi(x):
-            _, _, dn = el.jacobi(b * np.asarray(x), k)
-            return a * dn
-
-        def dphi(x):
-            sn, cn, _ = el.jacobi(b * np.asarray(x), k)
-            return -a * b * k * k * sn * cn
-
-        def d2phi(x):
-            _, _, dn = el.jacobi(b * np.asarray(x), k)
-            return a * b * b * ((2 - k * k) * dn - 2 * dn ** 3)
-
-    elif params.family == PERIODIC_DNQ:
+        sn, cn, dn = el.jacobi(y, k)
+        return (a * dn,
+                -a * b * k * k * sn * cn,
+                a * b * b * ((2 - k * k) * dn - 2 * dn ** 3))
+    if params.family == PERIODIC_DNQ:
         k, alpha = params.k, params.alpha
+        sn, cn, dn = el.jacobi(y, k)
+        g = 1 - alpha * sn ** 2
+        return (a * dn / np.sqrt(g),
+                a * b * (alpha - k * k) * sn * cn * g ** -1.5,
+                a * b * b * (alpha - k * k) * dn * g ** -2.5
+                * ((cn ** 2 - sn ** 2) * g + 3 * alpha * sn ** 2 * cn ** 2))
+    raise UsageError(f"unknown family {params.family!r}")
 
-        def phi(x):
-            sn, _, dn = el.jacobi(b * np.asarray(x), k)
-            return a * dn / np.sqrt(1 - alpha * sn ** 2)
 
-        def dphi(x):
-            sn, cn, _ = el.jacobi(b * np.asarray(x), k)
-            g = 1 - alpha * sn ** 2
-            return a * b * (alpha - k * k) * sn * cn * g ** -1.5
-
-        def d2phi(x):
-            sn, cn, dn = el.jacobi(b * np.asarray(x), k)
-            g = 1 - alpha * sn ** 2
-            return (a * b * b * (alpha - k * k) * dn * g ** -2.5
-                    * ((cn ** 2 - sn ** 2) * g + 3 * alpha * sn ** 2 * cn ** 2))
-
-    else:
-        raise UsageError(f"unknown family {params.family!r}")
-    return phi, dphi, d2phi
+def closed_form_evaluators(params: WaveParams):
+    """(phi, dphi, d2phi) callables: views of ``profile_values``."""
+    return (lambda x: profile_values(params, x)[0],
+            lambda x: profile_values(params, x)[1],
+            lambda x: profile_values(params, x)[2])
 
 
 def tail_half_length(params: WaveParams) -> float:
@@ -334,11 +317,7 @@ def sample_profile(params: WaveParams, grid: Grid) -> Profile:
     if grid.topology != expected:
         raise UsageError(
             f"{params.family} profiles live on a {expected} grid, got {grid.topology}")
-    phi_f, dphi_f, d2phi_f = closed_form_evaluators(params)
-    return Profile(params, grid,
-                   np.asarray(phi_f(grid.nodes), dtype=float),
-                   np.asarray(dphi_f(grid.nodes), dtype=float),
-                   np.asarray(d2phi_f(grid.nodes), dtype=float))
+    return Profile(params, grid, *profile_values(params, grid.nodes))
 
 
 def ode_residual(p: Profile) -> float:

@@ -116,40 +116,6 @@ def test_root_stays_inside_bracket(c, width):
 
 
 # ----------------------------------------------------------------------
-# initial value problems
-# ----------------------------------------------------------------------
-
-def test_ivp_exponential():
-    p = kernel.IvpProblem(lambda t, y: y, np.array([1.0]), (0, 1),
-                          rel_tol=1e-11, abs_tol=1e-13)
-    res = kernel.integrate_ivp(p)
-    assert abs(res.y_end[0] - np.e) < 1e-9
-
-
-def test_ivp_harmonic_period():
-    p = kernel.IvpProblem(lambda t, y: np.array([y[1], -y[0]]),
-                          np.array([1.0, 0.0]), (0, 2 * np.pi),
-                          rel_tol=1e-11, abs_tol=1e-13)
-    res = kernel.integrate_ivp(p)
-    assert np.max(np.abs(res.y_end - [1.0, 0.0])) < 1e-8
-
-
-def test_ivp_energy_conservation_long_run():
-    rel = 1e-9
-    p = kernel.IvpProblem(lambda t, y: np.array([y[1], -y[0]]),
-                          np.array([1.0, 0.0]), (0, 20 * np.pi), rel_tol=rel)
-    res = kernel.integrate_ivp(p)
-    energy = res.y ** 2
-    drift = np.max(np.abs(energy[0] + energy[1] - 1.0))
-    assert drift < 10 * rel
-
-
-def test_ivp_tolerance_contract():
-    with pytest.raises(DomainError):
-        kernel.IvpProblem(lambda t, y: y, np.array([1.0]), (1, 0))
-
-
-# ----------------------------------------------------------------------
 # symmetric eigenproblems
 # ----------------------------------------------------------------------
 

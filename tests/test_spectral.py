@@ -237,6 +237,35 @@ def test_wronskian_constant(dn_profile):
     assert np.max(np.abs(wronskian - 1.0)) < 1e-8
 
 
+def theta_dop853(params: wv.WaveParams) -> float:
+    """Floquet constant by DOP853 at rtol 1e-13 on the scalar closed form."""
+    phi_f, _, d2phi_f = wv.closed_form_evaluators(params)
+    phidd0 = float(d2phi_f(0.0))
+    r, w, c = params.r, params.omega, params.c
+
+    def rhs(x, y):
+        v = float(phi_f(x))
+        return np.array([y[1], (w - (2 * r + 1) * v ** (2 * r)) / c * y[0]])
+
+    res = solve_ivp(rhs, (0.0, 2 * np.pi), np.array([-1 / phidd0, 0.0]),
+                    method="DOP853", rtol=1e-13, atol=1e-15)
+    assert res.success
+    return float(res.y[1, -1] / phidd0)
+
+
+@pytest.mark.parametrize("family, r", [(wv.PERIODIC_DN, 1), (wv.PERIODIC_DNQ, 2)])
+def test_floquet_theta_matches_dop853_oracle(family, r):
+    # below k = 0.2, phi''(0)^2 ~ k^4 divides a monodromy entry that is
+    # small against the propagated state, so both routes lose digits to
+    # roundoff there; the oracle itself is off by ~1e-8 at k = 0.05
+    bands = [((0.2, 0.35, 0.5, 0.65, 0.8, 0.95), 1e-9), ((0.05, 0.1), 1e-7)]
+    for ks, rel in bands:
+        for k in ks:
+            p = wv.solve_family(family, r, k)
+            theta = sp.floquet_theta(wv.sample_profile(p, wv.default_grid(p))).theta
+            assert theta == pytest.approx(theta_dop853(p), rel=rel), k
+
+
 def test_theta_degenerate_profile(dn_profile):
     # a vanishing modulus flattens the wave: phi''(0) ~ k^2 -> 0
     params_flat = wv.WaveParams("periodic_dn", 1, dn_profile.params.omega,

@@ -122,6 +122,64 @@ def solve_periodic_r2_oracle(k: float, n_quad: int = wv.DEFAULT_N_TORUS) -> wv.W
     return wv.WaveParams(wv.PERIODIC_DNQ, 2, omega, a, b, c, k=k, alpha=alpha)
 
 
+def closed_form_evaluators_oracle(params: wv.WaveParams):
+    """The per-derivative closures that ``profile_values`` replaced, one
+    ``jacobi`` call each: (phi, dphi, d2phi) callables."""
+    a, b, r = params.a, params.b, params.r
+    if params.family == wv.SOLITARY:
+        inv_r = 1.0 / r
+
+        def phi(x):
+            return a * np.cosh(b * np.asarray(x)) ** -inv_r
+
+        def dphi(x):
+            y = b * np.asarray(x)
+            return -(a * b / r) * np.cosh(y) ** -inv_r * np.tanh(y)
+
+        def d2phi(x):
+            y = b * np.asarray(x)
+            s = 1.0 / np.cosh(y)
+            t = np.tanh(y)
+            return (a * b * b / r) * s ** inv_r * (t * t / r - s * s)
+
+    elif params.family == wv.PERIODIC_DN:
+        k = params.k
+
+        def phi(x):
+            _, _, dn = el.jacobi(b * np.asarray(x), k)
+            return a * dn
+
+        def dphi(x):
+            sn, cn, _ = el.jacobi(b * np.asarray(x), k)
+            return -a * b * k * k * sn * cn
+
+        def d2phi(x):
+            _, _, dn = el.jacobi(b * np.asarray(x), k)
+            return a * b * b * ((2 - k * k) * dn - 2 * dn ** 3)
+
+    elif params.family == wv.PERIODIC_DNQ:
+        k, alpha = params.k, params.alpha
+
+        def phi(x):
+            sn, _, dn = el.jacobi(b * np.asarray(x), k)
+            return a * dn / np.sqrt(1 - alpha * sn ** 2)
+
+        def dphi(x):
+            sn, cn, _ = el.jacobi(b * np.asarray(x), k)
+            g = 1 - alpha * sn ** 2
+            return a * b * (alpha - k * k) * sn * cn * g ** -1.5
+
+        def d2phi(x):
+            sn, cn, dn = el.jacobi(b * np.asarray(x), k)
+            g = 1 - alpha * sn ** 2
+            return (a * b * b * (alpha - k * k) * dn * g ** -2.5
+                    * ((cn ** 2 - sn ** 2) * g + 3 * alpha * sn ** 2 * cn ** 2))
+
+    else:
+        raise UsageError(f"unknown family {params.family!r}")
+    return phi, dphi, d2phi
+
+
 def _rel(x: float, ref: float) -> float:
     return abs(x - ref) / abs(ref)
 
@@ -289,6 +347,44 @@ def test_profile_solitary_origin_values():
     assert abs(float(phi(0.0)) - p.a) < 1e-14
     assert abs(float(dphi(0.0))) < 1e-14
     assert abs(float(d2phi(0.0)) + p.a * p.b ** 2) < 1e-14
+
+
+PROFILE_CASES = [(wv.SOLITARY, 1, 1.0), (wv.SOLITARY, 2, 0.5), (wv.SOLITARY, 3, 0.7),
+                 (wv.SOLITARY, 4, 0.3), (wv.PERIODIC_DN, 1, 0.5),
+                 (wv.PERIODIC_DN, 1, 0.95), (wv.PERIODIC_DNQ, 2, 0.5),
+                 (wv.PERIODIC_DNQ, 2, 0.95)]
+
+
+@pytest.mark.parametrize("family, r, at", PROFILE_CASES)
+def test_profile_values_match_closure_oracle_exactly(family, r, at):
+    p = wv.solve_family(family, r, at)
+    x = wv.default_grid(p).nodes
+    for got, closure in zip(wv.profile_values(p, x), closed_form_evaluators_oracle(p)):
+        assert np.array_equal(got, closure(x))
+    for got, closure in zip(wv.profile_values(p, 0.7), closed_form_evaluators_oracle(p)):
+        assert got == closure(0.7)
+
+
+def test_sample_profile_one_jacobi_call(monkeypatch):
+    waves = [wv.solve_periodic_r1(0.5), wv.solve_periodic_r2(0.5)]
+    calls = []
+    jacobi = el.jacobi
+
+    def counting(u, k):
+        calls.append(k)
+        return jacobi(u, k)
+
+    monkeypatch.setattr(el, "jacobi", counting)
+    for p in waves:
+        calls.clear()
+        wv.sample_profile(p, wv.default_grid(p))
+        assert len(calls) == 1
+
+
+def test_profile_values_unknown_family():
+    p = wv.WaveParams("kink", 1, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(UsageError):
+        wv.profile_values(p, 0.0)
 
 
 def test_profile_dn_range(dn_profile):
