@@ -85,11 +85,10 @@ def _solve(family: str, r: int, at: float) -> wv.WaveParams:
     return wv.solve_family(family, r, at)
 
 
-def _block(prof: wv.Profile, count, tol_kernel: Optional[float]):
-    """Count L_Re, then L_Im, with ``count`` (``sp.spectrum`` or
-    ``sp.spectrum_even``); returns (s_re, s_im, block summary)."""
-    s_re = count(sp.assemble("L_Re", prof), tol_kernel)
-    s_im = count(sp.assemble("L_Im", prof), tol_kernel)
+def _block(ops, count, tol_kernel: Optional[float]):
+    """Count the assembled (L_Re, L_Im) with ``count`` (``sp.spectrum``
+    or ``sp.spectrum_even``); returns (s_re, s_im, block summary)."""
+    s_re, s_im = (count(op, tol_kernel) for op in ops)
     return s_re, s_im, sp.block_summary(s_re, s_im)
 
 
@@ -110,7 +109,9 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
         prof = wv.sample_profile(params, wv.default_grid(params, n))
 
         stage = "spectrum"
-        s_re, s_im, block = _block(prof, sp.spectrum, tol_kernel)
+        # assembled once: the even pass counts the same operators
+        ops = [sp.assemble(kind, prof) for kind in sp.OPERATOR_KINDS]
+        s_re, s_im, block = _block(ops, sp.spectrum, tol_kernel)
         evidence["L_Re"] = {"n_neg": s_re.n_neg, "z_kernel": s_re.z_kernel}
         evidence["L_Im"] = {"n_neg": s_im.n_neg, "z_kernel": s_im.z_kernel}
         evidence["block"] = {"n_neg": block.n_neg, "z_kernel": block.z_kernel}
@@ -131,7 +132,7 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
         even_counts = None
         if sign == SLOPE_MINUS:
             stage = "even_restriction"
-            even = _block(prof, sp.spectrum_even, tol_kernel)[2]
+            even = _block(ops, sp.spectrum_even, tol_kernel)[2]
             even_counts = (even.n_neg, even.z_kernel)
             evidence["even_block"] = {"n_neg": even.n_neg,
                                       "z_kernel": even.z_kernel}
@@ -153,7 +154,8 @@ def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None,
     """Machine-readable spectrum summary of the block operator."""
     params = _solve(family, r, at)
     prof = wv.sample_profile(params, wv.default_grid(params, n))
-    s_re, s_im, block = _block(prof, sp.spectrum, tol_kernel)
+    ops = [sp.assemble(kind, prof) for kind in sp.OPERATOR_KINDS]
+    s_re, s_im, block = _block(ops, sp.spectrum, tol_kernel)
     theta = None
     if family != wv.SOLITARY:
         theta = sp.floquet_theta(prof).theta

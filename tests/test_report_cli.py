@@ -71,6 +71,28 @@ def test_verdict_solitary_r4_even_evidence():
     assert v.theta is None
 
 
+def test_line_verdict_counts_by_inertia(monkeypatch):
+    # an r = 4 line verdict (full and even passes) assembles each operator
+    # once and runs no eigensolve larger than the 2x2 Schur complements
+    assembled, shapes = [], []
+    assemble, symmetric_eigen, eigh = rp.sp.assemble, rp.sp.symmetric_eigen, np.linalg.eigh
+
+    def spy(fn, log, record):
+        def wrapped(*args, **kwargs):
+            log.append(record(*args))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(rp.sp, "assemble", spy(assemble, assembled, lambda kind, p: kind))
+    monkeypatch.setattr(rp.sp, "symmetric_eigen", spy(symmetric_eigen, shapes, np.shape))
+    monkeypatch.setattr(np.linalg, "eigh", spy(eigh, shapes, np.shape))
+    v = rp.verdict("solitary", 4, 0.3, n=2048)
+    assert v.verdict == rp.UNSTABLE_EVEN
+    assert v.evidence["even_block"] == {"n_neg": 1, "z_kernel": 1}
+    assert assembled == ["L_Re", "L_Im"]
+    assert shapes and max(shapes) <= (2, 2)
+
+
 def test_verdict_periodic_carries_theta():
     v = rp.verdict("periodic_dn", 1, 0.5, n=256)
     assert v.theta is not None and v.theta < 0

@@ -28,6 +28,49 @@ def apply_lre_direct(p: wv.Profile, P: np.ndarray) -> np.ndarray:
     return -c * d2P - 2 * cross * p.d2phi + w * P - (2 * r + 1) * p.phi ** (2 * r) * P
 
 
+def fd4_diff_matrix(grid: Grid, order: int) -> np.ndarray:
+    """4th-order centered differences on the line, zero beyond [-L, L]."""
+    h = grid.spacing
+    n = grid.n
+    if order == 1:
+        stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
+    elif order == 2:
+        stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
+    else:
+        raise UsageError("only first and second derivatives are provided")
+    D = np.zeros((n, n))
+    for off, s in zip(range(-2, 3), stencil):
+        if s != 0.0:
+            D += s * np.eye(n, k=off)
+    return D
+
+
+def assemble_dense_oracle(kind: str, p: wv.Profile) -> np.ndarray:
+    """The dense symmetrized line matrix, assembled as a full n x n
+    finite-difference operator plus the outer product of the coupling."""
+    r, w, c = p.params.r, p.params.omega, p.params.c
+    D2 = fd4_diff_matrix(p.grid, 2)
+    coeff = 1.0 if kind == "L_Im" else 2 * r + 1.0
+    M = -c * D2 + np.diag(w - coeff * p.phi ** (2 * r))
+    if kind == "L_Re":
+        M = M + 2.0 * np.outer(p.d2phi, p.grid.weights * p.d2phi)
+    return (M + M.T) / 2
+
+
+def dense(op: sp.OperatorMatrix) -> np.ndarray:
+    """The dense matrix of an assembled operator; on the line it is
+    built from the band and the coupling factors."""
+    if op.band is None:
+        return op.matrix
+    n = op.band.shape[1]
+    M = np.diag(op.band[0])
+    for k in range(1, op.band.shape[0]):
+        M += np.diag(op.band[k, :n - k], -k) + np.diag(op.band[k, :n - k], k)
+    if op.factors is not None:
+        M += op.factors @ sp.SWAP @ op.factors.T
+    return M
+
+
 def even_restriction(grid: Grid) -> np.ndarray:
     """Orthonormal basis (columns) of the even-reflection subspace."""
     n = grid.n
@@ -52,17 +95,17 @@ def even_restriction(grid: Grid) -> np.ndarray:
 
 def test_lre_annihilates_translation_mode(dn_profile, solitary_r1_profile):
     for prof in (dn_profile, solitary_r1_profile):
-        op = sp.assemble("L_Re", prof)
-        resid = op.matrix @ prof.dphi
-        scale = np.max(np.abs(op.matrix)) * np.max(np.abs(prof.dphi))
+        M = dense(sp.assemble("L_Re", prof))
+        resid = M @ prof.dphi
+        scale = np.max(np.abs(M)) * np.max(np.abs(prof.dphi))
         assert np.max(np.abs(resid)) <= 1e-6 * scale
 
 
 def test_lim_annihilates_phi(dn_profile, solitary_r1_profile):
     for prof in (dn_profile, solitary_r1_profile):
-        op = sp.assemble("L_Im", prof)
-        resid = op.matrix @ prof.phi
-        scale = np.max(np.abs(op.matrix)) * np.max(np.abs(prof.phi))
+        M = dense(sp.assemble("L_Im", prof))
+        resid = M @ prof.phi
+        scale = np.max(np.abs(M)) * np.max(np.abs(prof.phi))
         assert np.max(np.abs(resid)) <= 1e-6 * scale
 
 
@@ -86,7 +129,7 @@ def test_assembled_lre_matches_direct_action(dn_profile, solitary_r1_profile, rn
             P = np.cos(g.nodes) + 0.4 * np.sin(3 * g.nodes)
         else:
             P = np.exp(-g.nodes ** 2 / 6) * (1 + 0.2 * g.nodes)
-        lhs = sp.assemble("L_Re", prof).matrix @ P
+        lhs = sp.assemble("L_Re", prof).apply(P)
         rhs = apply_lre_direct(prof, P)
         scale = np.max(np.abs(rhs))
         # the direct route squares D1 where the matrix carries D2; on the
@@ -134,7 +177,7 @@ def test_discrete_spectrum_stable_under_doubling():
         counts.append((s.n_neg, s.z_kernel))
         # no stray eigenvalues inside the spectral gap below the
         # essential-spectrum edge
-        w_all, _ = symmetric_eigen(sp.assemble("L_Re", prof).matrix)
+        w_all, _ = symmetric_eigen(dense(sp.assemble("L_Re", prof)))
         gap = np.sum((w_all > s.tol_kernel) & (w_all < 0.95 * s.ess_edge))
         assert gap == 0
     assert counts[0] == counts[1] == (1, 1)
@@ -153,12 +196,12 @@ def test_spectrum_confirmation_freezes_tolerance():
 
 def test_ground_state_positivity(dn_profile, solitary_r1_profile):
     for prof in (dn_profile, solitary_r1_profile):
-        w_im, v_im = symmetric_eigen(sp.assemble("L_Im", prof).matrix)
+        w_im, v_im = symmetric_eigen(dense(sp.assemble("L_Im", prof)))
         ground = v_im[:, 0]
         corr = abs(ground @ prof.phi) / (np.linalg.norm(ground)
                                          * np.linalg.norm(prof.phi))
         assert corr > 0.999
-        w_re, v_re = symmetric_eigen(sp.assemble("L_Re", prof).matrix)
+        w_re, v_re = symmetric_eigen(dense(sp.assemble("L_Re", prof)))
         assert w_re[0] < 0
         g0 = v_re[:, 0]
         g0 = g0 * np.sign(g0[np.argmax(np.abs(g0))])
@@ -169,8 +212,61 @@ def test_lim_no_negative_spectrum(dnq_profile, solitary_r4_profile):
     for prof in (dnq_profile, solitary_r4_profile):
         s = sp.spectrum(sp.assemble("L_Im", prof))
         assert s.n_neg == 0
-        w, _ = symmetric_eigen(sp.assemble("L_Im", prof).matrix)
+        w, _ = symmetric_eigen(dense(sp.assemble("L_Im", prof)))
         assert w[0] >= -s.tol_kernel
+
+
+def _dense_counts(w: np.ndarray, tol: float) -> tuple:
+    return int(np.sum(w < -tol)), int(np.sum(np.abs(w) <= tol))
+
+
+@pytest.mark.parametrize("r, omega", [(1, 1.0), (2, 0.5), (4, 0.3)])
+@pytest.mark.parametrize("n", [512, 1024])
+def test_banded_counts_match_dense_oracle(r, omega, n):
+    # the inertia counts of band + coupling factors equal the counts of
+    # the dense eigensolve, full and even, at the default tolerance
+    # (equal bit for bit) and at shifts between the lowest eigenvalues
+    p = wv.solve_solitary(r, omega)
+    prof = wv.sample_profile(p, wv.default_grid(p, n))
+    B = even_restriction(prof.grid)
+    for kind in sp.OPERATOR_KINDS:
+        op = sp.assemble(kind, prof)
+        M = assemble_dense_oracle(kind, prof)
+        norm = float(np.max(np.abs(M)))
+        assert np.max(np.abs(dense(op) - M)) <= 1e-14 * norm
+        w = np.linalg.eigvalsh(M)
+        w_even = np.linalg.eigvalsh(B.T @ M @ B)
+        s = sp.spectrum(op)
+        assert s.tol_kernel == 1e-6 * norm
+        assert np.max(np.abs(np.array(s.lowest) - w[:5])) <= 1e-12 * norm
+        absw = np.sort(np.abs(w))[:8]
+        gaps = (absw[:-1] + absw[1:]) / 2
+        shifts = [s.tol_kernel] + [t for t, lo, hi in zip(gaps, absw, absw[1:])
+                                   if hi - lo > 1e-6 * norm]
+        assert len(shifts) >= 4
+        for tol in shifts:
+            full, even = sp.spectrum(op, tol), sp.spectrum_even(op, tol)
+            assert (full.n_neg, full.z_kernel) == _dense_counts(w, tol), (kind, tol)
+            assert (even.n_neg, even.z_kernel) == _dense_counts(w_even, tol), (kind, tol)
+
+
+def test_kernel_tol_finds_largest_entry_off_band(solitary_r1_profile):
+    # a coupling whose largest dense entry lies off the band: the default
+    # tolerance still equals 1e-6 * max |M_ij| of the dense matrix
+    prof = solitary_r1_profile
+    op = sp.assemble("L_Re", prof)
+    d2 = np.zeros(prof.grid.n)
+    d2[[100, 300]] = 1e3
+    factors = np.column_stack((d2, prof.grid.weights * d2))
+    band = op.band.copy()
+    band[0, [100, 300]] = -2.0 * factors[100, 0] * factors[100, 1]
+    spiked = sp.OperatorMatrix("L_Re", None, prof, op.c, op.r, band, factors)
+    M0 = dense(sp.OperatorMatrix("L_Im", None, prof, op.c, op.r, band))
+    M0 = M0 + 2.0 * np.outer(d2, factors[:, 1])
+    M = (M0 + M0.T) / 2
+    i, j = np.unravel_index(np.argmax(np.abs(M)), M.shape)
+    assert abs(i - j) > 2
+    assert sp.spectrum(spiked).tol_kernel == 1e-6 * float(np.max(np.abs(M)))
 
 
 # ----------------------------------------------------------------------
@@ -317,13 +413,15 @@ def test_even_restriction_orthonormal(dn_profile):
 
 
 def test_spectrum_even_matches_basis_oracle(dn_profile, solitary_r4_profile):
-    # the index-built even block agrees with B^T M B on both topologies
+    # the index-built (torus) and folded (line) even blocks agree with
+    # B^T M B
     for prof in (dn_profile, solitary_r4_profile):
         B = even_restriction(prof.grid)
         for kind in ("L_Re", "L_Im"):
             op = sp.assemble(kind, prof)
-            norm = float(np.max(np.abs(op.matrix)))
-            w, _ = symmetric_eigen(B.T @ op.matrix @ B)
+            M = dense(op)
+            norm = float(np.max(np.abs(M)))
+            w, _ = symmetric_eigen(B.T @ M @ B)
             tol = 1e-6 * norm
             s = sp.spectrum_even(op)
             assert s.tol_kernel == tol
@@ -357,7 +455,6 @@ def test_eta_slope_identity(solitary_r1_profile):
     # frequency slope of the squared norm
     prof = solitary_r1_profile
     eta = sp.finite_difference_eta(prof, 1e-4)
-    M = sp.assemble("L_Re", prof).matrix
-    lhs = float(eta @ (M @ eta) * prof.grid.weights[1])
+    lhs = float(eta @ sp.assemble("L_Re", prof).apply(eta) * prof.grid.weights[1])
     slope = fn.vk_slope("solitary", 1, 1.0).slope
     assert abs(lhs - (-slope / 2)) < 0.05 * abs(slope / 2)
