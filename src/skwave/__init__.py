@@ -19,8 +19,6 @@ from .elliptic import (
     complete_E,
     complete_K,
     complete_Pi,
-    dE_dk,
-    dK_dk,
     jacobi,
 )
 from .waves import (

@@ -209,23 +209,3 @@ def jacobi(u, k: float):
         return float(sn[0]), float(cn[0]), float(dn[0])
     return sn, cn, dn
 
-
-# ----------------------------------------------------------------------
-# modulus derivatives
-# ----------------------------------------------------------------------
-
-def dK_dk(k: float) -> float:
-    """dK/dk = (E - (1-k^2)K) / (k (1-k^2)); series near k = 0."""
-    _check_modulus(k)
-    if k < 1e-4:
-        return math.pi * k / 4 + 9 * math.pi * k ** 3 / 32
-    kc2 = (1.0 - k) * (1.0 + k)
-    return (complete_E(k) - kc2 * complete_K(k)) / (k * kc2)
-
-
-def dE_dk(k: float) -> float:
-    """dE/dk = (E - K)/k; series near k = 0."""
-    _check_modulus(k)
-    if k < 1e-4:
-        return -math.pi * k / 4 - 3 * math.pi * k ** 3 / 32
-    return (complete_E(k) - complete_K(k)) / k

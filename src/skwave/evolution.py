@@ -29,7 +29,7 @@ import numpy as np
 
 from . import waves as wv
 from .errors import BlowUpError, DomainError, UsageError
-from .functionals import energy, mass
+from .functionals import kirchhoff_energy
 from .kernel import Grid, quadrature, torus_grid, wavenumbers
 
 
@@ -142,7 +142,7 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
         grad = _parseval(grid, m2, np.fft.fft(s.u))
         mod2 = s.u.real ** 2 + s.u.imag ** 2
         F = 0.5 * quadrature(grid, mod2)
-        E = 0.5 * grad + 0.5 * grad ** 2 - quadrature(grid, mod2 ** (r + 1)) / (2 * r + 2)
+        E = kirchhoff_energy(grad, quadrature(grid, mod2 ** (r + 1)), r)
         mon.t.append(s.t)
         mon.mass.append(F)
         mon.energy.append(E)

@@ -68,8 +68,15 @@ def mass(state, grid: Grid = None) -> float:
     return 0.5 * quadrature(grid, np.abs(np.asarray(state)) ** 2)
 
 
+def kirchhoff_energy(grad: float, moment: float, r: int) -> float:
+    """The Hamiltonian of i u_t + (1 + G) u_xx + |u|^2r u = 0 from
+    G = int |u_x|^2 and ``moment`` = int |u|^(2r+2):
+    E = G/2 + G^2/4 - moment/(2r+2)."""
+    return 0.5 * grad + 0.25 * grad ** 2 - moment / (2 * r + 2)
+
+
 def energy(state, grid: Grid = None, r: int = None) -> float:
-    """E = 1/2 int |u_x|^2 + 1/2 (int |u_x|^2)^2 - 1/(2r+2) int |u|^(2r+2)."""
+    """E = 1/2 int |u_x|^2 + 1/4 (int |u_x|^2)^2 - 1/(2r+2) int |u|^(2r+2)."""
     if isinstance(state, wv.Profile):
         if r is None:
             r = state.params.r
@@ -81,8 +88,7 @@ def energy(state, grid: Grid = None, r: int = None) -> float:
             raise UsageError("nonlinearity exponent r is required for raw states")
         grad = _gradient_norm_sq(state, grid)
         u = np.asarray(state)
-    pot = quadrature(grid, np.abs(u) ** (2 * r + 2))
-    return 0.5 * grad + 0.5 * grad ** 2 - pot / (2 * r + 2)
+    return kirchhoff_energy(grad, quadrature(grid, np.abs(u) ** (2 * r + 2)), r)
 
 
 # ----------------------------------------------------------------------

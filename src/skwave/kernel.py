@@ -144,8 +144,7 @@ def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Eigenvalues come back ascending, eigenvectors orthonormal in the
     columns of the second return.  The input may be asymmetric at
     roundoff level only (1e-10 relative in the max norm); it is
-    symmetrized before solving.  An exactly symmetric input, as every
-    assembled operator is, is solved without a symmetrized copy.
+    symmetrized before solving.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -155,7 +154,7 @@ def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if asym > 1e-10 * scale:
         raise DomainError(
             f"matrix asymmetry {asym:.3e} exceeds 1e-10 * {scale:.3e}")
-    w, v = np.linalg.eigh((m + m.T) / 2 if asym else m)
+    w, v = np.linalg.eigh((m + m.T) / 2)
     return w, v
 
 

@@ -14,7 +14,6 @@ as inconclusive, never guessed.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -279,8 +278,3 @@ def reproduce_figures(output_dir, n_points: int = 40) -> list:
 
     return out
 
-
-def write_verdict_json(path, v: StabilityVerdict) -> None:
-    with open(path, "w") as fh:
-        json.dump(v.to_dict(), fh, indent=2)
-        fh.write("\n")

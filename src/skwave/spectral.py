@@ -12,14 +12,19 @@ with c = 1 + int phi'^2.  Integrating the nonlocal coupling by parts,
 Assembled against the quadrature weights w and symmetrized it is the
 rank-two term U C U^T, U = [phi'', w phi''], C = [[0, 1], [1, 0]].
 
-Torus grids use the exact (dense) Fourier differentiation matrix, and
-their counts come from a full symmetric eigensolve.  Line grids use
-4th-order centered differences with Dirichlet (decay) truncation: the
-operator is a pentadiagonal A, kept in LAPACK band storage, plus the
-rank-two coupling kept as its factors.  Line counts come from inertia
-alone: Sylvester's law counts the eigenvalues of A below a shift with a
-banded eigensolver, and Haynsworth additivity over the bordered matrix
-[[A - s, U], [U^T, -C]] adds the inertia of a 2x2 Schur complement,
+Both domains store a banded A in LAPACK band storage plus the
+coupling's factors.  Line grids use 4th-order centered differences with
+Dirichlet (decay) truncation: A is pentadiagonal on the nodes.  Torus
+grids use Fourier collocation in the orthonormal basis cos(m x),
+m = 0..n/2, then sin(m x), m = 1..n/2-1, of grid vectors (Fourier-Hill;
+Deconinck & Kutz, J. Comput. Phys. 219, 2006): -c d^2 is diagonal, the
+potential couples modes through its decaying cosine coefficients, and A
+is a banded cosine block (the even subspace) and a banded sine block.
+
+Counts come from inertia alone: Sylvester's law counts the eigenvalues
+of A below a shift with a banded eigensolver, and Haynsworth additivity
+over the bordered matrix [[A - s, U], [U^T, -C]] adds the inertia of a
+2x2 Schur complement,
 
     n_below(A + U C U^T, s) = n_below(A, s) + n_neg(S) - 1,
     S = -C - U^T (A - s)^-1 U,
@@ -43,12 +48,11 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import circulant, eig_banded, solve_banded
+from scipy.linalg import eig_banded, solve_banded
 
 from . import waves as wv
 from .errors import DegenerateProfileError, DomainError, UsageError
 from .kernel import (
-    Grid,
     find_root_bracketed,
     quadrature,
     symmetric_eigen,
@@ -66,34 +70,31 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])   # C, its own inverse
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """L_Re or L_Im discretized on a profile's grid.
+    """L_Re or L_Im discretized on a profile's grid, as A + U C U^T.
 
-    On the torus ``matrix`` is the dense symmetric matrix.  On the line
-    ``matrix`` is None and the operator is A + U C U^T: ``band`` holds
-    the pentadiagonal A = -c D2 + diag(omega - coeff phi^2r) in LAPACK
-    lower band storage (band[k, j] = A[j + k, j]), and ``factors`` holds
-    U = [phi'', w phi''] for L_Re and is None for L_Im.
+    ``band`` holds A = -c D2 + diag(omega - coeff phi^2r) in LAPACK lower
+    band storage (band[k, j] = A[j + k, j]), and ``factors`` holds
+    U = [phi'', w phi''] for L_Re and is None for L_Im: on the nodes
+    (line), or in the trig basis of ``_to_trig`` (torus).
     """
 
     kind: str
-    matrix: Optional[np.ndarray]
     profile: wv.Profile
     c: float
-    r: int
-    band: Optional[np.ndarray] = None
+    band: np.ndarray
     factors: Optional[np.ndarray] = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The operator applied to the grid vector ``v``."""
-        if self.band is None:
-            return self.matrix @ v
-        out = self.band[0] * v
+        torus = self.profile.grid.topology == "torus"
+        x = _to_trig(v) if torus else v
+        out = self.band[0] * x
         for k in range(1, self.band.shape[0]):
-            out[k:] += self.band[k, :-k] * v[:-k]
-            out[:-k] += self.band[k, :-k] * v[k:]
+            out[k:] += self.band[k, :-k] * x[:-k]
+            out[:-k] += self.band[k, :-k] * x[k:]
         if self.factors is not None:
-            out += self.factors @ (SWAP @ (self.factors.T @ v))
-        return out
+            out += self.factors @ (SWAP @ (self.factors.T @ x))
+        return _from_trig(out) if torus else out
 
 
 @dataclass(frozen=True)
@@ -127,50 +128,88 @@ class FloquetResult:
 
 
 # ----------------------------------------------------------------------
-# differentiation matrices
-# ----------------------------------------------------------------------
-
-def fourier_diff_matrix(grid: Grid, order: int) -> np.ndarray:
-    """Exact spectral differentiation matrix on a torus grid.
-
-    Circulant with first column ifft((i m)^order); the Nyquist mode is
-    zeroed for odd orders.
-    """
-    m = wavenumbers(grid)
-    symbol = (1j * m) ** order
-    if order % 2:
-        symbol[grid.n // 2] = 0.0
-    col = np.fft.ifft(symbol).real
-    return circulant(col)
-
-
-# ----------------------------------------------------------------------
 # operator assembly
 # ----------------------------------------------------------------------
 
+def _trig_scale(n: int) -> np.ndarray:
+    """alpha_m = 1/|cos(m x)| on the grid, m = 0..n/2 (and 1/|sin(m x)|)."""
+    alpha = np.full(n // 2 + 1, math.sqrt(2.0 / n))
+    alpha[[0, -1]] = 1.0 / math.sqrt(n)
+    return alpha
+
+
+def _to_trig(v: np.ndarray) -> np.ndarray:
+    """Coordinates of the grid vector(s) ``v`` (axis 0) in the orthonormal
+    basis alpha_m cos(m x_j), m = 0..n/2, then alpha_m sin(m x_j),
+    m = 1..n/2-1, with x_j = 2*pi*j/n."""
+    vh = (np.fft.rfft(v, axis=0).T * _trig_scale(len(v))).T
+    return np.concatenate((vh.real, -vh.imag[1:-1]))
+
+
+def _from_trig(x: np.ndarray) -> np.ndarray:
+    """The grid vector with trig coordinates ``x``, by ``_to_trig``^T."""
+    m = x.size // 2 + 1
+    vh = x[:m] - 1j * np.pad(x[m:], 1)
+    return np.fft.irfft(vh / _trig_scale(x.size), x.size)
+
+
+def _potential(kind: str, p: wv.Profile) -> np.ndarray:
+    """omega - coeff phi^2r, coeff = 2r+1 for L_Re and 1 for L_Im."""
+    coeff = 1.0 if kind == "L_Im" else 2 * p.params.r + 1.0
+    return p.params.omega - coeff * p.phi ** (2 * p.params.r)
+
+
+def _trig_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
+    """-c d^2 + diag(potential) in the trig basis, in lower band storage:
+    the cosine block (columns 0..n/2), then the sine block.
+
+    With V = fft(potential).real, entry (i, j) is alpha_i alpha_j (V_(i-j)
+    + V_((i+j) mod n))/2 in the cosine block and (V_(i-j) - V_(i+j))/n in
+    the sine block, plus c m^2 on the diagonal.  Coefficients at or below
+    1e-14 n (|omega| + max|omega - potential|), the roundoff floor of the
+    potential's terms, are dropped; the largest lag left is the bandwidth.
+    The cosine-sine entries, the potential's odd part, are roundoff.
+    """
+    n, half = p.grid.n, p.grid.n // 2
+    w = p.params.omega
+    vh = np.fft.fft(potential).real
+    lag = np.minimum(np.arange(n), n - np.arange(n))
+    floor = 1e-14 * n * (abs(w) + float(np.max(np.abs(w - potential))))
+    kd = int(np.max(lag[np.abs(vh) > floor], initial=0))
+    vh[lag > kd] = 0.0
+    alpha = _trig_scale(n)
+    band = np.zeros((kd + 1, n))
+    for k in range(kd + 1):
+        q = np.arange(max(half + 1 - k, 0))
+        band[k, q] = alpha[q + k] * alpha[q] * (vh[k] + vh[(2 * q + k) % n]) / 2
+        q = np.arange(1, max(half - k, 1))
+        band[k, half + q] = (vh[k] - vh[2 * q + k]) / n
+    m2 = c * wavenumbers(p.grid)[:half + 1] ** 2
+    band[0, :half + 1] += m2
+    band[0, half + 1:] += m2[1:-1]
+    return band
+
+
 def assemble(kind: str, p: wv.Profile) -> OperatorMatrix:
-    """Symmetric discretization of L_Re or L_Im: dense on the torus, a
-    band plus the coupling factors on the line."""
+    """Symmetric discretization of L_Re or L_Im: a band plus the
+    coupling factors, on the nodes (line) or in the trig basis
+    (torus)."""
     if kind not in OPERATOR_KINDS:
         raise UsageError(f"operator kind must be one of {OPERATOR_KINDS}")
-    r, w, c = p.params.r, p.params.omega, p.params.c
-    coeff = 1.0 if kind == "L_Im" else 2 * r + 1.0
-    potential = w - coeff * p.phi ** (2 * r)
+    c, potential = p.params.c, _potential(kind, p)
+    factors = None
+    if kind == "L_Re":
+        factors = np.column_stack((p.d2phi, p.grid.weights * p.d2phi))
     if p.grid.topology == "torus":
-        M = -c * fourier_diff_matrix(p.grid, 2) + np.diag(potential)
-        if kind == "L_Re":
-            M = M + 2.0 * np.outer(p.d2phi, p.grid.weights * p.d2phi)
-        return OperatorMatrix(kind, (M + M.T) / 2, p, c, r)
+        trig = None if factors is None else _to_trig(factors)
+        return OperatorMatrix(kind, p, c, _trig_band(p, potential, c), trig)
     h = p.grid.spacing
     stencil = np.array([-30.0, 16.0, -1.0]) / (12 * h * h)
     band = np.zeros((3, p.grid.n))
     band[0] = -c * stencil[0] + potential
     band[1, :-1] = -c * stencil[1]
     band[2, :-2] = -c * stencil[2]
-    factors = None
-    if kind == "L_Re":
-        factors = np.column_stack((p.d2phi, p.grid.weights * p.d2phi))
-    return OperatorMatrix(kind, None, p, c, r, band, factors)
+    return OperatorMatrix(kind, p, c, band, factors)
 
 
 # ----------------------------------------------------------------------
@@ -178,43 +217,33 @@ def assemble(kind: str, p: wv.Profile) -> OperatorMatrix:
 # ----------------------------------------------------------------------
 
 def _kernel_tol(op: OperatorMatrix) -> float:
-    """The default kernel tolerance, 1e-6 * max_ij |M_ij| of the full
+    """The default kernel tolerance, 1e-6 * max_ij |M_ij| of the nodal
     matrix, which separates the true kernel (residual ~1e-8) from the
     lowest strictly positive eigenvalue by several orders.
 
-    On the line each entry is rounded as in the symmetrized dense
-    matrix (M0 + M0^T)/2, M0 = A + 2 phi'' (w phi'')^T, so that the
-    tolerance does not depend on the storage.  The entries off the band
-    come from the coupling alone and are scanned only when their bound
-    2 max|phi''| max|w phi''| reaches the largest band entry.
+    M = (M0 + M0^T)/2, M0 = A + 2 phi'' (w phi'')^T on the nodes, whatever
+    the storage.  The largest entry is read from the diagonal, rounded
+    as in M.  The off-diagonal entries are bounded by c max_(i!=j)
+    |D2_ij| + 2 max|phi''| max|w phi''|; a bound that reaches the
+    diagonal maximum raises DomainError, as only an n x n scan could
+    then find the norm.
     """
-    if op.band is None:
-        return 1e-6 * float(np.max(np.abs(op.matrix)))
-    if op.factors is None:
-        return 1e-6 * float(np.max(np.abs(op.band)))
-    d2, wd2 = op.factors.T
-    kd, n = op.band.shape[0] - 1, op.band.shape[1]
-    top = 0.0
-    for k in range(kd + 1):
-        b = op.band[k, :n - k]
-        entries = ((b + 2.0 * (d2[k:] * wd2[:n - k]))
-                   + (b + 2.0 * (d2[:n - k] * wd2[k:]))) / 2
-        top = max(top, float(np.max(np.abs(entries))))
-    if 2.0 * (1 + 1e-12) * np.max(np.abs(d2)) * np.max(np.abs(wd2)) >= top:
-        # as large as the band: scan the coupling row by row
-        for i in range(n):
-            entries = (2.0 * (d2[i] * wd2) + 2.0 * (d2 * wd2[i])) / 2
-            entries[max(i - kd, 0):i + kd + 1] = 0.0
-            top = max(top, float(np.max(np.abs(entries))))
+    p = op.profile
+    if p.grid.topology == "torus":
+        col = np.fft.ifft((1j * wavenumbers(p.grid)) ** 2).real   # D2[:, 0]
+        diag = -op.c * col[0] + _potential(op.kind, p)
+        off = op.c * float(np.max(np.abs(col[1:])))
+    else:
+        diag, off = op.band[0], float(np.max(np.abs(op.band[1:])))
+    if op.factors is not None:
+        wd2 = p.grid.weights * p.d2phi
+        diag = diag + 2.0 * (p.d2phi * wd2)
+        off += 2.0 * float(np.max(np.abs(p.d2phi))) * float(np.max(np.abs(wd2)))
+    top = float(np.max(np.abs(diag)))
+    if (1 + 1e-12) * off >= top:
+        raise DomainError(f"off-diagonal bound {off:.3e} reaches the largest "
+                          f"diagonal entry {top:.3e} of {op.kind}")
     return 1e-6 * top
-
-
-def _dense_summary(m: np.ndarray, tol: float) -> SpectrumSummary:
-    """Counts of the dense symmetric ``m``, a torus operator or its even
-    block (no essential spectrum)."""
-    w, _ = symmetric_eigen(m)
-    return SpectrumSummary(int(np.sum(w < -tol)), int(np.sum(np.abs(w) <= tol)),
-                           None, tol, lambda: tuple(w[:5]))
 
 
 def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
@@ -276,8 +305,9 @@ def _banded_summary(band: np.ndarray, factors: Optional[np.ndarray],
                    select_range=(-np.inf, tol))
     n_neg = _inertia(band, factors, a, -tol)[0]
     n_at_most_tol = band.shape[1] - _inertia(band, factors, a, tol)[1]
-    return SpectrumSummary(n_neg, n_at_most_tol - n_neg,
-                           op.profile.params.omega / op.c, tol,
+    line = op.profile.grid.topology == "line"
+    ess = op.profile.params.omega / op.c if line else None
+    return SpectrumSummary(n_neg, n_at_most_tol - n_neg, ess, tol,
                            lambda: _lowest(band, factors))
 
 
@@ -285,8 +315,6 @@ def spectrum(op: OperatorMatrix, tol_kernel: float = None) -> SpectrumSummary:
     """Negative and kernel counts; the default ``tol_kernel`` is
     1e-6 * max_ij |M_ij|."""
     tol = _kernel_tol(op) if tol_kernel is None else tol_kernel
-    if op.band is None:
-        return _dense_summary(op.matrix, tol)
     return _banded_summary(op.band, op.factors, op, tol)
 
 
@@ -351,23 +379,18 @@ def spectrum_even(op: OperatorMatrix, tol_kernel: float = None) -> SpectrumSumma
 
     Realizes the stability analysis in the even subspace, where the
     translation symmetry (and with it the phi' kernel direction) is
-    dropped.  On the line the band and the factors are folded at the
-    midpoint (``_fold``).  On the torus the block is built by index:
-    node j mirrors to -j mod n, and over the nodes j <= mirror(j) the
-    block is d_i d_j (M + MR + RM + RMR), with d = 1/2 at a node that is
-    its own mirror and 1/sqrt(2) elsewhere (B^T M B for the orthonormal
-    basis B of even grid vectors).  The default kernel tolerance is that
-    of the full matrix.
+    dropped.  On the torus the even block is the cosine block, the
+    first n/2 + 1 columns of the band and rows of the factors.  On the
+    line the band and the factors are folded at the midpoint
+    (``_fold``).  The default kernel tolerance is that of the full
+    matrix.
     """
     tol = _kernel_tol(op) if tol_kernel is None else tol_kernel
-    if op.band is not None:
+    if op.profile.grid.topology == "line":
         return _banded_summary(*_fold(op.band, op.factors), op, tol)
-    n = op.profile.grid.n
-    half = np.arange(n // 2 + 1)
-    mirror = -half % n
-    d = np.where(half == mirror, 0.5, math.sqrt(0.5))
-    rows = op.matrix[half] + op.matrix[mirror]
-    return _dense_summary(d[:, None] * (rows[:, half] + rows[:, mirror]) * d, tol)
+    m = op.profile.grid.n // 2 + 1
+    factors = None if op.factors is None else op.factors[:m]
+    return _banded_summary(op.band[:, :m], factors, op, tol)
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +491,7 @@ def isoinertia_sweep(family: str, r: int, k_grid, n: int = 256) -> SweepReport:
         prof = wv.sample_profile(params, wv.default_grid(params, n))
         th = floquet_theta(prof).theta
         op = assemble("L_Re", prof)
-        summ = spectrum(op, tol_kernel=1e-9 * float(np.max(np.abs(op.matrix))))
+        summ = spectrum(op, tol_kernel=1e-3 * _kernel_tol(op))
         entries.append(SweepEntry(float(k), th, summ.n_neg, summ.z_kernel))
     first = entries[0]
     for e in entries[1:]:

@@ -141,28 +141,3 @@ def test_jacobi_parity_and_periodicity(u, k):
     _, _, dn_p = el.jacobi(u + 2 * el.complete_K(k), k)
     assert abs(dn - dn_p) < 1e-11
 
-
-# ----------------------------------------------------------------------
-# modulus derivatives
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("k", [0.1, 0.5, 0.9])
-def test_dE_dk_negative(k):
-    assert el.dE_dk(k) < 0
-
-
-def test_dK_dk_finite_difference_oracle():
-    h = 1e-6
-    fd = (el.complete_K(0.5 + h) - el.complete_K(0.5 - h)) / (2 * h)
-    assert abs(el.dK_dk(0.5) - fd) < 1e-7
-
-
-def test_dE_dk_identity():
-    k = 0.3
-    assert abs(k * el.dE_dk(k) + el.complete_K(k) - el.complete_E(k)) < 1e-12
-
-
-def test_derivatives_near_zero_modulus():
-    # removable singularity path
-    assert el.dK_dk(1e-7) == pytest.approx(np.pi * 1e-7 / 4, rel=1e-6)
-    assert el.dE_dk(1e-7) == pytest.approx(-np.pi * 1e-7 / 4, rel=1e-6)

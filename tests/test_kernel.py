@@ -136,7 +136,7 @@ def test_eigen_2x2_closed_form():
 
 
 def test_eigen_fourier_second_derivative():
-    from skwave.spectral import fourier_diff_matrix
+    from test_spectral import fourier_diff_matrix
     g = kernel.torus_grid(64)
     w, _ = kernel.symmetric_eigen(-fourier_diff_matrix(g, 2))
     expected = np.sort(np.concatenate([[0.0], *[[m * m, m * m] for m in range(1, 32)],

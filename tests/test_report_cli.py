@@ -71,11 +71,10 @@ def test_verdict_solitary_r4_even_evidence():
     assert v.theta is None
 
 
-def test_line_verdict_counts_by_inertia(monkeypatch):
-    # an r = 4 line verdict (full and even passes) assembles each operator
-    # once and runs no eigensolve larger than the 2x2 Schur complements
+def spy_eigensolves(monkeypatch):
+    """Record the kind of each ``assemble`` call and the shape of each
+    dense eigensolve input; returns the two logs."""
     assembled, shapes = [], []
-    assemble, symmetric_eigen, eigh = rp.sp.assemble, rp.sp.symmetric_eigen, np.linalg.eigh
 
     def spy(fn, log, record):
         def wrapped(*args, **kwargs):
@@ -83,12 +82,30 @@ def test_line_verdict_counts_by_inertia(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(rp.sp, "assemble", spy(assemble, assembled, lambda kind, p: kind))
-    monkeypatch.setattr(rp.sp, "symmetric_eigen", spy(symmetric_eigen, shapes, np.shape))
-    monkeypatch.setattr(np.linalg, "eigh", spy(eigh, shapes, np.shape))
+    monkeypatch.setattr(rp.sp, "assemble", spy(rp.sp.assemble, assembled, lambda kind, p: kind))
+    monkeypatch.setattr(rp.sp, "symmetric_eigen", spy(rp.sp.symmetric_eigen, shapes, np.shape))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name), shapes, np.shape))
+    return assembled, shapes
+
+
+def test_line_verdict_counts_by_inertia(monkeypatch):
+    # an r = 4 line verdict (full and even passes) assembles each operator
+    # once and runs no eigensolve larger than the 2x2 Schur complements
+    assembled, shapes = spy_eigensolves(monkeypatch)
     v = rp.verdict("solitary", 4, 0.3, n=2048)
     assert v.verdict == rp.UNSTABLE_EVEN
     assert v.evidence["even_block"] == {"n_neg": 1, "z_kernel": 1}
+    assert assembled == ["L_Re", "L_Im"]
+    assert shapes and max(shapes) <= (2, 2)
+
+
+def test_periodic_verdict_counts_by_inertia(monkeypatch):
+    # the torus twin: a dnq verdict counts the trig-basis bands, with no
+    # eigensolve larger than the 2x2 Schur complements
+    assembled, shapes = spy_eigensolves(monkeypatch)
+    v = rp.verdict("periodic_dn_quotient", 2, 0.5, n=512)
+    assert v.verdict == rp.STABLE
     assert assembled == ["L_Re", "L_Im"]
     assert shapes and max(shapes) <= (2, 2)
 

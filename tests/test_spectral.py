@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import circulant
 
 from skwave import functionals as fn
 from skwave import spectral as sp
 from skwave import waves as wv
-from skwave.errors import DegenerateProfileError, UsageError
-from skwave.kernel import Grid, quadrature, symmetric_eigen
+from skwave.errors import DegenerateProfileError, DomainError, UsageError
+from skwave.kernel import Grid, quadrature, symmetric_eigen, wavenumbers
 
 
 # ----------------------------------------------------------------------
@@ -45,11 +47,29 @@ def fd4_diff_matrix(grid: Grid, order: int) -> np.ndarray:
     return D
 
 
+def fourier_diff_matrix(grid: Grid, order: int) -> np.ndarray:
+    """Exact spectral differentiation matrix on a torus grid.
+
+    Circulant with first column ifft((i m)^order); the Nyquist mode is
+    zeroed for odd orders.
+    """
+    m = wavenumbers(grid)
+    symbol = (1j * m) ** order
+    if order % 2:
+        symbol[grid.n // 2] = 0.0
+    col = np.fft.ifft(symbol).real
+    return circulant(col)
+
+
 def assemble_dense_oracle(kind: str, p: wv.Profile) -> np.ndarray:
-    """The dense symmetrized line matrix, assembled as a full n x n
-    finite-difference operator plus the outer product of the coupling."""
+    """The dense symmetrized nodal matrix, assembled as a full n x n
+    differentiation matrix (Fourier collocation on the torus, 4th-order
+    differences on the line) plus the outer product of the coupling."""
     r, w, c = p.params.r, p.params.omega, p.params.c
-    D2 = fd4_diff_matrix(p.grid, 2)
+    if p.grid.topology == "torus":
+        D2 = fourier_diff_matrix(p.grid, 2)
+    else:
+        D2 = fd4_diff_matrix(p.grid, 2)
     coeff = 1.0 if kind == "L_Im" else 2 * r + 1.0
     M = -c * D2 + np.diag(w - coeff * p.phi ** (2 * r))
     if kind == "L_Re":
@@ -57,17 +77,31 @@ def assemble_dense_oracle(kind: str, p: wv.Profile) -> np.ndarray:
     return (M + M.T) / 2
 
 
+def trig_basis(grid: Grid) -> np.ndarray:
+    """Orthonormal columns cos(m x), m = 0..n/2, then sin(m x),
+    m = 1..n/2-1, on the nodes x_j = 2*pi*j/n of a torus grid."""
+    n = grid.n
+    x = 2 * np.pi * np.arange(n) / n
+    m = np.arange(n // 2 + 1)
+    C = np.cos(np.outer(x, m)) * math.sqrt(2 / n)
+    C[:, [0, -1]] /= math.sqrt(2)
+    S = np.sin(np.outer(x, m[1:-1])) * math.sqrt(2 / n)
+    return np.hstack((C, S))
+
+
 def dense(op: sp.OperatorMatrix) -> np.ndarray:
-    """The dense matrix of an assembled operator; on the line it is
-    built from the band and the coupling factors."""
-    if op.band is None:
-        return op.matrix
+    """The dense nodal matrix of an assembled operator, built from the
+    band and the coupling factors; on the torus it is mapped back from
+    the trig basis."""
     n = op.band.shape[1]
     M = np.diag(op.band[0])
     for k in range(1, op.band.shape[0]):
         M += np.diag(op.band[k, :n - k], -k) + np.diag(op.band[k, :n - k], k)
     if op.factors is not None:
         M += op.factors @ sp.SWAP @ op.factors.T
+    if op.profile.grid.topology == "torus":
+        Q = trig_basis(op.profile.grid)
+        M = Q @ M @ Q.T
     return M
 
 
@@ -116,7 +150,7 @@ def test_matrix_quadratic_form_matches_functional(dn_profile, rng):
         coef = rng.standard_normal(9)
         P = coef[0] + sum(c * np.cos((i + 1) * g.nodes) for i, c in enumerate(coef[1:5]))
         P += sum(c * np.sin((i + 1) * g.nodes) for i, c in enumerate(coef[5:]))
-        via_matrix = float(P @ (op.matrix @ P)) * g.weights[0]
+        via_matrix = float(P @ op.apply(P)) * g.weights[0]
         via_form = fn.quadratic_form_LRe(dn_profile, P)
         assert abs(via_matrix - via_form) <= 1e-8 * max(abs(via_form), 1.0)
 
@@ -220,20 +254,17 @@ def _dense_counts(w: np.ndarray, tol: float) -> tuple:
     return int(np.sum(w < -tol)), int(np.sum(np.abs(w) <= tol))
 
 
-@pytest.mark.parametrize("r, omega", [(1, 1.0), (2, 0.5), (4, 0.3)])
-@pytest.mark.parametrize("n", [512, 1024])
-def test_banded_counts_match_dense_oracle(r, omega, n):
-    # the inertia counts of band + coupling factors equal the counts of
-    # the dense eigensolve, full and even, at the default tolerance
-    # (equal bit for bit) and at shifts between the lowest eigenvalues
-    p = wv.solve_solitary(r, omega)
-    prof = wv.sample_profile(p, wv.default_grid(p, n))
+def check_counts_against_dense_oracle(prof: wv.Profile, entry_tol: float) -> None:
+    """The inertia counts of band + coupling factors equal the counts of
+    the dense eigensolve, full and even, at the default tolerance
+    (equal bit for bit) and at shifts between the lowest eigenvalues;
+    the stored operator equals the oracle to ``entry_tol`` max|M|."""
     B = even_restriction(prof.grid)
     for kind in sp.OPERATOR_KINDS:
         op = sp.assemble(kind, prof)
         M = assemble_dense_oracle(kind, prof)
         norm = float(np.max(np.abs(M)))
-        assert np.max(np.abs(dense(op) - M)) <= 1e-14 * norm
+        assert np.max(np.abs(dense(op) - M)) <= entry_tol * norm
         w = np.linalg.eigvalsh(M)
         w_even = np.linalg.eigvalsh(B.T @ M @ B)
         s = sp.spectrum(op)
@@ -250,23 +281,41 @@ def test_banded_counts_match_dense_oracle(r, omega, n):
             assert (even.n_neg, even.z_kernel) == _dense_counts(w_even, tol), (kind, tol)
 
 
-def test_kernel_tol_finds_largest_entry_off_band(solitary_r1_profile):
-    # a coupling whose largest dense entry lies off the band: the default
-    # tolerance still equals 1e-6 * max |M_ij| of the dense matrix
-    prof = solitary_r1_profile
-    op = sp.assemble("L_Re", prof)
-    d2 = np.zeros(prof.grid.n)
+@pytest.mark.parametrize("r, omega", [(1, 1.0), (2, 0.5), (4, 0.3)])
+@pytest.mark.parametrize("n", [512, 1024])
+def test_banded_counts_match_dense_oracle(r, omega, n):
+    p = wv.solve_solitary(r, omega)
+    check_counts_against_dense_oracle(wv.sample_profile(p, wv.default_grid(p, n)), 1e-14)
+
+
+@pytest.mark.parametrize("family, r", [(wv.PERIODIC_DN, 1), (wv.PERIODIC_DNQ, 2)])
+@pytest.mark.parametrize("k", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [64, 512])
+def test_banded_counts_match_dense_oracle_torus(family, r, k, n):
+    # the torus band is written in the trig basis; the oracle is the
+    # nodal Fourier collocation matrix and its even block B^T M B.  The
+    # map back through the n x n basis in ``dense`` rounds at ~n eps.
+    p = wv.solve_family(family, r, k)
+    check_counts_against_dense_oracle(wv.sample_profile(p, wv.default_grid(p, n)),
+                                      2 * n * np.finfo(float).eps)
+
+
+def test_kernel_tol_rejects_largest_entry_off_band(solitary_r1_profile):
+    # a coupling whose largest dense entry lies off the band: the bound
+    # on the off-diagonal entries reaches the largest diagonal entry, so
+    # the default tolerance is refused instead of read off the diagonal
+    d2 = np.zeros(solitary_r1_profile.grid.n)
     d2[[100, 300]] = 1e3
-    factors = np.column_stack((d2, prof.grid.weights * d2))
+    prof = dataclasses.replace(solitary_r1_profile, d2phi=d2)
+    op = sp.assemble("L_Re", prof)
     band = op.band.copy()
-    band[0, [100, 300]] = -2.0 * factors[100, 0] * factors[100, 1]
-    spiked = sp.OperatorMatrix("L_Re", None, prof, op.c, op.r, band, factors)
-    M0 = dense(sp.OperatorMatrix("L_Im", None, prof, op.c, op.r, band))
-    M0 = M0 + 2.0 * np.outer(d2, factors[:, 1])
-    M = (M0 + M0.T) / 2
+    band[0, [100, 300]] = -2.0 * op.factors[100, 0] * op.factors[100, 1]
+    spiked = sp.OperatorMatrix("L_Re", prof, op.c, band, op.factors)
+    M = dense(spiked)
     i, j = np.unravel_index(np.argmax(np.abs(M)), M.shape)
     assert abs(i - j) > 2
-    assert sp.spectrum(spiked).tol_kernel == 1e-6 * float(np.max(np.abs(M)))
+    with pytest.raises(DomainError):
+        sp.spectrum(spiked)
 
 
 # ----------------------------------------------------------------------
@@ -413,13 +462,13 @@ def test_even_restriction_orthonormal(dn_profile):
 
 
 def test_spectrum_even_matches_basis_oracle(dn_profile, solitary_r4_profile):
-    # the index-built (torus) and folded (line) even blocks agree with
-    # B^T M B
+    # the cosine (torus) and folded (line) even blocks agree with
+    # B^T M B of the dense oracle
     for prof in (dn_profile, solitary_r4_profile):
         B = even_restriction(prof.grid)
         for kind in ("L_Re", "L_Im"):
             op = sp.assemble(kind, prof)
-            M = dense(op)
+            M = assemble_dense_oracle(kind, prof)
             norm = float(np.max(np.abs(M)))
             w, _ = symmetric_eigen(B.T @ M @ B)
             tol = 1e-6 * norm
