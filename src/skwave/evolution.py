@@ -13,6 +13,13 @@ every |u_hat_m| is preserved, so the only splitting error is the usual
 nonlinear/linear commutator, O(dt^2).  Both substeps preserve the
 discrete squared norm, so the mass drift stays at roundoff level.
 
+Monitoring runs on the logging cadence, not every step: mass, energy,
+the Kirchhoff coefficient, the orbital distance and the tail level are
+recorded at steps 0, log_every, 2*log_every, ... and at the last step.
+Blow-up detection stays per step, one finiteness check on each new
+state.  The squared wavenumbers and the Parseval scale come from the
+grid (``Grid.m2``, ``Grid.parseval_scale``), built once per grid.
+
 Solitary waves are evolved on a torus wide enough that the periodized
 tail sits below 1e-12 of the peak; the wraparound level is monitored.
 """
@@ -30,25 +37,23 @@ import numpy as np
 from . import waves as wv
 from .errors import BlowUpError, DomainError, UsageError
 from .functionals import kirchhoff_energy
-from .kernel import Grid, quadrature, torus_grid, wavenumbers
+from .kernel import Grid, quadrature, torus_grid
 
 
 @dataclass
 class Monitors:
-    """Append-only records along one evolution.
-
-    Mass, energy and the Kirchhoff coefficient are tracked every step;
-    the orbital distance (priced at several transforms) is sampled on
-    the logging cadence, with ``distance_steps`` indexing into the
-    per-step arrays.
+    """Append-only records along one evolution, one aligned entry per
+    record, taken on the logging cadence (steps 0, log_every,
+    2*log_every, ... and the last step).  ``distance`` stays empty when
+    no reference wave is given.
     """
 
+    steps: list = field(default_factory=list)
     t: list = field(default_factory=list)
     mass: list = field(default_factory=list)
     energy: list = field(default_factory=list)
     kirchhoff: list = field(default_factory=list)
     distance: list = field(default_factory=list)
-    distance_steps: list = field(default_factory=list)
 
 
 @dataclass
@@ -64,16 +69,14 @@ def _parseval(grid: Grid, symbol: np.ndarray, vh: np.ndarray) -> float:
     """(L/n^2) sum symbol |v_hat|^2 from the DFT ``vh`` of a state: by
     Parseval, int |v_x|^2 for symbol m^2 and the squared H^1 norm for
     1 + m^2."""
-    scale = grid.circumference / grid.n ** 2
-    return scale * float(np.sum(symbol * np.abs(vh) ** 2))
+    return grid.parseval_scale * float(np.dot(symbol, np.abs(vh) ** 2))
 
 
 def kirchhoff_coefficient(u: np.ndarray, grid: Grid) -> float:
     """1 + int |u_x|^2 with spectral differentiation."""
     if grid.topology != "torus":
         raise UsageError("evolution states live on torus grids")
-    m = wavenumbers(grid)
-    return 1.0 + _parseval(grid, m * m, np.fft.fft(u))
+    return 1.0 + _parseval(grid, grid.m2, np.fft.fft(u))
 
 
 def step_strang(state: EvolutionState, dt: float) -> EvolutionState:
@@ -81,22 +84,31 @@ def step_strang(state: EvolutionState, dt: float) -> EvolutionState:
     if dt <= 0:
         raise DomainError("dt must be positive")
     grid, r = state.grid, state.r
-    m = wavenumbers(grid)
+    m2 = grid.m2
     u = state.u * np.exp(0.5j * dt * (state.u.real ** 2 + state.u.imag ** 2) ** r)
     uh = np.fft.fft(u)
-    c = 1.0 + _parseval(grid, m * m, uh)
-    uh *= np.exp(-1j * c * m * m * dt)
+    c = 1.0 + _parseval(grid, m2, uh)
+    # m^2 is even in m and m[-j] = -m[j] exactly, so the propagator over
+    # the n/2 + 1 distinct values, mirrored, is the full one bit for bit
+    h = grid.n // 2 + 1
+    prop = np.exp((-1j * c * dt) * m2[:h])
+    uh[:h] *= prop
+    uh[h:] *= prop[h - 2:0:-1]
     u = np.fft.ifft(uh)
-    u = u * np.exp(0.5j * dt * (u.real ** 2 + u.imag ** 2) ** r)
+    u *= np.exp(0.5j * dt * (u.real ** 2 + u.imag ** 2) ** r)
     return EvolutionState(u, state.t + dt, r, grid, state.monitors)
 
 
 @dataclass
 class EvolutionResult:
+    """Final state, the cadence records and their summaries.  The drifts
+    are maxima over the records; ``blow_up`` is the time of the first
+    non-finite state, checked every step."""
+
     state: EvolutionState
     monitors: Monitors
-    mass_drift: float          # max relative drift of F over the run
-    energy_drift: float        # max relative drift of E over the run
+    mass_drift: float          # max relative drift of F over the records
+    energy_drift: float        # max relative drift of E over the records
     blow_up: Optional[float]   # time stamp, or None
     max_distance: Optional[float] = None
     tail_wrap: Optional[float] = None
@@ -107,16 +119,20 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
            distance_profile: Optional[wv.Profile] = None,
            rotation_only: bool = False,
            monitor_tail: bool = False) -> EvolutionResult:
-    """Repeated Strang stepping with per-step conservation monitoring.
+    """Repeated Strang stepping with conservation monitoring on the
+    logging cadence.
 
     T must be a whole number of steps dt, so the run ends at T exactly.
-    Mass drift is recorded at machine level, energy drift at the
-    splitting level O(dt^2).  A non-finite state sets the blow-up flag
-    with its time stamp and stops the run (relevant for the r = 4
-    experiments; global existence there is only guaranteed for small
-    initial mass and no quantitative threshold is attempted).  If
-    ``distance_profile`` is given, the orbital distance to that wave is
-    sampled every ``log_every`` steps.
+    Every ``log_every`` steps (default n_steps // 200, at least 1) and
+    at the last step one record is taken: time, mass, energy and the
+    Kirchhoff coefficient, plus the orbital distance to
+    ``distance_profile`` if given and the tail level if
+    ``monitor_tail``.  Mass drift sits at machine level, energy drift at
+    the splitting level O(dt^2).  Every step checks the new state for
+    finiteness; a non-finite state sets the blow-up flag with its time
+    stamp and stops the run (relevant for the r = 4 experiments; global
+    existence there is only guaranteed for small initial mass and no
+    quantitative threshold is attempted).
     """
     if r < 1:
         raise DomainError("nonlinearity exponent r must be >= 1")
@@ -133,42 +149,40 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
         log_every = max(1, n_steps // 200)
     state = EvolutionState(np.asarray(u0, dtype=complex), 0.0, r, grid)
     mon = state.monitors
-    m = wavenumbers(grid)
-    m2 = m * m
 
-    def record(s: EvolutionState, step: int) -> bool:
+    def record(s: EvolutionState, step: int) -> None:
         # one transform serves the gradient norm and the Kirchhoff
         # coefficient; everything else is pointwise
-        grad = _parseval(grid, m2, np.fft.fft(s.u))
+        grad = _parseval(grid, grid.m2, np.fft.fft(s.u))
         mod2 = s.u.real ** 2 + s.u.imag ** 2
-        F = 0.5 * quadrature(grid, mod2)
-        E = kirchhoff_energy(grad, quadrature(grid, mod2 ** (r + 1)), r)
+        mon.steps.append(step)
         mon.t.append(s.t)
-        mon.mass.append(F)
-        mon.energy.append(E)
+        mon.mass.append(0.5 * quadrature(grid, mod2))
+        mon.energy.append(
+            kirchhoff_energy(grad, quadrature(grid, mod2 ** (r + 1)), r))
         mon.kirchhoff.append(1.0 + grad)
-        if distance_profile is not None and (step % log_every == 0
-                                             or step == n_steps):
+        if distance_profile is not None:
             mon.distance.append(
                 orbital_distance(s.u, distance_profile, rotation_only).distance)
-            mon.distance_steps.append(step)
-        return bool(np.isfinite(F) and np.isfinite(E))
 
     blow_up = None
-    if not record(state, 0) or not np.all(np.isfinite(state.u)):
-        blow_up = 0.0
-        n_steps = 0
     tail = 0.0
     # node diametrically opposite the initial peak
     edge = (int(np.argmax(np.abs(u0))) + grid.n // 2) % grid.n
+    record(state, 0)
+    if not np.isfinite(state.u).all():
+        blow_up = 0.0
+        n_steps = 0
     for step in range(1, n_steps + 1):
         state = step_strang(state, dt)
-        if monitor_tail and (step % log_every == 0 or step == n_steps):
-            peak = float(np.max(np.abs(state.u)))
-            tail = max(tail, float(np.abs(state.u[edge])) / peak)
-        if not record(state, step):
+        if not np.isfinite(state.u).all():
             blow_up = state.t
             break
+        if step % log_every == 0 or step == n_steps:
+            record(state, step)
+            if monitor_tail:
+                tail = max(tail, float(np.abs(state.u[edge])
+                                       / np.max(np.abs(state.u))))
     F0, E0 = mon.mass[0], mon.energy[0]
 
     def drift(values, ref):
@@ -197,8 +211,7 @@ class OrbitalDistanceResult:
 
 def h1_norm_sq(grid: Grid, v: np.ndarray) -> float:
     """Spectral H^1 norm squared, sum (1 + m^2) |v_hat|^2 weighted."""
-    m = wavenumbers(grid)
-    return _parseval(grid, 1 + m * m, np.fft.fft(v))
+    return _parseval(grid, 1 + grid.m2, np.fft.fft(v))
 
 
 def orbital_distance(u: np.ndarray, phi_profile: wv.Profile,
@@ -216,9 +229,8 @@ def orbital_distance(u: np.ndarray, phi_profile: wv.Profile,
     u = np.asarray(u, dtype=complex)
     if u.shape != (grid.n,):
         raise UsageError("state and reference wave must share one grid")
-    m = wavenumbers(grid)
-    wgt = 1.0 + m * m
-    scale = grid.circumference / grid.n ** 2
+    wgt = 1.0 + grid.m2
+    scale = grid.parseval_scale
     uh = np.fft.fft(u)
     ph = np.fft.fft(phi_profile.phi)
     nu = _parseval(grid, wgt, uh)
@@ -340,20 +352,15 @@ def stability_experiment(family: str, r: int, at: float, epsilon: float,
 # ----------------------------------------------------------------------
 
 def write_trajectory_csv(path, result: EvolutionResult) -> None:
-    """Trajectory log at the distance-sampling cadence:
-    t, mass, energy, kirchhoff_c, orbital_distance."""
+    """Trajectory log, one row per monitor record:
+    t, mass, energy, kirchhoff_c, orbital_distance (nan without a
+    reference wave)."""
     mon = result.monitors
-    if mon.distance_steps:
-        rows = list(zip(mon.distance_steps, mon.distance))
-    else:
-        stride = max(1, (len(mon.t) - 1) // 200)
-        rows = [(i, float("nan")) for i in range(0, len(mon.t), stride)]
+    distance = mon.distance or [float("nan")] * len(mon.t)
     with open(path, "w") as fh:
         fh.write("t,mass,energy,kirchhoff_c,orbital_distance\n")
-        for i, d in rows:
-            fh.write("%.12g,%.17g,%.17g,%.17g,%.12g\n"
-                     % (mon.t[i], mon.mass[i], mon.energy[i],
-                        mon.kirchhoff[i], d))
+        for row in zip(mon.t, mon.mass, mon.energy, mon.kirchhoff, distance):
+            fh.write("%.12g,%.17g,%.17g,%.17g,%.12g\n" % row)
 
 
 def write_manifest_json(path, experiment: ExperimentResult) -> None:

@@ -229,14 +229,3 @@ def vk_slope(family: str, r: int, at: float, step: float = None) -> VkSlopeResul
     slope = (4 * s2 - s1) / 3
     return VkSlopeResult(slope, -slope / 2, method, step, disc, flagged)
 
-
-def write_mass_sweep_csv(path, family: str, r: int, values) -> None:
-    """Sweep of the squared norm and its slope over a parameter grid."""
-    solver = _family_solver(family, r)
-    with open(path, "w") as fh:
-        fh.write("parameter,mass,slope,flag\n")
-        for x in values:
-            m = mass_closed_form(solver(float(x)))
-            res = vk_slope(family, r, float(x))
-            fh.write("%.12g,%.12g,%.12g,%s\n"
-                     % (x, m, res.slope, "flagged" if res.flagged else "ok"))

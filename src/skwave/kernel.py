@@ -14,6 +14,7 @@ Parseval reads ``sum |v|^2 = (1/n) sum |dft(v)|^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,6 +51,22 @@ class Grid:
     weights: np.ndarray
     half_length: Optional[float] = None     # line only
     circumference: Optional[float] = None   # torus only
+
+    @cached_property
+    def m2(self) -> np.ndarray:
+        """Squared wavenumbers m^2 in FFT ordering, built once per torus
+        grid and read-only: the symbol of -d^2/dx^2."""
+        m = wavenumbers(self)
+        m2 = m * m
+        m2.flags.writeable = False
+        return m2
+
+    @cached_property
+    def parseval_scale(self) -> float:
+        """L/n^2: int |v|^2 = (L/n^2) sum |v_hat|^2 on the torus."""
+        if self.topology != "torus":
+            raise UsageError("the Parseval scale is defined for torus grids")
+        return self.circumference / self.n ** 2
 
 
 def _check_n(n: int) -> None:

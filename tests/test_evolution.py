@@ -5,7 +5,7 @@ from skwave import evolution as ev
 from skwave import functionals as fn
 from skwave import waves as wv
 from skwave.errors import DomainError, UsageError
-from skwave.kernel import torus_grid
+from skwave.kernel import torus_grid, wavenumbers
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,27 @@ def test_step_mass_exact():
     assert abs(fn.mass(st.u, g) - m0) < 1e-13 * m0
 
 
+def test_step_matches_full_propagator():
+    # reference: the linear propagator exp(-i c m^2 dt) taken over all n
+    # modes, with c from a plain Parseval sum
+    g = torus_grid(128)
+    rng = np.random.default_rng(5)
+    # random amplitudes on the modes |m| <= 8 of both signs (the phase
+    # c m^2 dt stays O(1), so roundoff stays O(1e-16))
+    coeffs = np.zeros(128, complex)
+    coeffs[np.r_[0:9, -8:0]] = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+    u0 = 0.3 * np.fft.ifft(coeffs) * 128 / 17
+    dt, r = 1e-2, 2
+    m = wavenumbers(g)
+    u = u0 * np.exp(0.5j * dt * np.abs(u0) ** (2 * r))
+    uh = np.fft.fft(u)
+    c = 1 + g.circumference / g.n ** 2 * np.sum(m * m * np.abs(uh) ** 2)
+    u = np.fft.ifft(uh * np.exp(-1j * c * m * m * dt))
+    ref = u * np.exp(0.5j * dt * np.abs(u) ** (2 * r))
+    st = ev.step_strang(ev.EvolutionState(u0, 0.0, r, g), dt)
+    assert np.max(np.abs(st.u - ref)) < 1e-13
+
+
 def test_standing_wave_orbit_distance(dn_wave):
     res = ev.evolve(dn_wave.phi.astype(complex), dn_wave.grid, 1, 1.0, 1e-3,
                     distance_profile=dn_wave)
@@ -101,6 +122,39 @@ def test_energy_drift_second_order(dn_wave):
     d1 = ev.evolve(u0, dn_wave.grid, 1, 2.0, 2e-3).energy_drift
     d2 = ev.evolve(u0, dn_wave.grid, 1, 2.0, 1e-3).energy_drift
     assert 3.0 < d1 / d2 < 5.0
+
+
+@pytest.mark.parametrize("dt", [2e-3, 1e-3])
+def test_cadence_hides_no_energy_drift(dn_wave, dt):
+    # the default cadence (every 5th and 10th step here) sees the
+    # per-step maximum: measured ratio 0.9999 at both dt
+    u0 = dn_wave.phi.astype(complex) + 0.01 * np.cos(dn_wave.grid.nodes)
+    sparse = ev.evolve(u0, dn_wave.grid, 1, 2.0, dt)
+    dense = ev.evolve(u0, dn_wave.grid, 1, 2.0, dt, log_every=1)
+    assert len(sparse.monitors.t) < len(dense.monitors.t)
+    assert sparse.energy_drift >= 0.99 * dense.energy_drift
+
+
+def test_monitors_follow_cadence(monkeypatch):
+    # one transform per step plus one per record; per-step monitoring
+    # would take two per step
+    g = torus_grid(64)
+    calls = []
+    fft = np.fft.fft
+
+    def counting_fft(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    n_steps, log_every = 100, 10
+    res = ev.evolve(0.5 * np.exp(1j * g.nodes), g, 1, n_steps * 1e-2, 1e-2,
+                    log_every=log_every)
+    mon = res.monitors
+    assert mon.steps == list(range(0, n_steps + 1, log_every))
+    assert len(mon.t) == len(mon.mass) == len(mon.energy) == len(mon.kirchhoff)
+    assert np.allclose(mon.t, 1e-2 * np.array(mon.steps), rtol=0, atol=1e-12)
+    assert len(calls) == n_steps + len(mon.steps)
 
 
 def test_energy_drift_perturbed_solitary():
@@ -199,12 +253,17 @@ def test_short_stable_experiment():
 
 
 def test_trajectory_export(tmp_path):
-    res = ev.stability_experiment("periodic_dn", 1, 0.5, 1e-2, 1.0, dt=5e-3)
+    # 1000 steps: the default cadence records every 5th
+    res = ev.stability_experiment("periodic_dn", 1, 0.5, 1e-2, 1.0, dt=1e-3)
     csv_path = tmp_path / "traj.csv"
     ev.write_trajectory_csv(csv_path, res.evolution)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "t,mass,energy,kirchhoff_c,orbital_distance"
-    assert len(lines) > 10
+    rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    mon = res.evolution.monitors
+    assert rows.shape == (len(mon.t), 5) == (201, 5)
+    assert np.allclose(rows[:, 0], 5e-3 * np.arange(201), rtol=0, atol=1e-12)
+    assert np.allclose(rows[:, 4], mon.distance, rtol=1e-11, atol=0)
     manifest_path = tmp_path / "manifest.json"
     ev.write_manifest_json(manifest_path, res)
     import json
@@ -224,6 +283,28 @@ def test_blow_up_flagged():
         res = ev.evolve(u0, g, 4, 0.1, 1e-2, log_every=1)
     assert res.blow_up is not None
     assert res.blow_up <= 0.1
+
+
+def test_blow_up_detected_between_records(monkeypatch):
+    # the finiteness check runs every step, not on the logging cadence
+    g = torus_grid(64)
+    dt = 1e-2
+    step = ev.step_strang
+    calls = []
+
+    def nan_at_step_7(state, dt):
+        calls.append(1)
+        new = step(state, dt)
+        if len(calls) == 7:
+            new.u[3] = np.nan
+        return new
+
+    monkeypatch.setattr(ev, "step_strang", nan_at_step_7)
+    res = ev.evolve(0.5 * np.exp(1j * g.nodes), g, 1, 1.0, dt, log_every=50)
+    assert abs(res.blow_up - 7 * dt) < 1e-12
+    assert len(calls) == 7
+    assert res.state.t == res.blow_up
+    assert res.monitors.steps == [0]
 
 
 def test_evolution_rejects_line_grid():

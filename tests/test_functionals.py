@@ -193,11 +193,3 @@ def test_vk_slope_threshold_guard():
     with pytest.raises(DomainError):
         fn.vk_slope("solitary", 1, thr + 1e-9, step=1e-6)
 
-
-def test_mass_sweep_csv(tmp_path):
-    path = tmp_path / "sweep.csv"
-    fn.write_mass_sweep_csv(path, "solitary", 1, [0.8, 1.0, 1.2])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "parameter,mass,slope,flag"
-    assert len(lines) == 4
-    assert all(ln.endswith(",ok") for ln in lines[1:])

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
 from skwave import kernel
-from skwave.errors import BracketError, DimensionError, DomainError
+from skwave.errors import BracketError, DimensionError, DomainError, UsageError
 
 
 # ----------------------------------------------------------------------
@@ -23,6 +23,23 @@ def test_line_grid_invariants():
     g = kernel.line_grid(5.0, 32)
     assert g.nodes[0] == -5.0 and g.nodes[-1] == 5.0
     assert abs(np.sum(g.weights) - 10.0) < 1e-12 * 10.0
+
+
+def test_spectral_constants_built_once():
+    g = kernel.torus_grid(64, 3.0)
+    m = kernel.wavenumbers(g)
+    assert np.array_equal(g.m2, m * m)
+    assert g.m2 is g.m2
+    assert g.parseval_scale == 3.0 / 64 ** 2
+    # the propagator in evolution mirrors m^2 from its first n/2 + 1 values
+    assert np.array_equal(g.m2[33:], g.m2[31:0:-1])
+    with pytest.raises(ValueError):
+        g.m2[1] = 0.0
+    line = kernel.line_grid(5.0, 32)
+    with pytest.raises(UsageError):
+        line.m2
+    with pytest.raises(UsageError):
+        line.parseval_scale
 
 
 @pytest.mark.parametrize("n", [8, 15, 33])
