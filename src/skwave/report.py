@@ -111,8 +111,10 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
         # assembled once: the even pass counts the same operators
         ops = [sp.assemble(kind, prof) for kind in sp.OPERATOR_KINDS]
         s_re, s_im, block = _block(ops, sp.spectrum, tol_kernel)
-        evidence["L_Re"] = {"n_neg": s_re.n_neg, "z_kernel": s_re.z_kernel}
-        evidence["L_Im"] = {"n_neg": s_im.n_neg, "z_kernel": s_im.z_kernel}
+        evidence["L_Re"] = {"n_neg": s_re.n_neg, "z_kernel": s_re.z_kernel,
+                            "tol_kernel": s_re.tol_kernel}
+        evidence["L_Im"] = {"n_neg": s_im.n_neg, "z_kernel": s_im.z_kernel,
+                            "tol_kernel": s_im.tol_kernel}
         evidence["block"] = {"n_neg": block.n_neg, "z_kernel": block.z_kernel}
 
         theta = None
@@ -164,9 +166,9 @@ def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None,
         "lowest": list(block.lowest), "ess_edge": block.ess_edge,
         "theta": theta,
         "L_Re": {"n_neg": s_re.n_neg, "z_kernel": s_re.z_kernel,
-                 "lowest": list(s_re.lowest)},
+                 "tol_kernel": s_re.tol_kernel, "lowest": list(s_re.lowest)},
         "L_Im": {"n_neg": s_im.n_neg, "z_kernel": s_im.z_kernel,
-                 "lowest": list(s_im.lowest)},
+                 "tol_kernel": s_im.tol_kernel, "lowest": list(s_im.lowest)},
     }
 
 

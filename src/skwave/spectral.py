@@ -31,6 +31,12 @@ over the bordered matrix [[A - s, U], [U^T, -C]] adds the inertia of a
 
 with one banded solve per shift.  No dense n x n matrix is formed.
 
+The kernel is not guessed: the theory proves L_Re phi' = 0 and
+L_Im phi = 0, so the discretized kernel is counted within the residual
+rho = ||M v|| / ||v|| of that vector v.  Eigenvalues below -rho count as
+negative and those in [-rho, rho] as kernel.  A genuine eigenvalue
+within rho raises the kernel count, and the verdict turns inconclusive.
+
 The kernel position of the periodic Hill operator is certified by the
 Floquet constant theta: the second fundamental solution satisfies
 y2(x + 2*pi) = y2(x) + theta*y1(x), and zero is a simple eigenvalue of
@@ -102,7 +108,8 @@ class SpectrumSummary:
     """Eigenvalue statistics of a discretized self-adjoint operator.
 
     Eigenvalues below -tol_kernel count as negative, those within
-    tol_kernel of zero as numerical kernel.  ``ess_edge`` = omega/c is
+    tol_kernel of zero as numerical kernel; by default tol_kernel is the
+    residual rho of the proven kernel vector.  ``ess_edge`` = omega/c is
     the bottom of the continuous spectrum (line topology only).
     ``lowest``, the five lowest eigenvalues, is computed on first read
     by ``find_lowest``: the counts do not need it.
@@ -216,34 +223,14 @@ def assemble(kind: str, p: wv.Profile) -> OperatorMatrix:
 # eigenvalue counting
 # ----------------------------------------------------------------------
 
-def _kernel_tol(op: OperatorMatrix) -> float:
-    """The default kernel tolerance, 1e-6 * max_ij |M_ij| of the nodal
-    matrix, which separates the true kernel (residual ~1e-8) from the
-    lowest strictly positive eigenvalue by several orders.
-
-    M = (M0 + M0^T)/2, M0 = A + 2 phi'' (w phi'')^T on the nodes, whatever
-    the storage.  The largest entry is read from the diagonal, rounded
-    as in M.  The off-diagonal entries are bounded by c max_(i!=j)
-    |D2_ij| + 2 max|phi''| max|w phi''|; a bound that reaches the
-    diagonal maximum raises DomainError, as only an n x n scan could
-    then find the norm.
-    """
+def _kernel_residual(op: OperatorMatrix) -> float:
+    """rho = ||M v|| / ||v|| for the kernel vector the theory proves,
+    v = phi' for L_Re and v = phi for L_Im.  M is symmetric, so some
+    eigenvalue of M lies within rho of zero (Parlett, The Symmetric
+    Eigenvalue Problem, 1980): the discretization's own kernel error."""
     p = op.profile
-    if p.grid.topology == "torus":
-        col = np.fft.ifft((1j * wavenumbers(p.grid)) ** 2).real   # D2[:, 0]
-        diag = -op.c * col[0] + _potential(op.kind, p)
-        off = op.c * float(np.max(np.abs(col[1:])))
-    else:
-        diag, off = op.band[0], float(np.max(np.abs(op.band[1:])))
-    if op.factors is not None:
-        wd2 = p.grid.weights * p.d2phi
-        diag = diag + 2.0 * (p.d2phi * wd2)
-        off += 2.0 * float(np.max(np.abs(p.d2phi))) * float(np.max(np.abs(wd2)))
-    top = float(np.max(np.abs(diag)))
-    if (1 + 1e-12) * off >= top:
-        raise DomainError(f"off-diagonal bound {off:.3e} reaches the largest "
-                          f"diagonal entry {top:.3e} of {op.kind}")
-    return 1e-6 * top
+    v = p.dphi if op.kind == "L_Re" else p.phi
+    return float(np.linalg.norm(op.apply(v)) / np.linalg.norm(v))
 
 
 def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
@@ -312,9 +299,9 @@ def _banded_summary(band: np.ndarray, factors: Optional[np.ndarray],
 
 
 def spectrum(op: OperatorMatrix, tol_kernel: float = None) -> SpectrumSummary:
-    """Negative and kernel counts; the default ``tol_kernel`` is
-    1e-6 * max_ij |M_ij|."""
-    tol = _kernel_tol(op) if tol_kernel is None else tol_kernel
+    """Negative and kernel counts; the default ``tol_kernel`` is the
+    residual rho of the operator's proven kernel vector."""
+    tol = _kernel_residual(op) if tol_kernel is None else tol_kernel
     return _banded_summary(op.band, op.factors, op, tol)
 
 
@@ -324,17 +311,14 @@ def spectrum_confirmed(kind: str, params: wv.WaveParams,
                        ) -> tuple[SpectrumSummary, SpectrumSummary]:
     """Spectrum with a resolution-doubling confirmation pass.
 
-    The doubled grid is counted against the *same absolute* kernel
-    tolerance as the base grid.  Re-deriving the default tolerance from
-    the doubled matrix would let it grow with max_ij |M_ij| ~ n^2 and
-    eventually swallow the smallest genuine eigenvalue; freezing it
-    makes the pass an actual confirmation.
+    Each pass counts at ``tol_kernel`` if given, else at its own
+    residual rho: the truncation error on the line, roundoff on the
+    torus.
     """
     prof = wv.sample_profile(params, wv.default_grid(params, n))
-    base = spectrum(assemble(kind, prof), tol_kernel)
     prof2 = wv.sample_profile(params, wv.default_grid(params, 2 * prof.grid.n))
-    doubled = spectrum(assemble(kind, prof2), base.tol_kernel)
-    return base, doubled
+    return (spectrum(assemble(kind, prof), tol_kernel),
+            spectrum(assemble(kind, prof2), tol_kernel))
 
 
 def block_summary(s_re: SpectrumSummary, s_im: SpectrumSummary) -> SpectrumSummary:
@@ -382,10 +366,10 @@ def spectrum_even(op: OperatorMatrix, tol_kernel: float = None) -> SpectrumSumma
     dropped.  On the torus the even block is the cosine block, the
     first n/2 + 1 columns of the band and rows of the factors.  On the
     line the band and the factors are folded at the midpoint
-    (``_fold``).  The default kernel tolerance is that of the full
-    matrix.
+    (``_fold``).  The default kernel tolerance is the full operator's
+    residual rho.
     """
-    tol = _kernel_tol(op) if tol_kernel is None else tol_kernel
+    tol = _kernel_residual(op) if tol_kernel is None else tol_kernel
     if op.profile.grid.topology == "line":
         return _banded_summary(*_fold(op.band, op.factors), op, tol)
     m = op.profile.grid.n // 2 + 1
@@ -476,11 +460,11 @@ def isoinertia_sweep(family: str, r: int, k_grid, n: int = 256) -> SweepReport:
 
     Both are constant along the branch (the operator inertia does not
     change with the frequency); any change is reported as an anomaly.
-    The kernel tolerance is 1e-9 * max_ij |M_ij| here, tighter than the
-    general default: on the torus the discretization is spectrally
-    exact, and near k -> 0 the genuine third eigenvalue closes on the
-    kernel like k^4 (3.9e-5 at k = 0.1), so the coarser tolerance would
-    absorb it.  Simplicity of the kernel is certified by theta != 0.
+    Counts are at the default residual tolerance rho, which the
+    spectrally exact torus discretization keeps far below the genuine
+    third eigenvalue, though that closes on the kernel like k^4 near
+    k -> 0 (3.9e-5 at k = 0.1).  Simplicity of the kernel is certified
+    by theta != 0.
     """
     if family == wv.SOLITARY:
         raise UsageError("isoinertia sweeps run over the periodic families")
@@ -490,8 +474,7 @@ def isoinertia_sweep(family: str, r: int, k_grid, n: int = 256) -> SweepReport:
         params = wv.solve_family(family, r, float(k), validate=False)
         prof = wv.sample_profile(params, wv.default_grid(params, n))
         th = floquet_theta(prof).theta
-        op = assemble("L_Re", prof)
-        summ = spectrum(op, tol_kernel=1e-3 * _kernel_tol(op))
+        summ = spectrum(assemble("L_Re", prof))
         entries.append(SweepEntry(float(k), th, summ.n_neg, summ.z_kernel))
     first = entries[0]
     for e in entries[1:]:

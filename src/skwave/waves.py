@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import elliptic as el
 from .errors import DomainError, ExistenceError, UsageError
@@ -89,20 +88,16 @@ class Profile:
 
 @lru_cache(maxsize=None)
 def shape_constants(r: int) -> tuple[float, float]:
-    """(A, M) with A = int sech^(2/r) tanh^2 dx and M = int sech^(2/r) dx."""
+    """(A, M) with A = int sech^p tanh^2 dx and M = int sech^p dx, p = 2/r.
+
+    M is the Beta integral B(p/2, 1/2) = sqrt(pi) Gamma(p/2) / Gamma((p+1)/2),
+    and A = M - int sech^(p+2) = M / (p+1) by the reduction formula.
+    """
     if r < 1:
         raise DomainError("nonlinearity exponent r must be >= 1")
     p = 2.0 / r
-
-    def sech_pow(x: float) -> float:
-        # overflow-safe sech(x)^p for the infinite-interval quadrature
-        e = math.exp(-abs(x))
-        return (2 * e / (1 + e * e)) ** p
-
-    A = 2 * quad(lambda x: sech_pow(x) * math.tanh(x) ** 2, 0, np.inf,
-                 epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-    M = 2 * quad(sech_pow, 0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-    return A, M
+    M = math.sqrt(math.pi) * math.gamma(p / 2) / math.gamma((p + 1) / 2)
+    return M / (p + 1), M
 
 
 @lru_cache(maxsize=None)

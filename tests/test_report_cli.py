@@ -115,6 +115,31 @@ def test_verdict_periodic_carries_theta():
     assert v.theta is not None and v.theta < 0
 
 
+@pytest.mark.parametrize("family, r", [("periodic_dn", 1), ("periodic_dn_quotient", 2)])
+@pytest.mark.parametrize("k, n", [(0.5, 512), (0.5, 1024), (0.5, 2048), (0.1, None)])
+def test_periodic_verdict_stable_on_fine_grids_and_small_modulus(family, r, k, n):
+    # the third eigenvalue of L_Re closes on zero like k^4 (3.9e-5 at dn
+    # k = 0.1); the residual of phi' (1e-11 to 2e-10) keeps it out of the
+    # kernel however fine the grid
+    v = rp.verdict(family, r, k, n=n)
+    assert v.verdict == rp.STABLE
+    assert (v.evidence["L_Re"]["n_neg"], v.evidence["L_Re"]["z_kernel"]) == (1, 1)
+
+
+def test_kernel_tolerance_reported_as_evidence():
+    # each operator's evidence carries the tolerance it was counted at:
+    # its kernel residual by default, the caller's value when given
+    prof = wv.sample_profile(wv.solve_periodic_r1(0.5), wv.torus_grid(256))
+    v = rp.verdict("periodic_dn", 1, 0.5, n=256)
+    rep = rp.spectrum_report("periodic_dn", 1, 0.5, n=256)
+    for kind in rp.sp.OPERATOR_KINDS:
+        tol = rp.sp.spectrum(rp.sp.assemble(kind, prof)).tol_kernel
+        assert 0 < tol < 1e-8
+        assert v.evidence[kind]["tol_kernel"] == rep[kind]["tol_kernel"] == tol
+    v = rp.verdict("periodic_dn", 1, 0.5, n=256, tol_kernel=1e-6)
+    assert v.evidence["L_Re"]["tol_kernel"] == v.evidence["L_Im"]["tol_kernel"] == 1e-6
+
+
 # ----------------------------------------------------------------------
 # figure data
 # ----------------------------------------------------------------------

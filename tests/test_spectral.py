@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -217,15 +216,19 @@ def test_discrete_spectrum_stable_under_doubling():
     assert counts[0] == counts[1] == (1, 1)
 
 
-def test_spectrum_confirmation_freezes_tolerance():
-    # on the torus ||M||_inf grows ~n^2 with the resolution; the
-    # confirmation pass keeps the base tolerance so the genuine third
-    # eigenvalue (0.031 at k = 0.5) is not absorbed into the kernel
+def test_spectrum_confirmation_counts_at_own_residual():
+    # each pass counts at the residual of phi' on its own grid, which
+    # keeps the genuine third eigenvalue (0.031 at k = 0.5) out of the
+    # kernel; an explicit tolerance overrides it in both passes
     params = wv.solve_periodic_r1(0.5)
-    base, doubled = sp.spectrum_confirmed("L_Re", params)
-    assert base.tol_kernel == doubled.tol_kernel
-    assert (base.n_neg, base.z_kernel) == (1, 1)
-    assert (doubled.n_neg, doubled.z_kernel) == (1, 1)
+    passes = sp.spectrum_confirmed("L_Re", params)
+    for s, n in zip(passes, (512, 1024)):
+        prof = wv.sample_profile(params, wv.default_grid(params, n))
+        resid = sp.assemble("L_Re", prof).apply(prof.dphi)
+        assert s.tol_kernel == np.linalg.norm(resid) / np.linalg.norm(prof.dphi)
+        assert (s.n_neg, s.z_kernel) == (1, 1)
+    assert [s.tol_kernel for s in sp.spectrum_confirmed("L_Re", params, None, 1e-8)] \
+        == [1e-8, 1e-8]
 
 
 def test_ground_state_positivity(dn_profile, solitary_r1_profile):
@@ -256,19 +259,25 @@ def _dense_counts(w: np.ndarray, tol: float) -> tuple:
 
 def check_counts_against_dense_oracle(prof: wv.Profile, entry_tol: float) -> None:
     """The inertia counts of band + coupling factors equal the counts of
-    the dense eigensolve, full and even, at the default tolerance
-    (equal bit for bit) and at shifts between the lowest eigenvalues;
-    the stored operator equals the oracle to ``entry_tol`` max|M|."""
+    the dense eigensolve, full and even, at the default tolerance and at
+    shifts between the lowest eigenvalues.  The stored operator equals
+    the oracle to ``entry_tol`` max|M|, and so does the default
+    tolerance the oracle's residual ||M v|| / ||v|| of the kernel
+    vector, within which some eigenvalue of M lies."""
     B = even_restriction(prof.grid)
     for kind in sp.OPERATOR_KINDS:
         op = sp.assemble(kind, prof)
         M = assemble_dense_oracle(kind, prof)
         norm = float(np.max(np.abs(M)))
-        assert np.max(np.abs(dense(op) - M)) <= entry_tol * norm
+        floor = entry_tol * norm   # also the dense eigensolver's resolution
+        assert np.max(np.abs(dense(op) - M)) <= floor
         w = np.linalg.eigvalsh(M)
         w_even = np.linalg.eigvalsh(B.T @ M @ B)
         s = sp.spectrum(op)
-        assert s.tol_kernel == 1e-6 * norm
+        v = prof.dphi if kind == "L_Re" else prof.phi
+        rho = np.linalg.norm(M @ v) / np.linalg.norm(v)
+        assert abs(s.tol_kernel - rho) <= floor
+        assert np.min(np.abs(w)) <= s.tol_kernel + floor
         assert np.max(np.abs(np.array(s.lowest) - w[:5])) <= 1e-12 * norm
         absw = np.sort(np.abs(w))[:8]
         gaps = (absw[:-1] + absw[1:]) / 2
@@ -277,8 +286,10 @@ def check_counts_against_dense_oracle(prof: wv.Profile, entry_tol: float) -> Non
         assert len(shifts) >= 4
         for tol in shifts:
             full, even = sp.spectrum(op, tol), sp.spectrum_even(op, tol)
-            assert (full.n_neg, full.z_kernel) == _dense_counts(w, tol), (kind, tol)
-            assert (even.n_neg, even.z_kernel) == _dense_counts(w_even, tol), (kind, tol)
+            # a residual tolerance below the oracle's floor is read at it
+            t = max(tol, floor)
+            assert (full.n_neg, full.z_kernel) == _dense_counts(w, t), (kind, tol)
+            assert (even.n_neg, even.z_kernel) == _dense_counts(w_even, t), (kind, tol)
 
 
 @pytest.mark.parametrize("r, omega", [(1, 1.0), (2, 0.5), (4, 0.3)])
@@ -298,24 +309,6 @@ def test_banded_counts_match_dense_oracle_torus(family, r, k, n):
     p = wv.solve_family(family, r, k)
     check_counts_against_dense_oracle(wv.sample_profile(p, wv.default_grid(p, n)),
                                       2 * n * np.finfo(float).eps)
-
-
-def test_kernel_tol_rejects_largest_entry_off_band(solitary_r1_profile):
-    # a coupling whose largest dense entry lies off the band: the bound
-    # on the off-diagonal entries reaches the largest diagonal entry, so
-    # the default tolerance is refused instead of read off the diagonal
-    d2 = np.zeros(solitary_r1_profile.grid.n)
-    d2[[100, 300]] = 1e3
-    prof = dataclasses.replace(solitary_r1_profile, d2phi=d2)
-    op = sp.assemble("L_Re", prof)
-    band = op.band.copy()
-    band[0, [100, 300]] = -2.0 * op.factors[100, 0] * op.factors[100, 1]
-    spiked = sp.OperatorMatrix("L_Re", prof, op.c, band, op.factors)
-    M = dense(spiked)
-    i, j = np.unravel_index(np.argmax(np.abs(M)), M.shape)
-    assert abs(i - j) > 2
-    with pytest.raises(DomainError):
-        sp.spectrum(spiked)
 
 
 # ----------------------------------------------------------------------
@@ -444,6 +437,15 @@ def test_isoinertia_dnq():
     assert all(e.z_kernel == 1 for e in rep.entries)
 
 
+@pytest.mark.parametrize("family, r", [(wv.PERIODIC_DN, 1), (wv.PERIODIC_DNQ, 2)])
+def test_isoinertia_down_to_small_modulus(family, r):
+    # the default residual tolerance separates the kernel from the third
+    # eigenvalue, which closes on it like k^4 as k -> 0
+    rep = sp.isoinertia_sweep(family, r, [0.02, 0.05, 0.1, 0.5, 0.95])
+    assert rep.consistent
+    assert all((e.n_neg, e.z_kernel) == (1, 1) for e in rep.entries)
+
+
 # ----------------------------------------------------------------------
 # even-subspace restriction
 # ----------------------------------------------------------------------
@@ -466,14 +468,19 @@ def test_spectrum_even_matches_basis_oracle(dn_profile, solitary_r4_profile):
     # B^T M B of the dense oracle
     for prof in (dn_profile, solitary_r4_profile):
         B = even_restriction(prof.grid)
+        slack = 2 * prof.grid.n * np.finfo(float).eps
         for kind in ("L_Re", "L_Im"):
             op = sp.assemble(kind, prof)
             M = assemble_dense_oracle(kind, prof)
             norm = float(np.max(np.abs(M)))
             w, _ = symmetric_eigen(B.T @ M @ B)
-            tol = 1e-6 * norm
+            # the even count runs at the full operator's residual
+            v = prof.dphi if kind == "L_Re" else prof.phi
+            rho = np.linalg.norm(M @ v) / np.linalg.norm(v)
             s = sp.spectrum_even(op)
-            assert s.tol_kernel == tol
+            tol = s.tol_kernel
+            assert abs(tol - rho) <= slack * norm
+            assert np.min(np.abs(np.linalg.eigvalsh(M))) <= tol + slack * norm
             assert np.max(np.abs(np.array(s.lowest) - w[:5])) <= 1e-12 * norm
             assert (s.n_neg, s.z_kernel) == (int(np.sum(w < -tol)),
                                              int(np.sum(np.abs(w) <= tol)))

@@ -14,6 +14,22 @@ from skwave.kernel import find_root_bracketed, line_grid, quadrature, torus_grid
 # oracles: the numerical family solves that the closed forms replaced
 # ----------------------------------------------------------------------
 
+def shape_constants_by_quadrature(r: int) -> tuple[float, float]:
+    """(A, M) by adaptive quadrature on the half line: the oracle for the
+    closed forms."""
+    p = 2.0 / r
+
+    def sech_pow(x: float) -> float:
+        # overflow-safe sech(x)^p for the infinite-interval quadrature
+        e = math.exp(-abs(x))
+        return (2 * e / (1 + e * e)) ** p
+
+    A = 2 * quad(lambda x: sech_pow(x) * math.tanh(x) ** 2, 0, np.inf,
+                 epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+    M = 2 * quad(sech_pow, 0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+    return A, M
+
+
 def _gensolit_a(r: int, omega: float, A: float, b: float) -> float:
     """Amplitude in terms of the width candidate b."""
     disc = A * b * (r * r * omega - b * b)
@@ -197,9 +213,17 @@ def test_shape_constants_closed_forms():
     assert abs(A2 - np.pi / 2) < 1e-10
 
 
+@pytest.mark.parametrize("r", range(1, 7))
+def test_shape_constants_vs_quadrature(r):
+    A, M = wv.shape_constants(r)
+    A_or, M_or = shape_constants_by_quadrature(r)
+    assert _rel(A, A_or) < 1e-14
+    assert _rel(M, M_or) < 1e-14
+
+
 def test_shape_constants_vs_substitution_oracle():
     # t = tanh(x) maps the integrals onto a finite interval: an oracle
-    # independent of the infinite-interval quadrature in the module
+    # independent of the infinite-interval quadrature above
     for r in (2, 4):
         p = 2.0 / r
         A_or = 2 * quad(lambda t: (1 - t * t) ** (p / 2 - 1) * t * t, 0, 1,
