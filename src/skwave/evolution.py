@@ -13,6 +13,15 @@ every |u_hat_m| is preserved, so the only splitting error is the usual
 nonlinear/linear commutator, O(dt^2).  Both substeps preserve the
 discrete squared norm, so the mass drift stays at roundoff level.
 
+Because the half nonlinear step preserves |u|, a step's trailing
+half-kick and the next step's leading half-kick multiply by the same
+phase exp(i dt/2 |u|^2r) (the first-same-as-last property of symmetric
+splittings).  ``step_strang`` keeps the trailing phase on the state it
+returns and the next step of the same dt reuses it, so a run of N steps
+evaluates N + 1 nonlinear phases instead of 2N.  Every phase, the two
+half-kicks and the linear propagator, is taken as cos and sin written
+into one complex array, which is cheaper than a complex exp.
+
 Monitoring runs on the logging cadence, not every step: mass, energy,
 the Kirchhoff coefficient, the orbital distance and the tail level are
 recorded at steps 0, log_every, 2*log_every, ... and at the last step.
@@ -58,11 +67,21 @@ class Monitors:
 
 @dataclass
 class EvolutionState:
+    """The state u at time t of a run with exponent r on a torus grid.
+
+    ``half_kick`` = (u, dt, exp(i dt/2 |u|^2r)) is the phase of the
+    trailing half-kick with the array and step it belongs to, set by
+    ``step_strang`` on the state it returns, whose u is read-only.  A
+    state built by a caller or by ``dataclasses.replace`` has none.
+    """
+
     u: np.ndarray
     t: float
     r: int
     grid: Grid
     monitors: Monitors = field(default_factory=Monitors)
+    half_kick: Optional[tuple[np.ndarray, float, np.ndarray]] = field(
+        default=None, init=False, repr=False)
 
 
 def _parseval(grid: Grid, symbol: np.ndarray, vh: np.ndarray) -> float:
@@ -79,24 +98,50 @@ def kirchhoff_coefficient(u: np.ndarray, grid: Grid) -> float:
     return 1.0 + _parseval(grid, grid.m2, np.fft.fft(u))
 
 
+def _phase(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) for real theta, as cos and sin written into the real
+    and imaginary parts of one complex array."""
+    z = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    return z
+
+
+def _half_kick(u: np.ndarray, r: int, dt: float) -> np.ndarray:
+    """Phase of the half nonlinear step, exp(i dt/2 |u|^2r)."""
+    return _phase(0.5 * dt * (u.real ** 2 + u.imag ** 2) ** r)
+
+
 def step_strang(state: EvolutionState, dt: float) -> EvolutionState:
-    """One Strang step: half nonlinear, full linear, half nonlinear."""
+    """One Strang step: half nonlinear, full linear, half nonlinear.
+
+    The leading half-kick reuses ``state.half_kick`` when it belongs to
+    this u and dt; the trailing one is kept on the returned state.
+    """
     if dt <= 0:
         raise DomainError("dt must be positive")
     grid, r = state.grid, state.r
     m2 = grid.m2
-    u = state.u * np.exp(0.5j * dt * (state.u.real ** 2 + state.u.imag ** 2) ** r)
-    uh = np.fft.fft(u)
+    cached = state.half_kick
+    if cached is not None and cached[0] is state.u and cached[1] == dt:
+        kick = cached[2]
+    else:
+        kick = _half_kick(state.u, r, dt)
+    uh = np.fft.fft(state.u * kick)
     c = 1.0 + _parseval(grid, m2, uh)
     # m^2 is even in m and m[-j] = -m[j] exactly, so the propagator over
     # the n/2 + 1 distinct values, mirrored, is the full one bit for bit
     h = grid.n // 2 + 1
-    prop = np.exp((-1j * c * dt) * m2[:h])
+    prop = _phase((-c * dt) * m2[:h])
     uh[:h] *= prop
     uh[h:] *= prop[h - 2:0:-1]
     u = np.fft.ifft(uh)
-    u *= np.exp(0.5j * dt * (u.real ** 2 + u.imag ** 2) ** r)
-    return EvolutionState(u, state.t + dt, r, grid, state.monitors)
+    kick = _half_kick(u, r, dt)
+    u *= kick
+    u.flags.writeable = False
+    new = EvolutionState(u, state.t + dt, r, grid, state.monitors)
+    new.half_kick = (u, dt, kick)
+    return new
 
 
 @dataclass
@@ -224,22 +269,22 @@ def orbital_distance(u: np.ndarray, phi_profile: wv.Profile,
     argument of the H^1 inner product, so the scan is exact on the shift
     lattice.  ``rotation_only`` restricts the orbit to phase rotations
     (the even-subspace experiments, where translation is not available).
+    The wave's side, ``phi_profile.h1_dual``, is computed once per
+    profile.
     """
     grid = phi_profile.grid
     u = np.asarray(u, dtype=complex)
     if u.shape != (grid.n,):
         raise UsageError("state and reference wave must share one grid")
-    wgt = 1.0 + grid.m2
     scale = grid.parseval_scale
+    dual, np_ = phi_profile.h1_dual
     uh = np.fft.fft(u)
-    ph = np.fft.fft(phi_profile.phi)
-    nu = _parseval(grid, wgt, uh)
-    np_ = _parseval(grid, wgt, ph)
+    nu = _parseval(grid, 1.0 + grid.m2, uh)
     if rotation_only:
-        inner = scale * complex(np.sum(wgt * uh * np.conj(ph)))
+        inner = scale * complex(np.sum(uh * dual))
         best, theta, shift = abs(inner), math.atan2(inner.imag, inner.real), 0.0
     else:
-        corr = np.fft.ifft(wgt * uh * np.conj(ph)) * grid.n * scale
+        corr = np.fft.ifft(uh * dual) * grid.n * scale
         j = int(np.argmax(np.abs(corr)))
         best = float(np.abs(corr[j]))
         theta = float(np.angle(corr[j]))
@@ -328,7 +373,7 @@ def stability_experiment(family: str, r: int, at: float, epsilon: float,
         prof = periodized_profile(params, grid)
     else:
         prof = wv.sample_profile(params, grid)
-    norm_phi = math.sqrt(h1_norm_sq(grid, prof.phi.astype(complex)))
+    norm_phi = math.sqrt(prof.h1_dual[1])
     if epsilon > 0.05 * norm_phi:
         raise DomainError(
             f"epsilon {epsilon} exceeds 5% of the wave's H1 norm {norm_phi:.4f}")

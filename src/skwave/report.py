@@ -115,7 +115,14 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
                             "tol_kernel": s_re.tol_kernel}
         evidence["L_Im"] = {"n_neg": s_im.n_neg, "z_kernel": s_im.z_kernel,
                             "tol_kernel": s_im.tol_kernel}
-        evidence["block"] = {"n_neg": block.n_neg, "z_kernel": block.z_kernel}
+        # a kernel tolerance at or above the continuum edge counts the
+        # discretized continuum as kernel: the grid does not resolve it
+        unresolved = [kind for kind, s in zip(sp.OPERATOR_KINDS, (s_re, s_im))
+                      if block.ess_edge is not None
+                      and s.tol_kernel >= block.ess_edge]
+        evidence["block"] = {"n_neg": block.n_neg, "z_kernel": block.z_kernel,
+                             "ess_edge": block.ess_edge,
+                             "unresolved": unresolved}
 
         theta = None
         if family != wv.SOLITARY:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -73,13 +73,25 @@ class WaveParams:
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """Closed-form wave sampled on a grid, with analytic derivatives."""
+    """Closed-form wave sampled on a grid, with analytic derivatives.
+    The samples are fixed once built; ``h1_dual`` is derived from phi on
+    first read and kept."""
 
     params: WaveParams
     grid: Grid
     phi: np.ndarray
     dphi: np.ndarray
     d2phi: np.ndarray
+
+    @cached_property
+    def h1_dual(self) -> tuple[np.ndarray, float]:
+        """((1 + m^2) conj(phi_hat), ||phi||_H1^2) on a torus grid: the
+        wave's half of every H^1 inner product with it, read-only."""
+        grid = self.grid
+        ph = np.fft.fft(self.phi)
+        dual = (1.0 + grid.m2) * np.conj(ph)
+        dual.flags.writeable = False
+        return dual, grid.parseval_scale * float(np.dot(ph, dual).real)
 
 
 # ----------------------------------------------------------------------

@@ -140,6 +140,26 @@ def test_kernel_tolerance_reported_as_evidence():
     assert v.evidence["L_Re"]["tol_kernel"] == v.evidence["L_Im"]["tol_kernel"] == 1e-6
 
 
+@pytest.mark.parametrize("r", [4, 5])
+@pytest.mark.parametrize("n, unresolved", [(256, ["L_Re"]), (1024, [])])
+def test_coarse_line_grid_names_itself(r, n, unresolved):
+    # at n = 256 the residual of phi' (0.65 at r = 4, 1.39 at r = 5)
+    # reaches the continuum edge omega/c = 0.21, so the count at +-rho
+    # takes in the discretized continuum; at n = 1024 it is below 0.014
+    v = rp.verdict("solitary", r, 0.3, n=n)
+    block = v.evidence["block"]
+    assert block["ess_edge"] == pytest.approx(0.3 / v.evidence["params"]["c"])
+    assert block["unresolved"] == unresolved
+    for kind in rp.sp.OPERATOR_KINDS:
+        assert (v.evidence[kind]["tol_kernel"] >= block["ess_edge"]) == (kind in unresolved)
+    assert (v.verdict == rp.INCONCLUSIVE) == bool(unresolved)
+
+
+def test_torus_verdict_has_no_continuum_edge():
+    block = rp.verdict("periodic_dn", 1, 0.5, n=256).evidence["block"]
+    assert block["ess_edge"] is None and block["unresolved"] == []
+
+
 # ----------------------------------------------------------------------
 # figure data
 # ----------------------------------------------------------------------
