@@ -21,7 +21,6 @@ from . import spectral as sp
 from . import waves as wv
 from .errors import (
     BlowUpError,
-    BracketError,
     DimensionError,
     DomainError,
     UsageError,
@@ -204,7 +203,7 @@ def main(argv=None) -> int:
         args = _build_parser(known).parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, UsageError, BracketError, DimensionError) as exc:
+    except (DomainError, UsageError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BlowUpError, np.linalg.LinAlgError) as exc:

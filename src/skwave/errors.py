@@ -13,10 +13,6 @@ class ExistenceError(DomainError):
     """No standing wave exists at the requested parameter point."""
 
 
-class BracketError(ValueError):
-    """Root bracket does not enclose a sign change."""
-
-
 class UsageError(ValueError):
     """Incompatible combination of arguments, e.g. grid topology mismatch."""
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import elliptic as el
 from . import waves as wv
 from .errors import DomainError, UsageError
-from .kernel import Grid, quadrature, spectral_derivative
+from .kernel import Grid, quadrature, wavenumbers
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,12 @@ def state_derivative(grid: Grid, v: np.ndarray) -> np.ndarray:
     centered differences with zero extension on the line."""
     v = np.asarray(v)
     if grid.topology == "torus":
-        return spectral_derivative(grid, v, 1)
+        # i*m on the DFT; the Nyquist mode's derivative is not
+        # representable on the grid and is zeroed
+        symbol = 1j * wavenumbers(grid)
+        symbol[grid.n // 2] = 0.0
+        du = np.fft.ifft(symbol * np.fft.fft(v))
+        return du.real if np.isrealobj(v) else du
     h = grid.spacing
     vp = np.zeros(grid.n + 4, dtype=v.dtype)
     vp[2:-2] = v
@@ -125,11 +130,11 @@ def closed_form_tau(k: float) -> tuple[float, float, float]:
     """
     if not 0 < k < 1:
         raise DomainError(f"modulus must lie in (0, 1), got {k}")
-    K, E = el.complete_K(k), el.complete_E(k)
-    den = 8 * (1 - k * k) * K ** 4 - 4 * (2 - k * k) * E * K ** 3 + 3 * math.pi ** 3
+    den = wv._dn_denominator(k)
     if den <= 0:
         raise DomainError(
             f"modulus {k} beyond the dnoidal limit k* ~ {wv.dn_modulus_limit():.6f}")
+    K, E = el.complete_K(k), el.complete_E(k)
     tau1 = (-8 * (1 - k * k) * K ** 4 + 4 * (2 - k * k) * E * K ** 3) / den
     tau2 = (24 * math.pi ** 3 * K ** 3
             * (2 * (2 - k * k) * E - (1 - k * k) * K)) / den ** 2

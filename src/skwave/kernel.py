@@ -1,8 +1,8 @@
 """Shared low-level numerics.
 
-Grids with quadrature weights, bracketed root finding, dense symmetric
-eigendecomposition and the DFT pair.  All operations are pure functions
-of their inputs and safe to call concurrently.
+Grids with quadrature weights, dense symmetric eigendecomposition and
+the DFT pair.  All operations are pure functions of their inputs and
+safe to call concurrently.
 
 DFT convention
 --------------
@@ -15,17 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy import optimize as _optimize
 
-from .errors import (
-    BracketError,
-    DimensionError,
-    DomainError,
-    UsageError,
-)
+from .errors import DimensionError, DomainError, UsageError
 
 TWO_PI = 2.0 * np.pi
 
@@ -118,40 +112,6 @@ def quadrature(grid: Grid, samples: np.ndarray) -> float:
 
 
 # ----------------------------------------------------------------------
-# root finding
-# ----------------------------------------------------------------------
-
-def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
-                        tol: float = 1e-12) -> float:
-    """Root of f in [lo, hi] with a guaranteed sign-change bracket.
-
-    Brent-style contract: the returned point never leaves the initial
-    bracket and the final bracket width is at most ``tol``.  Non-finite
-    f values raise DomainError, a missing sign change raises
-    BracketError.
-    """
-    if not lo < hi:
-        raise BracketError(f"empty bracket [{lo}, {hi}]")
-
-    def checked(x: float) -> float:
-        fx = f(x)
-        if not np.isfinite(fx):
-            raise DomainError(f"f({x}) is not finite")
-        return fx
-
-    flo, fhi = checked(lo), checked(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise BracketError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3g}, f(hi)={fhi:.3g}")
-    return float(_optimize.brentq(checked, lo, hi, xtol=tol, rtol=8.9e-16,
-                                  maxiter=200))
-
-
-# ----------------------------------------------------------------------
 # symmetric eigenproblems
 # ----------------------------------------------------------------------
 
@@ -176,7 +136,7 @@ def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# DFT pair and spectral derivatives
+# DFT pair
 # ----------------------------------------------------------------------
 
 def dft(values: np.ndarray) -> np.ndarray:
@@ -191,23 +151,3 @@ def idft(values: np.ndarray) -> np.ndarray:
     if values.shape[0] % 2:
         raise DimensionError("idft requires an even number of samples")
     return np.fft.ifft(values)
-
-
-def spectral_derivative(grid: Grid, values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Derivative of a periodic sampled function via the DFT.
-
-    For odd orders the Nyquist mode is zeroed (its derivative is not
-    representable on the grid); for even orders it carries the real
-    symbol (i*m)^order.
-    """
-    if grid.topology != "torus":
-        raise UsageError("spectral_derivative requires a torus grid")
-    m = wavenumbers(grid)
-    symbol = (1j * m) ** order
-    if order % 2:
-        symbol[grid.n // 2] = 0.0
-    vhat = np.fft.fft(values)
-    out = np.fft.ifft(symbol * vhat)
-    if np.isrealobj(values):
-        return out.real
-    return out

@@ -24,7 +24,6 @@ from . import functionals as fn
 from . import spectral as sp
 from . import waves as wv
 from .errors import (
-    BracketError,
     DegenerateProfileError,
     DimensionError,
     DomainError,
@@ -144,7 +143,7 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
             even_counts = (even.n_neg, even.z_kernel)
             evidence["even_block"] = {"n_neg": even.n_neg,
                                       "z_kernel": even.z_kernel}
-    except (DomainError, BracketError, UsageError, DimensionError,
+    except (DomainError, UsageError, DimensionError,
             DegenerateProfileError, np.linalg.LinAlgError) as exc:
         # verdicts never guess past a failed stage; any other exception
         # is a programming error and propagates

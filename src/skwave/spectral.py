@@ -58,12 +58,7 @@ from scipy.linalg import eig_banded, solve_banded
 
 from . import waves as wv
 from .errors import DegenerateProfileError, DomainError, UsageError
-from .kernel import (
-    find_root_bracketed,
-    quadrature,
-    symmetric_eigen,
-    wavenumbers,
-)
+from .kernel import quadrature, symmetric_eigen, wavenumbers
 
 TWO_PI = 2.0 * math.pi
 
@@ -489,52 +484,34 @@ def isoinertia_sweep(family: str, r: int, k_grid, n: int = 256) -> SweepReport:
 # the eta equation (derivative of the wave in omega)
 # ----------------------------------------------------------------------
 
-def _params_at_omega(p: wv.Profile, target_omega: float) -> wv.WaveParams:
-    family, r, k = p.params.family, p.params.r, p.params.k
-    if family == wv.SOLITARY:
-        return wv.solve_solitary(r, target_omega, validate=False)
-    if family == wv.PERIODIC_DN:
-        solver = lambda kk: wv.solve_periodic_r1(kk, validate=False)
-        k_max = wv.dn_modulus_limit() - 1e-6
-    else:
-        solver = lambda kk: wv.solve_periodic_r2(kk, validate=False)
-        k_max = 1 - 1e-6
-    # domega/dk can be shallow; widen the inversion bracket until the
-    # target frequency is enclosed
-    width = 0.02
-    while True:
-        lo, hi = max(1e-3, k - width), min(k_max, k + width)
-        f_lo = solver(lo).omega - target_omega
-        f_hi = solver(hi).omega - target_omega
-        if f_lo * f_hi <= 0:
-            break
-        if lo == 1e-3 and hi == k_max:
-            raise DomainError(
-                f"frequency {target_omega} not attained on the modulus range")
-        width *= 2
-    k_target = find_root_bracketed(
-        lambda kk: solver(kk).omega - target_omega, lo, hi, tol=1e-13)
-    return solver(k_target)
+def _family_parameter(params: wv.WaveParams) -> float:
+    """omega on the solitary family, the modulus k on the periodic ones."""
+    return params.omega if params.family == wv.SOLITARY else params.k
 
 
-def finite_difference_eta(p: wv.Profile, h: float) -> np.ndarray:
-    """eta = -d(phi)/d(omega) by central differences of re-solved waves,
-    sampled on the profile's own grid.  Periodic neighbours are found by
-    inverting omega(k)."""
-    pp = _params_at_omega(p, p.params.omega + h)
-    pm = _params_at_omega(p, p.params.omega - h)
+def finite_difference_eta(p: wv.Profile, step: float) -> np.ndarray:
+    """eta = -d(phi)/d(omega) on the profile's own grid, by the chain rule
+    along the family: the central difference of re-solved waves in the
+    family parameter over the same difference of omega."""
+    family, r = p.params.family, p.params.r
+    at = _family_parameter(p.params)
+    pp = wv.solve_family(family, r, at + step, validate=False)
+    pm = wv.solve_family(family, r, at - step, validate=False)
     phi_p = wv.profile_values(pp, p.grid.nodes)[0]
     phi_m = wv.profile_values(pm, p.grid.nodes)[0]
-    return -(phi_p - phi_m) / (2 * h)
+    return -(phi_p - phi_m) / (pp.omega - pm.omega)
 
 
-def eta_equation_check(p: wv.Profile, d_omega_step: float = None) -> float:
+def eta_equation_check(p: wv.Profile, step: float = None) -> float:
     """Relative residual ||L_Re eta - phi|| / ||phi|| with the
-    finite-difference eta; first order in the step by construction."""
-    h = d_omega_step if d_omega_step is not None else 1e-4 * p.params.omega
-    if h <= 0:
+    finite-difference eta.  The step is in the family parameter, by
+    default 1e-4 of it; the central difference leaves an O(step^2)
+    error above the discretization floor of L_Re."""
+    if step is None:
+        step = 1e-4 * abs(_family_parameter(p.params))
+    if step <= 0:
         raise DomainError("step must be positive")
-    eta = finite_difference_eta(p, h)
+    eta = finite_difference_eta(p, step)
     resid = assemble("L_Re", p).apply(eta) - p.phi
     num = math.sqrt(quadrature(p.grid, resid ** 2))
     den = math.sqrt(quadrature(p.grid, p.phi ** 2))

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import elliptic as el
 from .errors import DomainError, ExistenceError, UsageError
-from .kernel import Grid, find_root_bracketed, line_grid, quadrature, torus_grid
+from .kernel import Grid, line_grid, quadrature, torus_grid
 
 SOLITARY = "solitary"
 PERIODIC_DN = "periodic_dn"
@@ -171,8 +171,13 @@ def _dn_denominator(k: float) -> float:
 
 @lru_cache(maxsize=1)
 def dn_modulus_limit() -> float:
-    """Largest admissible modulus k* of the dnoidal family (~0.979653)."""
-    return find_root_bracketed(_dn_denominator, 0.9, 0.9999, tol=1e-12)
+    """Largest admissible modulus k* of the dnoidal family (~0.979653),
+    the midpoint of a 1e-12 bracket bisected on the denominator's sign."""
+    lo, hi = 0.9, 0.9999
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _dn_denominator(mid) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def solve_periodic_r1(k: float, validate: bool = True) -> WaveParams:

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
 from skwave import kernel
-from skwave.errors import BracketError, DimensionError, DomainError, UsageError
+from skwave.errors import DimensionError, DomainError, UsageError
 
 
 # ----------------------------------------------------------------------
@@ -89,47 +89,6 @@ def test_quadrature_exact_for_trig_polynomials(p, q):
     f = 0.7 + np.cos(p * x) * 2.0 - 1.3 * np.sin(q * x)
     exact = 0.7 * 2 * np.pi + (2 * np.pi * 2.0 if p == 0 else 0.0)
     assert abs(kernel.quadrature(g, f) - exact) < 1e-12 * max(1, abs(exact))
-
-
-# ----------------------------------------------------------------------
-# root finding
-# ----------------------------------------------------------------------
-
-def test_root_sqrt2():
-    r = kernel.find_root_bracketed(lambda x: x * x - 2, 1, 2, tol=1e-12)
-    assert abs(r - np.sqrt(2)) < 1e-10
-
-
-def test_root_r1_width_cubic_matches_closed_form():
-    # (4/3) w b^3 + b^2 - w = 0 at w = 1 against the closed-form width used
-    # by the solitary r=1 solver
-    from skwave.waves import solve_solitary
-    root = kernel.find_root_bracketed(
-        lambda b: (4 / 3) * b ** 3 + b * b - 1, 0, (3 / 4) ** (1 / 3), tol=1e-14)
-    assert abs(root - solve_solitary(1, 1.0).b) < 1e-10
-
-
-def test_root_odd_power():
-    assert abs(kernel.find_root_bracketed(lambda x: x ** 3, -1, 2, tol=1e-12)) < 1e-10
-
-
-def test_root_no_sign_change():
-    with pytest.raises(BracketError):
-        kernel.find_root_bracketed(lambda x: x * x + 1, -1, 1, tol=1e-12)
-
-
-def test_root_non_finite():
-    with pytest.raises(DomainError):
-        kernel.find_root_bracketed(lambda x: np.nan, -1, 1, tol=1e-12)
-
-
-@given(st.floats(-5, 5), st.floats(0.01, 4))
-@settings(max_examples=50, deadline=None)
-def test_root_stays_inside_bracket(c, width):
-    lo, hi = c - width, c + width
-    r = kernel.find_root_bracketed(lambda x: np.tanh(x - c), lo, hi, tol=1e-10)
-    assert lo <= r <= hi
-    assert abs(r - c) < 1e-9
 
 
 # ----------------------------------------------------------------------

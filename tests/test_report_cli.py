@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skwave
 from skwave import cli
 from skwave import report as rp
 from skwave import waves as wv
@@ -324,3 +328,19 @@ def test_cli_figures(tmp_path, capsys):
     assert len(listed) == 12
     for p in listed:
         assert (tmp_path / "figs").as_posix() in p
+
+
+# ----------------------------------------------------------------------
+# import path
+# ----------------------------------------------------------------------
+
+def test_import_skips_optimize():
+    # the package needs no root finder or quadrature from scipy
+    src = os.path.dirname(os.path.dirname(skwave.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, skwave; print([m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.integrate'))])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

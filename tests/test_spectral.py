@@ -506,6 +506,18 @@ def test_eta_periodic(dn_profile):
     assert sp.eta_equation_check(dn_profile, 1e-4) < 1e-3
 
 
+@pytest.mark.parametrize("k", [0.1, 0.2])
+@pytest.mark.parametrize("family,r", [("periodic_dn", 1),
+                                      ("periodic_dn_quotient", 2)],
+                         ids=["dn", "dnq"])
+def test_eta_small_modulus(family, r, k):
+    # omega(k) is flat near k = 0, so a shift in omega can leave the
+    # family; eta is differenced along k
+    params = wv.solve_family(family, r, k)
+    prof = wv.sample_profile(params, wv.default_grid(params))
+    assert sp.eta_equation_check(prof) < 1e-3
+
+
 def test_eta_slope_identity(solitary_r1_profile):
     # (L_Re eta, eta) = -slope/2 links the eta equation to the
     # frequency slope of the squared norm

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from skwave import elliptic as el
 from skwave import waves as wv
 from skwave.errors import DomainError, ExistenceError, UsageError
-from skwave.kernel import find_root_bracketed, line_grid, quadrature, torus_grid
+from skwave.kernel import line_grid, quadrature, torus_grid
 
 
 # ----------------------------------------------------------------------
@@ -87,9 +88,9 @@ def solve_solitary_oracle(r: int, omega: float) -> wv.WaveParams:
         if bracket[0] == bracket[1]:
             b = bracket[0]
         else:
-            b = find_root_bracketed(
-                lambda x: _gensolit_residual(r, omega, A, x),
-                bracket[0], bracket[1], tol=1e-14)
+            b = brentq(lambda x: _gensolit_residual(r, omega, A, x),
+                       bracket[0], bracket[1], xtol=1e-14, rtol=8.9e-16,
+                       maxiter=200)
         a = _gensolit_a(r, omega, A, b)
     c = omega * r * r / (b * b)
     return wv.WaveParams(wv.SOLITARY, r, omega, a, b, c)
@@ -131,7 +132,8 @@ def solve_periodic_r2_oracle(k: float, n_quad: int = wv.DEFAULT_N_TORUS) -> wv.W
     if bracket is None:
         raise ExistenceError(
             f"no amplitude root in ({lo}, {hi}) for the quotient family at k={k}")
-    a = find_root_bracketed(projected_residual, bracket[0], bracket[1], tol=1e-14)
+    a = brentq(projected_residual, bracket[0], bracket[1], xtol=1e-14,
+               rtol=8.9e-16, maxiter=200)
     _, dphi, _ = fields(a)
     c = 1 + quadrature(grid, dphi ** 2)
     omega = kappa * a ** 4
@@ -255,6 +257,14 @@ def test_solitary_r1_closed_form_vs_cubic():
     assert abs(p.a ** 2 - 2.0) < 1e-10
 
 
+def test_root_r1_width_cubic_matches_closed_form():
+    # the root of (4/3) w b^3 + b^2 - w = 0 at w = 1 against the
+    # closed-form width of the solitary r = 1 solver
+    root = brentq(lambda b: (4 / 3) * b ** 3 + b * b - 1, 0, (3 / 4) ** (1 / 3),
+                  xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    assert abs(root - wv.solve_solitary(1, 1.0).b) < 1e-10
+
+
 @pytest.mark.parametrize("r,omega", [(1, 0.4), (1, 0.43), (2, 0.28), (4, 0.19)])
 def test_solitary_existence_rejection(r, omega):
     with pytest.raises(ExistenceError):
@@ -328,6 +338,16 @@ def test_periodic_r1_beyond_limit():
 
 def test_dn_modulus_limit_value():
     assert abs(wv.dn_modulus_limit() - 0.979653) < 1e-5
+
+
+def test_dn_modulus_limit_brackets_root():
+    # the dnoidal family ends where its denominator changes sign
+    k_star = wv.dn_modulus_limit()
+    assert wv._dn_denominator(k_star - 1e-12) > 0
+    assert wv._dn_denominator(k_star + 1e-12) <= 0
+    oracle = brentq(wv._dn_denominator, 0.9, 0.9999, xtol=1e-14, rtol=8.9e-16,
+                    maxiter=200)
+    assert abs(k_star - oracle) <= 1e-12
 
 
 def test_periodic_r2_alpha():
