@@ -80,12 +80,18 @@ def torus_grid(n: int, circumference: float = TWO_PI, origin: float = 0.0) -> Gr
 
 
 def line_grid(half_length: float, n: int) -> Grid:
-    """Truncated-line grid: n nodes uniform on [-L, L], trapezoid weights."""
+    """Truncated-line grid: n nodes uniform on [-L, L], trapezoid weights.
+
+    The nodes are built about the midpoint, so that x_(n-1-j) = -x_j
+    holds bitwise: even and odd samples then split exactly into the
+    reflection-parity blocks of the operators.
+    """
     _check_n(n)
     if half_length <= 0:
         raise DomainError("half_length must be positive")
-    nodes = np.linspace(-half_length, half_length, n)
-    h = nodes[1] - nodes[0]
+    h = 2 * half_length / (n - 1)
+    nodes = h * (np.arange(n) - (n - 1) / 2)
+    nodes[[0, -1]] = -half_length, half_length   # h (n-1)/2 may round off L
     weights = np.full(n, h)
     weights[0] = weights[-1] = h / 2
     return Grid("line", n, nodes, h, weights, half_length=half_length)

@@ -90,6 +90,15 @@ def _block(ops, count, tol_kernel: Optional[float]):
     return s_re, s_im, sp.block_summary(s_re, s_im)
 
 
+def _operator_evidence(s: sp.SpectrumSummary) -> dict:
+    """An operator's counts, its tolerance and its parity blocks'
+    (n_neg, z_kernel) pairs."""
+    return {"n_neg": s.n_neg, "z_kernel": s.z_kernel,
+            "tol_kernel": s.tol_kernel,
+            "even": (s.even.n_neg, s.even.z_kernel),
+            "odd": (s.odd.n_neg, s.odd.z_kernel)}
+
+
 def verdict(family: str, r: int, at: float, n: Optional[int] = None,
             tol_kernel: Optional[float] = None) -> StabilityVerdict:
     """Run the full pipeline at one family point.
@@ -107,13 +116,11 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
         prof = wv.sample_profile(params, wv.default_grid(params, n))
 
         stage = "spectrum"
-        # assembled once: the even pass counts the same operators
+        # assembled once: the even pass reads the even blocks counted here
         ops = [sp.assemble(kind, prof) for kind in sp.OPERATOR_KINDS]
         s_re, s_im, block = _block(ops, sp.spectrum, tol_kernel)
-        evidence["L_Re"] = {"n_neg": s_re.n_neg, "z_kernel": s_re.z_kernel,
-                            "tol_kernel": s_re.tol_kernel}
-        evidence["L_Im"] = {"n_neg": s_im.n_neg, "z_kernel": s_im.z_kernel,
-                            "tol_kernel": s_im.tol_kernel}
+        evidence["L_Re"] = _operator_evidence(s_re)
+        evidence["L_Im"] = _operator_evidence(s_im)
         # a kernel tolerance at or above the continuum edge counts the
         # discretized continuum as kernel: the grid does not resolve it
         unresolved = [kind for kind, s in zip(sp.OPERATOR_KINDS, (s_re, s_im))
@@ -171,10 +178,8 @@ def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None,
         "n_neg": block.n_neg, "z_kernel": block.z_kernel,
         "lowest": list(block.lowest), "ess_edge": block.ess_edge,
         "theta": theta,
-        "L_Re": {"n_neg": s_re.n_neg, "z_kernel": s_re.z_kernel,
-                 "tol_kernel": s_re.tol_kernel, "lowest": list(s_re.lowest)},
-        "L_Im": {"n_neg": s_im.n_neg, "z_kernel": s_im.z_kernel,
-                 "tol_kernel": s_im.tol_kernel, "lowest": list(s_im.lowest)},
+        "L_Re": {**_operator_evidence(s_re), "lowest": list(s_re.lowest)},
+        "L_Im": {**_operator_evidence(s_im), "lowest": list(s_im.lowest)},
     }
 
 

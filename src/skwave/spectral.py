@@ -21,15 +21,25 @@ Deconinck & Kutz, J. Comput. Phys. 219, 2006): -c d^2 is diagonal, the
 potential couples modes through its decaying cosine coefficients, and A
 is a banded cosine block (the even subspace) and a banded sine block.
 
+Both operators commute with the reflection x -> -x, for the waves are
+even, so each splits into an even and an odd block, and its inertia is
+the sum of theirs.  On the line the blocks are the band folded at the
+midpoint onto (e_j +- e_(n-1-j))/sqrt(2); the nodes are exactly
+antisymmetric, so the fold leaves no even-odd entry.  On the torus they
+are the cosine and the sine block.  The negative direction of L_Re and
+the kernel phi of L_Im are even, the kernel phi' of L_Re is odd.
+
 Counts come from inertia alone: Sylvester's law counts the eigenvalues
-of A below a shift with a banded eigensolver, and Haynsworth additivity
-over the bordered matrix [[A - s, U], [U^T, -C]] adds the inertia of a
-2x2 Schur complement,
+of each block A_b below a shift with a banded eigensolver of order
+about n/2, and Haynsworth additivity over the bordered matrix
+[[A - s, U], [U^T, -C]] adds the inertia of a 2x2 Schur complement,
 
-    n_below(A + U C U^T, s) = n_below(A, s) + n_neg(S) - 1,
-    S = -C - U^T (A - s)^-1 U,
+    n_below(A + U C U^T, s) = sum_b n_below(A_b, s) + n_neg(S) - 1,
+    S = -C - sum_b U_b^T (A_b - s)^-1 U_b,
 
-with one banded solve per shift.  No dense n x n matrix is formed.
+with one banded solve per block and shift; a block alone counts with
+its own term of the sum.  No dense n x n matrix is formed, and the
+even-subspace counts come from the same solves.
 
 The kernel is not guessed: the theory proves L_Re phi' = 0 and
 L_Im phi = 0, so the discretized kernel is counted within the residual
@@ -76,7 +86,9 @@ class OperatorMatrix:
     ``band`` holds A = -c D2 + diag(omega - coeff phi^2r) in LAPACK lower
     band storage (band[k, j] = A[j + k, j]), and ``factors`` holds
     U = [phi'', w phi''] for L_Re and is None for L_Im: on the nodes
-    (line), or in the trig basis of ``_to_trig`` (torus).
+    (line), or in the trig basis of ``_to_trig`` (torus).  ``counts``
+    keeps each summary ``spectrum`` made, by the tolerance it was asked
+    for, so that ``spectrum_even`` reads the even block already counted.
     """
 
     kind: str
@@ -84,6 +96,7 @@ class OperatorMatrix:
     c: float
     band: np.ndarray
     factors: Optional[np.ndarray] = None
+    counts: dict = field(default_factory=dict, init=False, repr=False)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The operator applied to the grid vector ``v``."""
@@ -107,7 +120,9 @@ class SpectrumSummary:
     residual rho of the proven kernel vector.  ``ess_edge`` = omega/c is
     the bottom of the continuous spectrum (line topology only).
     ``lowest``, the five lowest eigenvalues, is computed on first read
-    by ``find_lowest``: the counts do not need it.
+    by ``find_lowest``: the counts do not need it.  A summary of a whole
+    operator carries those of its even and odd reflection-parity blocks,
+    counted at the same tolerance.
     """
 
     n_neg: int
@@ -115,6 +130,8 @@ class SpectrumSummary:
     ess_edge: Optional[float]
     tol_kernel: float
     find_lowest: Callable[[], tuple] = field(repr=False, compare=False)
+    even: Optional[SpectrumSummary] = None
+    odd: Optional[SpectrumSummary] = None
 
     @cached_property
     def lowest(self) -> tuple:
@@ -215,7 +232,7 @@ def assemble(kind: str, p: wv.Profile) -> OperatorMatrix:
 
 
 # ----------------------------------------------------------------------
-# eigenvalue counting
+# eigenvalue counting by reflection-parity blocks
 # ----------------------------------------------------------------------
 
 def _kernel_residual(op: OperatorMatrix) -> float:
@@ -228,50 +245,109 @@ def _kernel_residual(op: OperatorMatrix) -> float:
     return float(np.linalg.norm(op.apply(v)) / np.linalg.norm(v))
 
 
-def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
-             a: np.ndarray, s: float) -> tuple[int, int]:
-    """Numbers of eigenvalues below and above ``s`` of A + U C U^T, with
-    A in lower band storage and U = ``factors`` (None: no coupling).
+def _fold(band: np.ndarray, factors: Optional[np.ndarray], sign: float):
+    """The even (``sign`` = 1) or odd (-1) block B^T A B, in lower band
+    storage, and B^T U, for the orthonormal basis b_j = (e_j + sign
+    e_(n-1-j))/sqrt(2), j < n/2, of even or odd line vectors.
 
-    ``a`` holds every eigenvalue of A at or below ``s``.  By Haynsworth
-    additivity, In(A + U C U^T - s) = In(A - s) + In(S) - In(-C), with
-    S = -C - U^T (A - s)^-1 U and In(-C) = (1 below, 1 above).
+    Entry (i, j) of the block is (A_ij + A_(n-1-i, n-1-j) + sign
+    (A_(i, n-1-j) + A_(n-1-i, j)))/2.  The corner terms reach across the
+    midpoint only where n-1-i-j <= kd, so the block keeps the bandwidth
+    kd.
     """
+    kd, n = band.shape[0] - 1, band.shape[1]
+    m = n // 2
+    block = np.zeros((kd + 1, m))
+    for k in range(kd + 1):
+        block[k, :m - k] = (band[k, :m - k] + band[k, m:n - k][::-1]) / 2
+    for j in range(m - kd, m):
+        for i in range(j, m):
+            t = n - 1 - i - j
+            if t <= kd:
+                block[i - j, j] += sign * (band[t, i] + band[t, j]) / 2
+    if factors is not None:
+        factors = (factors[:m] + sign * factors[::-1][:m]) * math.sqrt(0.5)
+    return block, factors
+
+
+def _parity_blocks(op: OperatorMatrix) -> tuple:
+    """The (band, factors) pairs of the even and the odd block of ``op``.
+
+    On the line the band and the factors are folded at the midpoint
+    (``_fold``).  On the torus they are the cosine columns 0..n/2 and the
+    sine columns of the trig band, which stores no cosine-sine entry.
+    """
+    if op.profile.grid.topology == "line":
+        return tuple(_fold(op.band, op.factors, sign) for sign in (1.0, -1.0))
+    m = op.profile.grid.n // 2 + 1
+    if op.factors is None:
+        return (op.band[:, :m], None), (op.band[:, m:], None)
+    return (op.band[:, :m], op.factors[:m]), (op.band[:, m:], op.factors[m:])
+
+
+def _block_terms(band: np.ndarray, factors: Optional[np.ndarray],
+                 a: np.ndarray, s: float) -> tuple:
+    """One block's share of the inertia at the shift ``s``: the numbers
+    of eigenvalues of A_b below and above ``s``, and X_b = U_b^T (A_b -
+    s)^-1 U_b (None without coupling).  ``a`` holds every eigenvalue of
+    A_b at or below ``s``."""
     m = band.shape[1]
     below, above = int(np.sum(a < s)), m - int(np.sum(a <= s))
     if factors is None:
-        return below, above
+        return below, above, None
     kd = band.shape[0] - 1
     shifted = np.zeros((2 * kd + 1, m))
     for k in range(kd + 1):
         shifted[kd - k, k:] = shifted[kd + k, :m - k] = band[k, :m - k]
     shifted[kd] -= s
     x = solve_banded((kd, kd), shifted, factors, overwrite_ab=True)
-    w, _ = symmetric_eigen(-SWAP - factors.T @ x)
+    return below, above, factors.T @ x
+
+
+def _inertia(terms) -> tuple[int, int]:
+    """Numbers of eigenvalues below and above the shift s of the block
+    diagonal A plus U C U^T, from each block's ``_block_terms``.
+
+    By Haynsworth additivity, In(A + U C U^T - s) = sum_b In(A_b - s) +
+    In(S) - In(-C), with S = -C - sum_b U_b^T (A_b - s)^-1 U_b and
+    In(-C) = (1 below, 1 above).
+    """
+    below = sum(t[0] for t in terms)
+    above = sum(t[1] for t in terms)
+    coupling = [t[2] for t in terms if t[2] is not None]
+    if not coupling:
+        return below, above
+    w, _ = symmetric_eigen(-SWAP - sum(coupling))
     return below + int(np.sum(w < 0)) - 1, above + int(np.sum(w > 0)) - 1
 
 
-def _lowest(band: np.ndarray, factors: Optional[np.ndarray]) -> tuple:
-    """The five lowest eigenvalues of A + U C U^T.
+def _lowest(blocks) -> tuple:
+    """The five lowest eigenvalues of the block diagonal A plus U C U^T.
 
     With U C U^T = p p^T - q q^T (p, q = (u1 +- u2)/sqrt(2)), the k-th
     eigenvalue lies between a_(k-1) and a_(k+1), the neighbours of the
     k-th eigenvalue of A (a_0 = a_1 - |q|^2), and is bisected there on
-    the count of eigenvalues below the midpoint.
+    the count of eigenvalues below the midpoint.  The six lowest of A
+    are the six lowest of the blocks' own six lowest, and no midpoint
+    lies above a block's sixth: the counts below it are complete.
     """
-    a = eig_banded(band, lower=True, eigvals_only=True, select="i",
-                   select_range=(0, 5))
-    if factors is None:
+    eigs = [eig_banded(band, lower=True, eigvals_only=True, select="i",
+                       select_range=(0, 5)) for band, _ in blocks]
+    a = np.sort(np.concatenate(eigs))[:6]
+    qs = [(f[:, 0] - f[:, 1]) / math.sqrt(2) for _, f in blocks if f is not None]
+    if not qs:
         return tuple(a[:5])
-    q = (factors[:, 0] - factors[:, 1]) / math.sqrt(2)
-    edges = np.concatenate(([a[0] - q @ q], a))
-    width = 1e-14 * float(np.max(np.abs(band)))
+    qq = sum(float(q @ q) for q in qs)
+    edges = np.concatenate(([a[0] - qq], a))
+    width = 1e-14 * max(float(np.max(np.abs(band))) for band, _ in blocks)
     lowest = []
     for k in range(1, 6):
         lo, hi = edges[k - 1], edges[k + 1]
         while hi - lo > width:
             mid = (lo + hi) / 2
-            if _inertia(band, factors, a, mid)[0] >= k:
+            terms = [_block_terms(band, f, e, mid)
+                     for (band, f), e in zip(blocks, eigs)]
+            if _inertia(terms)[0] >= k:
                 hi = mid
             else:
                 lo = mid
@@ -279,25 +355,54 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray]) -> tuple:
     return tuple(lowest)
 
 
-def _banded_summary(band: np.ndarray, factors: Optional[np.ndarray],
-                    op: OperatorMatrix, tol: float) -> SpectrumSummary:
-    """Counts of A + U C U^T (``op`` or its even block) at -tol and +tol
-    from one banded eigensolve up to +tol and one solve per shift."""
-    a = eig_banded(band, lower=True, eigvals_only=True, select="v",
-                   select_range=(-np.inf, tol))
-    n_neg = _inertia(band, factors, a, -tol)[0]
-    n_at_most_tol = band.shape[1] - _inertia(band, factors, a, tol)[1]
+def _count(op: OperatorMatrix, tol_kernel: Optional[float]) -> SpectrumSummary:
+    """Counts of ``op`` and of its even and odd blocks, made once per
+    operator and tolerance.
+
+    One banded eigensolve per parity block, up to +tol, and one banded
+    solve per block and shift serve all three summaries: a block counts
+    with its own Schur complement, the operator with their sum.
+    """
+    if tol_kernel in op.counts:
+        return op.counts[tol_kernel]
+    tol = _kernel_residual(op) if tol_kernel is None else tol_kernel
+    blocks = _parity_blocks(op)
+    eigs = [eig_banded(band, lower=True, eigvals_only=True, select="v",
+                       select_range=(-np.inf, tol)) for band, _ in blocks]
+    at_neg = [_block_terms(*b, a, -tol) for b, a in zip(blocks, eigs)]
+    at_pos = [_block_terms(*b, a, tol) for b, a in zip(blocks, eigs)]
     line = op.profile.grid.topology == "line"
     ess = op.profile.params.omega / op.c if line else None
-    return SpectrumSummary(n_neg, n_at_most_tol - n_neg, ess, tol,
-                           lambda: _lowest(band, factors))
+
+    def summary(part, **parity) -> SpectrumSummary:
+        n_neg = _inertia([at_neg[i] for i in part])[0]
+        order = sum(blocks[i][0].shape[1] for i in part)
+        n_at_most_tol = order - _inertia([at_pos[i] for i in part])[1]
+        return SpectrumSummary(n_neg, n_at_most_tol - n_neg, ess, tol,
+                               lambda: _lowest([blocks[i] for i in part]),
+                               **parity)
+
+    op.counts[tol_kernel] = summary((0, 1), even=summary((0,)), odd=summary((1,)))
+    return op.counts[tol_kernel]
 
 
 def spectrum(op: OperatorMatrix, tol_kernel: float = None) -> SpectrumSummary:
-    """Negative and kernel counts; the default ``tol_kernel`` is the
+    """Negative and kernel counts of ``op``, with those of its even and
+    odd blocks as ``even`` and ``odd``; the default ``tol_kernel`` is the
     residual rho of the operator's proven kernel vector."""
-    tol = _kernel_residual(op) if tol_kernel is None else tol_kernel
-    return _banded_summary(op.band, op.factors, op, tol)
+    return _count(op, tol_kernel)
+
+
+def spectrum_even(op: OperatorMatrix, tol_kernel: float = None) -> SpectrumSummary:
+    """Spectrum of the operator restricted to even functions: the even
+    block of ``spectrum``, counted at the full operator's tolerance, and
+    read without a solve where ``spectrum`` has counted ``op`` before.
+
+    Realizes the stability analysis in the even subspace, where the
+    translation symmetry (and with it the phi' kernel direction, which
+    is odd) is dropped.
+    """
+    return _count(op, tol_kernel).even
 
 
 def spectrum_confirmed(kind: str, params: wv.WaveParams,
@@ -323,53 +428,6 @@ def block_summary(s_re: SpectrumSummary, s_im: SpectrumSummary) -> SpectrumSumma
                            s_re.z_kernel + s_im.z_kernel,
                            ess, max(s_re.tol_kernel, s_im.tol_kernel),
                            lambda: tuple(sorted(s_re.lowest + s_im.lowest)[:5]))
-
-
-# ----------------------------------------------------------------------
-# even-subspace restriction
-# ----------------------------------------------------------------------
-
-def _fold(band: np.ndarray, factors: Optional[np.ndarray]):
-    """The even block B^T A B, in lower band storage, and B^T U, for the
-    orthonormal basis b_j = (e_j + e_(n-1-j))/sqrt(2), j < n/2, of even
-    line vectors.
-
-    Entry (i, j) of the block is (A_ij + A_(n-1-i, n-1-j) + A_(i, n-1-j)
-    + A_(n-1-i, j))/2.  The last two terms reach across the midpoint
-    only where n-1-i-j <= kd, so the block keeps the bandwidth kd.
-    """
-    kd, n = band.shape[0] - 1, band.shape[1]
-    m = n // 2
-    even = np.zeros((kd + 1, m))
-    for k in range(kd + 1):
-        even[k, :m - k] = (band[k, :m - k] + band[k, m:n - k][::-1]) / 2
-    for j in range(m - kd, m):
-        for i in range(j, m):
-            t = n - 1 - i - j
-            if t <= kd:
-                even[i - j, j] += (band[t, i] + band[t, j]) / 2
-    if factors is not None:
-        factors = (factors[:m] + factors[::-1][:m]) * math.sqrt(0.5)
-    return even, factors
-
-
-def spectrum_even(op: OperatorMatrix, tol_kernel: float = None) -> SpectrumSummary:
-    """Spectrum of the operator restricted to even functions.
-
-    Realizes the stability analysis in the even subspace, where the
-    translation symmetry (and with it the phi' kernel direction) is
-    dropped.  On the torus the even block is the cosine block, the
-    first n/2 + 1 columns of the band and rows of the factors.  On the
-    line the band and the factors are folded at the midpoint
-    (``_fold``).  The default kernel tolerance is the full operator's
-    residual rho.
-    """
-    tol = _kernel_residual(op) if tol_kernel is None else tol_kernel
-    if op.profile.grid.topology == "line":
-        return _banded_summary(*_fold(op.band, op.factors), op, tol)
-    m = op.profile.grid.n // 2 + 1
-    factors = None if op.factors is None else op.factors[:m]
-    return _banded_summary(op.band[:, :m], factors, op, tol)
 
 
 # ----------------------------------------------------------------------
@@ -504,11 +562,24 @@ def finite_difference_eta(p: wv.Profile, step: float) -> np.ndarray:
 
 def eta_equation_check(p: wv.Profile, step: float = None) -> float:
     """Relative residual ||L_Re eta - phi|| / ||phi|| with the
-    finite-difference eta.  The step is in the family parameter, by
-    default 1e-4 of it; the central difference leaves an O(step^2)
-    error above the discretization floor of L_Re."""
+    finite-difference eta.  The central difference leaves an O(step^2)
+    error above the discretization floor of L_Re.
+
+    The step is in the family parameter: by default 1e-4 omega on the
+    solitary family and max(1e-4 k, 2.5e-5 / k) on the periodic ones.
+    The roundoff of the sampled profiles enters eta divided by the
+    change of omega, about 2 step omega'(k), and L_Re lifts it by its
+    largest eigenvalue.  omega' vanishes like k^3 as k -> 0, so a step
+    proportional to k leaves a roundoff term growing like k^-4 (7e-3 at
+    dn k = 0.05, n = 512).  Below k = 1/2 the step 2.5e-5 / k cuts it to
+    k^-2 (1e-4 at k = 0.05), and its O(step^2) term stays below that;
+    from k = 1/2 on, where omega' is O(1), 1e-4 k is the larger step.
+    """
     if step is None:
-        step = 1e-4 * abs(_family_parameter(p.params))
+        at = abs(_family_parameter(p.params))
+        step = 1e-4 * at
+        if p.params.family != wv.SOLITARY:
+            step = max(step, 2.5e-5 / at)
     if step <= 0:
         raise DomainError("step must be positive")
     eta = finite_difference_eta(p, step)

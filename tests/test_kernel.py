@@ -25,6 +25,18 @@ def test_line_grid_invariants():
     assert abs(np.sum(g.weights) - 10.0) < 1e-12 * 10.0
 
 
+@pytest.mark.parametrize("half_length, n", [(5.0, 32), (62.194111945765066, 16),
+                                             (40.07625207696849, 2048)])
+def test_line_nodes_exactly_antisymmetric(half_length, n):
+    # x_(n-1-j) = -x_j bitwise, with the endpoints at +-L (h (n-1)/2
+    # misses L by an ulp at L = 62.19..., n = 16), within ulps of linspace
+    g = kernel.line_grid(half_length, n)
+    assert np.array_equal(g.nodes[::-1], -g.nodes)
+    assert g.nodes[0] == -half_length and g.nodes[-1] == half_length
+    linspace = np.linspace(-half_length, half_length, n)
+    assert np.max(np.abs(g.nodes - linspace)) <= 4 * np.spacing(half_length)
+
+
 def test_spectral_constants_built_once():
     g = kernel.torus_grid(64, 3.0)
     m = kernel.wavenumbers(g)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eig_banded
 
 import skwave
 from skwave import cli
@@ -112,6 +113,42 @@ def test_periodic_verdict_counts_by_inertia(monkeypatch):
     assert v.verdict == rp.STABLE
     assert assembled == ["L_Re", "L_Im"]
     assert shapes and max(shapes) <= (2, 2)
+
+
+@pytest.mark.parametrize("family, r, at, n, orders", [
+    ("solitary", 4, 0.3, 2048, [1024] * 4),
+    ("periodic_dn_quotient", 2, 0.5, 512, [257, 255] * 2),
+])
+def test_verdict_solves_each_parity_block_once(monkeypatch, family, r, at, n, orders):
+    # one banded eigensolve per parity block of L_Re and of L_Im, each of
+    # order about n/2; the even pass of the r = 4 verdict reads the even
+    # blocks of the full pass and solves nothing of its own
+    calls = []
+
+    def spy(a_band, *args, **kwargs):
+        calls.append(np.shape(a_band)[1])
+        return eig_banded(a_band, *args, **kwargs)
+
+    monkeypatch.setattr(rp.sp, "eig_banded", spy)
+    v = rp.verdict(family, r, at, n=n)
+    assert v.verdict != rp.INCONCLUSIVE
+    assert calls == orders
+    assert n not in calls
+
+
+@pytest.mark.parametrize("family, r, at", [
+    ("solitary", 1, 1.0), ("solitary", 2, 0.5), ("solitary", 4, 0.3),
+    ("periodic_dn", 1, 0.5), ("periodic_dn_quotient", 2, 0.5),
+])
+def test_kernels_sit_in_their_parity_blocks(family, r, at):
+    # phi' is odd and phi even: L_Re's kernel lies in the odd block and
+    # its negative direction in the even one, L_Im's kernel in the even
+    # block; the verdict and the spectrum report carry the same pairs
+    v = rp.verdict(family, r, at)
+    rep = rp.spectrum_report(family, r, at)
+    for evidence in (v.evidence, rep):
+        assert (evidence["L_Re"]["even"], evidence["L_Re"]["odd"]) == ((1, 0), (0, 1))
+        assert (evidence["L_Im"]["even"], evidence["L_Im"]["odd"]) == ((0, 1), (0, 0))
 
 
 def test_verdict_periodic_carries_theta():

@@ -122,6 +122,20 @@ def even_restriction(grid: Grid) -> np.ndarray:
     return B
 
 
+def odd_restriction(grid: Grid) -> np.ndarray:
+    """Orthonormal basis (columns) of the odd-reflection subspace."""
+    n = grid.n
+    if grid.topology == "torus":
+        B = np.zeros((n, n // 2 - 1))
+        for j in range(1, n // 2):
+            B[j, j - 1], B[n - j, j - 1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+        return B
+    B = np.zeros((n, n // 2))
+    for j in range(n // 2):
+        B[j, j], B[n - 1 - j, j] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+    return B
+
+
 # ----------------------------------------------------------------------
 # assembly
 # ----------------------------------------------------------------------
@@ -486,6 +500,47 @@ def test_spectrum_even_matches_basis_oracle(dn_profile, solitary_r4_profile):
                                              int(np.sum(np.abs(w) <= tol)))
 
 
+def test_spectrum_odd_matches_basis_oracle(dn_profile, solitary_r4_profile):
+    # the sine (torus) and odd-folded (line) blocks agree with B^T M B of
+    # the dense oracle on odd vectors
+    for prof in (dn_profile, solitary_r4_profile):
+        B = odd_restriction(prof.grid)
+        for kind in ("L_Re", "L_Im"):
+            M = assemble_dense_oracle(kind, prof)
+            norm = float(np.max(np.abs(M)))
+            w = np.linalg.eigvalsh(B.T @ M @ B)
+            s = sp.spectrum(sp.assemble(kind, prof)).odd
+            tol = s.tol_kernel
+            assert np.max(np.abs(np.array(s.lowest) - w[:5])) <= 1e-12 * norm
+            assert (s.n_neg, s.z_kernel) == (int(np.sum(w < -tol)),
+                                             int(np.sum(np.abs(w) <= tol)))
+
+
+@pytest.mark.parametrize("family, r, at", [
+    ("solitary", 1, 1.0), ("solitary", 2, 0.5), ("solitary", 4, 0.3),
+    ("periodic_dn", 1, 0.5), ("periodic_dn_quotient", 2, 0.5),
+])
+def test_parity_blocks_add_up(family, r, at):
+    # at both resolutions the block counts add up to the operator's; on
+    # the line the band is exactly centrosymmetric and L_Re's coupling
+    # exactly even, so the fold leaves no even-odd entry
+    params = wv.solve_family(family, r, at)
+    for n in (None, 2 * wv.default_grid(params).n):
+        prof = wv.sample_profile(params, wv.default_grid(params, n))
+        for kind in sp.OPERATOR_KINDS:
+            op = sp.assemble(kind, prof)
+            s = sp.spectrum(op)
+            assert s.n_neg == s.even.n_neg + s.odd.n_neg
+            assert s.z_kernel == s.even.z_kernel + s.odd.z_kernel
+            assert s.even.tol_kernel == s.odd.tol_kernel == s.tol_kernel
+            if prof.grid.topology == "line":
+                for k, row in enumerate(op.band):
+                    row = row[:prof.grid.n - k]
+                    assert np.array_equal(row, row[::-1])
+                if op.factors is not None:
+                    assert np.array_equal(op.factors, op.factors[::-1])
+
+
 # ----------------------------------------------------------------------
 # the eta equation
 # ----------------------------------------------------------------------
@@ -506,13 +561,14 @@ def test_eta_periodic(dn_profile):
     assert sp.eta_equation_check(dn_profile, 1e-4) < 1e-3
 
 
-@pytest.mark.parametrize("k", [0.1, 0.2])
+@pytest.mark.parametrize("k", [0.05, 0.1, 0.2])
 @pytest.mark.parametrize("family,r", [("periodic_dn", 1),
                                       ("periodic_dn_quotient", 2)],
                          ids=["dn", "dnq"])
 def test_eta_small_modulus(family, r, k):
     # omega(k) is flat near k = 0, so a shift in omega can leave the
-    # family; eta is differenced along k
+    # family; eta is differenced along k, with a step that grows like
+    # 1/k there (a step of 1e-4 k left 7e-3 at dn k = 0.05)
     params = wv.solve_family(family, r, k)
     prof = wv.sample_profile(params, wv.default_grid(params))
     assert sp.eta_equation_check(prof) < 1e-3

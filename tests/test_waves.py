@@ -425,6 +425,17 @@ def test_sample_profile_one_jacobi_call(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_solitary_samples_have_exact_parity(r):
+    # on the antisymmetric line nodes phi and phi'' are bitwise even and
+    # phi' bitwise odd, so the operators split exactly into parity blocks
+    p = wv.solve_solitary(r, wv.solitary_threshold(r) + 0.3)
+    prof = wv.sample_profile(p, wv.default_grid(p, 2048))
+    assert np.array_equal(prof.phi[::-1], prof.phi)
+    assert np.array_equal(prof.d2phi[::-1], prof.d2phi)
+    assert np.array_equal(prof.dphi[::-1], -prof.dphi)
+
+
 def test_profile_values_unknown_family():
     p = wv.WaveParams("kink", 1, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(UsageError):
