@@ -146,23 +146,6 @@ def closed_form_tau(k: float) -> tuple[float, float, float]:
 # quadratic forms of the linearization
 # ----------------------------------------------------------------------
 
-def quadratic_form_LRe(p: wv.Profile, P: np.ndarray) -> float:
-    """(L_Re P, P) = (L1 P, P) + 2 (phi', P')^2 by quadrature.
-
-    The local part is integrated by parts, so only first derivatives of
-    P enter: c int P'^2 + omega int P^2 - (2r+1) int phi^2r P^2.
-    """
-    P = np.asarray(P, dtype=float)
-    if P.shape != (p.grid.n,):
-        raise DomainError(f"P must have {p.grid.n} samples")
-    dP = state_derivative(p.grid, P)
-    r, w, c = p.params.r, p.params.omega, p.params.c
-    local = (c * quadrature(p.grid, dP ** 2) + w * quadrature(p.grid, P ** 2)
-             - (2 * r + 1) * quadrature(p.grid, p.phi ** (2 * r) * P ** 2))
-    cross = quadrature(p.grid, p.dphi * dP)
-    return local + 2 * cross * cross
-
-
 def lre_phi_identity(p: wv.Profile) -> float:
     """(L_Re phi, phi) via the stationary equation:
     -2r * int phi^(2r+2) + 2 (int phi'^2)^2.

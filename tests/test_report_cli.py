@@ -15,6 +15,8 @@ from skwave import cli
 from skwave import report as rp
 from skwave import waves as wv
 
+from oracles import read_profile_header
+
 
 # ----------------------------------------------------------------------
 # the counting rule
@@ -77,9 +79,10 @@ def test_verdict_solitary_r4_even_evidence():
 
 
 def spy_eigensolves(monkeypatch):
-    """Record the kind of each ``assemble`` call and the shape of each
-    dense eigensolve input; returns the two logs."""
-    assembled, shapes = [], []
+    """Record the kind of each ``assemble`` call, the shape of each
+    Schur complement ``symmetric_eigen`` solves and the shape of each
+    dense eigensolve input; returns the three logs."""
+    assembled, schur, shapes = [], [], []
 
     def spy(fn, log, record):
         def wrapped(*args, **kwargs):
@@ -88,30 +91,33 @@ def spy_eigensolves(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(rp.sp, "assemble", spy(rp.sp.assemble, assembled, lambda kind, p: kind))
-    monkeypatch.setattr(rp.sp, "symmetric_eigen", spy(rp.sp.symmetric_eigen, shapes, np.shape))
+    monkeypatch.setattr(rp.sp, "symmetric_eigen", spy(rp.sp.symmetric_eigen, schur, np.shape))
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name), shapes, np.shape))
-    return assembled, shapes
+    return assembled, schur, shapes
 
 
 def test_line_verdict_counts_by_inertia(monkeypatch):
     # an r = 4 line verdict (full and even passes) assembles each operator
-    # once and runs no eigensolve larger than the 2x2 Schur complements
-    assembled, shapes = spy_eigensolves(monkeypatch)
+    # once and runs no eigensolve larger than the 2x2 Schur complements:
+    # two of them, L_Re's coupled even block at -tol and +tol
+    assembled, schur, shapes = spy_eigensolves(monkeypatch)
     v = rp.verdict("solitary", 4, 0.3, n=2048)
     assert v.verdict == rp.UNSTABLE_EVEN
     assert v.evidence["even_block"] == {"n_neg": 1, "z_kernel": 1}
     assert assembled == ["L_Re", "L_Im"]
+    assert schur == [(2, 2)] * 2
     assert shapes and max(shapes) <= (2, 2)
 
 
 def test_periodic_verdict_counts_by_inertia(monkeypatch):
-    # the torus twin: a dnq verdict counts the trig-basis bands, with no
-    # eigensolve larger than the 2x2 Schur complements
-    assembled, shapes = spy_eigensolves(monkeypatch)
+    # the torus twin: a dnq verdict counts the trig-basis bands, with the
+    # same two 2x2 Schur complements and no larger eigensolve
+    assembled, schur, shapes = spy_eigensolves(monkeypatch)
     v = rp.verdict("periodic_dn_quotient", 2, 0.5, n=512)
     assert v.verdict == rp.STABLE
     assert assembled == ["L_Re", "L_Im"]
+    assert schur == [(2, 2)] * 2
     assert shapes and max(shapes) <= (2, 2)
 
 
@@ -307,7 +313,7 @@ def test_cli_profile_and_spectrum(tmp_path, capsys):
                     "--n", "128", "--out", str(out)])
     assert ret == 0
     capsys.readouterr()
-    header = wv.read_profile_header(out)
+    header = read_profile_header(out)
     assert header["family"] == "periodic_dn_quotient"
 
     ret = cli.main(["spectrum", "--family", "dn", "--r", "1", "--k", "0.5",

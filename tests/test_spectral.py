@@ -11,6 +11,8 @@ from skwave import waves as wv
 from skwave.errors import DegenerateProfileError, DomainError, UsageError
 from skwave.kernel import Grid, quadrature, symmetric_eigen, wavenumbers
 
+from oracles import quadratic_form_LRe
+
 
 # ----------------------------------------------------------------------
 # oracles
@@ -164,7 +166,7 @@ def test_matrix_quadratic_form_matches_functional(dn_profile, rng):
         P = coef[0] + sum(c * np.cos((i + 1) * g.nodes) for i, c in enumerate(coef[1:5]))
         P += sum(c * np.sin((i + 1) * g.nodes) for i, c in enumerate(coef[5:]))
         via_matrix = float(P @ op.apply(P)) * g.weights[0]
-        via_form = fn.quadratic_form_LRe(dn_profile, P)
+        via_form = quadratic_form_LRe(dn_profile, P)
         assert abs(via_matrix - via_form) <= 1e-8 * max(abs(via_form), 1.0)
 
 
@@ -314,12 +316,14 @@ def test_banded_counts_match_dense_oracle(r, omega, n):
 
 
 @pytest.mark.parametrize("family, r", [(wv.PERIODIC_DN, 1), (wv.PERIODIC_DNQ, 2)])
-@pytest.mark.parametrize("k", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.97])
 @pytest.mark.parametrize("n", [64, 512])
 def test_banded_counts_match_dense_oracle_torus(family, r, k, n):
     # the torus band is written in the trig basis; the oracle is the
     # nodal Fourier collocation matrix and its even block B^T M B.  The
     # map back through the n x n basis in ``dense`` rounds at ~n eps.
+    # At dnq k = 0.97, n = 64 the bandwidth 32 exceeds the 31 columns of
+    # the sine block, which has no coupling to solve.
     p = wv.solve_family(family, r, k)
     check_counts_against_dense_oracle(wv.sample_profile(p, wv.default_grid(p, n)),
                                       2 * n * np.finfo(float).eps)
@@ -523,7 +527,8 @@ def test_spectrum_odd_matches_basis_oracle(dn_profile, solitary_r4_profile):
 def test_parity_blocks_add_up(family, r, at):
     # at both resolutions the block counts add up to the operator's; on
     # the line the band is exactly centrosymmetric and L_Re's coupling
-    # exactly even, so the fold leaves no even-odd entry
+    # exactly even, so the fold leaves no even-odd entry; on the torus
+    # the coupling's sine rows are roundoff, so it sits in the even block
     params = wv.solve_family(family, r, at)
     for n in (None, 2 * wv.default_grid(params).n):
         prof = wv.sample_profile(params, wv.default_grid(params, n))
@@ -539,6 +544,9 @@ def test_parity_blocks_add_up(family, r, at):
                     assert np.array_equal(row, row[::-1])
                 if op.factors is not None:
                     assert np.array_equal(op.factors, op.factors[::-1])
+            elif op.factors is not None:
+                sine = op.factors[prof.grid.n // 2 + 1:]
+                assert np.max(np.abs(sine)) <= 1e-12 * np.max(np.abs(op.factors))
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ from skwave import waves as wv
 from skwave.errors import DomainError, ExistenceError, UsageError
 from skwave.kernel import line_grid, quadrature, torus_grid
 
+from oracles import read_profile_header
+
 
 # ----------------------------------------------------------------------
 # oracles: the numerical family solves that the closed forms replaced
@@ -533,7 +535,7 @@ def test_topology_mismatch():
 def test_profile_csv_roundtrip(tmp_path, dn_profile):
     path = tmp_path / "dn.csv"
     wv.write_profile_csv(dn_profile, path)
-    header = wv.read_profile_header(path)
+    header = read_profile_header(path)
     assert header["family"] == "periodic_dn"
     assert header["k"] == 0.5
     data = np.loadtxt(path, delimiter=",", skiprows=2)
