@@ -91,12 +91,15 @@ def _block(ops, count, tol_kernel: Optional[float]):
 
 
 def _operator_evidence(s: sp.SpectrumSummary) -> dict:
-    """An operator's counts, its tolerance and its parity blocks'
-    (n_neg, z_kernel) pairs."""
+    """An operator's counts, its tolerance, and its parity blocks'
+    (n_neg, z_kernel) pairs with the witnesses of their split counts:
+    the core rows eigensolved and the Schur growth, (even, odd) each."""
     return {"n_neg": s.n_neg, "z_kernel": s.z_kernel,
             "tol_kernel": s.tol_kernel,
             "even": (s.even.n_neg, s.even.z_kernel),
-            "odd": (s.odd.n_neg, s.odd.z_kernel)}
+            "odd": (s.odd.n_neg, s.odd.z_kernel),
+            "core_rows": (s.even.core_rows, s.odd.core_rows),
+            "schur_growth": (s.even.growth, s.odd.growth)}
 
 
 def verdict(family: str, r: int, at: float, n: Optional[int] = None,
@@ -165,7 +168,9 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
 
 def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None,
                     tol_kernel: Optional[float] = None) -> dict:
-    """Machine-readable spectrum summary of the block operator."""
+    """Machine-readable spectrum summary of the block operator; each
+    ``lowest`` comes with ``lowest_width``, the bisection width that
+    bounds its error."""
     params = _solve(family, r, at)
     prof = wv.sample_profile(params, wv.default_grid(params, n))
     ops = [sp.assemble(kind, prof) for kind in sp.OPERATOR_KINDS]
@@ -176,10 +181,12 @@ def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None,
     return {
         "family": family, "r": r, "parameter": at,
         "n_neg": block.n_neg, "z_kernel": block.z_kernel,
-        "lowest": list(block.lowest), "ess_edge": block.ess_edge,
-        "theta": theta,
-        "L_Re": {**_operator_evidence(s_re), "lowest": list(s_re.lowest)},
-        "L_Im": {**_operator_evidence(s_im), "lowest": list(s_im.lowest)},
+        "lowest": list(block.lowest), "lowest_width": block.lowest_width,
+        "ess_edge": block.ess_edge, "theta": theta,
+        "L_Re": {**_operator_evidence(s_re), "lowest": list(s_re.lowest),
+                 "lowest_width": s_re.lowest_width},
+        "L_Im": {**_operator_evidence(s_im), "lowest": list(s_im.lowest),
+                 "lowest_width": s_im.lowest_width},
     }
 
 

@@ -33,17 +33,26 @@ banded odd block A_o.  The negative direction of L_Re and the kernel
 phi of L_Im are even, the kernel phi' of L_Re is odd.
 
 Counts come from inertia alone, block by block, and an operator's
-counts are its two blocks' added.  Sylvester's law counts the
-eigenvalues of a block below a shift with a banded eigensolver of order
-about n/2; for the coupled even block Haynsworth additivity over the
-bordered matrix [[A_e - s, U_e], [U_e^T, -C]] adds the inertia of a 2x2
-Schur complement,
+counts are its two blocks' added.  Each block is ordered far end first
+(the line fold from the outer edge, the torus blocks from the highest
+mode), where A - s is coercive: -c d^2 is positive semidefinite and
+omega - coeff phi^2r > 0 in the tails, and c m^2 dominates the high
+modes.  So at each shift s = -tol, +tol banded Cholesky of A_b - s runs
+from the far end until it fails, and the positive definite far part it
+certifies is eliminated; the core left, 0-3 rows on a resolved grid, is
+counted by Sylvester's law from its own banded eigenvalues (spectrum
+slicing; Parlett, The Symmetric Eigenvalue Problem, 1980).  For the
+coupled even block Haynsworth additivity over the bordered matrix
+[[A_e - s, U_e], [U_e^T, -C]] adds the inertia of a 2x2 Schur
+complement,
 
     n_below(A_e + U_e C U_e^T, s) = n_below(A_e, s) + n_neg(S) - 1,
     S = -C - U_e^T (A_e - s)^-1 U_e,
 
-with one banded solve per shift.  No dense n x n matrix is formed, and
-the even-subspace counts are the even block's own.
+which is formed on the core from the factors reduced by the same
+elimination.  A count costs O(m kd^2) plus the core's eigensolve, and
+the Schur growth of the elimination is its witness.  No dense n x n
+matrix is formed, and the even-subspace counts are the even block's own.
 
 The kernel is not guessed: the theory proves L_Re phi' = 0 and
 L_Im phi = 0, so the discretized kernel is counted within the residual
@@ -68,7 +77,8 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eig_banded, solve_banded
+from scipy.linalg import eig_banded
+from scipy.linalg.lapack import dgbsv, dpbtrf, dtbtrs
 
 from . import waves as wv
 from .errors import DegenerateProfileError, DomainError, UsageError
@@ -81,6 +91,9 @@ OPERATOR_KINDS = ("L_Re", "L_Im")
 MAGNUS_CELLS = 2048     # a power of two, for the pairwise product
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])   # C, its own inverse
+
+GROWTH_BOUND = 100.0    # largest Schur growth g a split count accepts
+LOWEST_WIDTH = 1e-14    # bisection width of ``lowest``, per max|band|
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +137,13 @@ class SpectrumSummary:
     residual rho of the proven kernel vector.  ``ess_edge`` = omega/c is
     the bottom of the continuous spectrum (line topology only).
     ``lowest``, the five lowest eigenvalues, is computed on first read
-    by ``find_lowest``: the counts do not need it.  A summary of a whole
-    operator carries those of its even and odd reflection-parity blocks,
-    counted at the same tolerance.
+    by ``find_lowest``: the counts do not need it.  ``lowest_width``,
+    LOWEST_WIDTH max|band|, is the bisection width that bounds its
+    error; digits below it are roundoff.  A summary of a whole operator
+    carries those of its even and odd reflection-parity blocks, counted
+    at the same tolerance.  A block's summary carries the witnesses of
+    its split counts (``_inertia``) at -tol and +tol, the larger of the
+    two: the core rows eigensolved and the Schur growth.
     """
 
     n_neg: int
@@ -134,6 +151,9 @@ class SpectrumSummary:
     ess_edge: Optional[float]
     tol_kernel: float
     find_lowest: Callable[[], tuple] = field(repr=False, compare=False)
+    lowest_width: float
+    core_rows: Optional[int] = None
+    growth: Optional[float] = None
     even: Optional[SpectrumSummary] = None
     odd: Optional[SpectrumSummary] = None
 
@@ -275,55 +295,154 @@ def _fold(band: np.ndarray, factors: Optional[np.ndarray], sign: float):
 
 
 def _parity_blocks(op: OperatorMatrix) -> tuple:
-    """The (band, factors) pairs of the even and the odd block of ``op``.
+    """The (band, factors) pairs of the even and the odd block of ``op``,
+    each ordered far end first.
 
     The coupling's factors phi'' and w phi'' are even, so they belong to
     the even block, and the odd block is its band alone.  On the line the
-    band is folded at the midpoint (``_fold``) and the factors onto
-    B^T U.  On the torus the blocks are the cosine columns 0..n/2 and the
-    sine columns of the trig band, which stores no cosine-sine entry;
-    the factors' sine rows are roundoff (below 1e-12 max|U|).
+    band is folded at the midpoint (``_fold``), whose index 0 is the
+    outer edge, and the factors onto B^T U.  On the torus the blocks are
+    the cosine columns 0..n/2 and the sine columns of the trig band,
+    which stores no cosine-sine entry, reversed so that the high modes
+    come first; the factors' sine rows are roundoff (below 1e-12 max|U|).
     """
     if op.profile.grid.topology == "line":
         return _fold(op.band, op.factors, 1.0), _fold(op.band, None, -1.0)
     m = op.profile.grid.n // 2 + 1
-    factors = None if op.factors is None else op.factors[:m]
-    return (op.band[:, :m], factors), (op.band[:, m:], None)
+    factors = None if op.factors is None else op.factors[:m][::-1]
+    return (_reverse(op.band[:, :m]), factors), (_reverse(op.band[:, m:]), None)
 
 
-def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
-             a: np.ndarray, s: float) -> tuple[int, int]:
+def _reverse(band: np.ndarray) -> np.ndarray:
+    """The band of the block with its rows and columns in reverse order."""
+    m = band.shape[1]
+    out = np.zeros_like(band)
+    for k in range(min(band.shape[0], m)):
+        out[k, :m - k] = band[k, m - k - 1::-1]
+    return out
+
+
+def _solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The banded symmetric matrix in lower band storage, inverted on
+    ``rhs`` by LU with partial pivoting (LAPACK ``dgbsv``)."""
+    kd, m = band.shape[0] - 1, band.shape[1]
+    lu = np.zeros((3 * kd + 1, m))   # kd rows of room for the pivoting
+    for k in range(kd + 1):
+        lu[2 * kd - k, k:] = lu[2 * kd + k, :m - k] = band[k, :m - k]
+    x, info = dgbsv(kd, kd, lu, rhs)[2:]
+    if info:
+        raise np.linalg.LinAlgError("singular core matrix")
+    return x
+
+
+def _far_correction(band: np.ndarray, chol: np.ndarray,
+                    factors: Optional[np.ndarray], p: int) -> tuple:
+    """[B, U_f]^T F^-1 [B, U_f] for the far part F, the leading ``p``
+    rows of the block, with ``chol`` the Cholesky factor L of F or of a
+    larger leading part; B holds F's coupling columns into the first
+    t = min(kd, m - p) core rows, and U_f the far rows of the factors.
+    It is Y^T Y with Y = L^-1 [B, U_f], one forward substitution in
+    which B's columns, zero above F's last kd rows, stay zero there.
+    Returns the matrix and its growth g, its max|.| per max|band|."""
+    kd, m = band.shape[0] - 1, band.shape[1]
+    t = min(kd, m - p)
+    width = t if factors is None else t + 2
+    if not (p and width):
+        return np.zeros((width, width)), 0.0
+    rhs = np.zeros((p, width))
+    # B[i, j] = A[p + j, i], stored at band[p + j - i, i]
+    lo = max(p - kd, 0)
+    i = np.arange(lo, p)[:, None]
+    d = p + np.arange(t) - i
+    rhs[lo:, :t] = np.where(d <= kd, band[np.minimum(d, kd), i], 0.0)
+    if factors is not None:
+        rhs[:, t:] = factors[:p]
+    y = dtbtrs(chol[:, :p], rhs, uplo="L")[0]
+    corr = y.T @ y
+    return corr, float(np.max(np.abs(corr), initial=0.0) / np.max(np.abs(band)))
+
+
+def _inertia(band: np.ndarray, factors: Optional[np.ndarray], s: float,
+             a: Optional[np.ndarray] = None) -> tuple[int, int, int, float]:
     """Numbers of eigenvalues of the block A_b + U_b C U_b^T below and
-    above the shift ``s``; ``a`` holds every eigenvalue of A_b at or
-    below ``s``.
+    above the shift ``s``, with the core rows and the Schur growth g.
 
-    Sylvester's law counts A_b - s from ``a``.  With coupling, Haynsworth
-    additivity adds In(S) - In(-C), with S = -C - U_b^T (A_b - s)^-1 U_b
-    and In(-C) = (1 below, 1 above).
+    The block is ordered far end first, where A_b - s is coercive.
+    Cholesky (``dpbtrf``) of A_b - s fails at row k (k = m + 1 if it
+    does not fail), so its leading k - 1 rows are positive definite;
+    they are factored afresh.  The far part F is the leading p = k - 1
+    rows, or k - 2 where F's last pivot is so small that g exceeds
+    GROWTH_BOUND (one row back the pivot is not small).  Eliminating F
+    from the bordered matrix [[A_b - s, U_b], [U_b^T, -C]] leaves the
+    core bordered matrix [[K', W], [W^T, -C']] of the trailing m - p
+    rows: K' is the core's band less B^T F^-1 B in its leading kd x kd
+    corner, with B the coupling columns of F, and W, C' are U_b's core
+    rows and C reduced by the same elimination.  Haynsworth additivity
+    gives
+
+        In(A_b + U_b C U_b^T - s) = (0, p) + In(K') + In(S') - In(-C),
+        S' = -C' - W^T K'^-1 W,  In(-C) = (1 below, 1 above),
+
+    where In(K') is counted by Sylvester's law from the core's banded
+    eigenvalues, and the -C terms enter only with coupling.  A caller
+    that holds ``a``, every eigenvalue of A_b at or below ``s``, reads
+    (0, p) + In(K') = In(A_b - s) from it instead, and the core is only
+    solved, not eigensolved.
+
+    The count is the exact inertia of a matrix within about
+    eps (1 + g) max|band| of A_b - s, with the Schur growth
+    g = max|[B, U_f]^T F^-1 [B, U_f]| / max|band| and U_f the far rows of
+    U_b.  g above GROWTH_BOUND at both splits raises LinAlgError instead
+    of counting.
     """
     m = band.shape[1]
+    kd = min(band.shape[0] - 1, m - 1)
+    band = band[:kd + 1]
+    shifted = band.copy()
+    shifted[0] -= s
+    chol, info = dpbtrf(shifted, lower=1)
+    p = m if info == 0 else info - 1
+    if info and p:
+        chol = dpbtrf(shifted[:, :p], lower=1)[0]
+    corr, growth = _far_correction(band, chol, factors, p)
+    if growth > GROWTH_BOUND and p:
+        p -= 1
+        corr, growth = _far_correction(band, chol, factors, p)
+    if growth > GROWTH_BOUND:
+        raise np.linalg.LinAlgError(
+            f"Schur growth {growth:.3g} of the far part exceeds "
+            f"{GROWTH_BOUND:g}: the count at {s:.3g} is not certified")
+    q, t = m - p, min(kd, m - p)
+    core = shifted[:min(kd, q - 1) + 1, p:]
+    for k in range(t):
+        core[k, :t - k] -= corr.diagonal(-k)[:t - k]
+    if a is None:
+        a = eig_banded(core, lower=True, eigvals_only=True, select="v",
+                       select_range=(-np.inf, 0.0)) if q else np.empty(0)
+        s = 0.0
     below, above = int(np.sum(a < s)), m - int(np.sum(a <= s))
     if factors is None:
-        return below, above
-    kd = band.shape[0] - 1
-    shifted = np.zeros((2 * kd + 1, m))
-    for k in range(kd + 1):
-        shifted[kd - k, k:] = shifted[kd + k, :m - k] = band[k, :m - k]
-    shifted[kd] -= s
-    x = solve_banded((kd, kd), shifted, factors, overwrite_ab=True)
-    w, _ = symmetric_eigen(-SWAP - factors.T @ x)
-    return below + int(np.sum(w < 0)) - 1, above + int(np.sum(w > 0)) - 1
+        return below, above, q, growth
+    w = factors[p:].copy()
+    w[:t] -= corr[:t, t:]
+    schur = -SWAP - corr[t:, t:]
+    if q:
+        schur -= w.T @ _solve(core, w)
+    e, _ = symmetric_eigen(schur)
+    return (below + int(np.sum(e < 0)) - 1, above + int(np.sum(e > 0)) - 1,
+            q, growth)
 
 
-def _lowest(band: np.ndarray, factors: Optional[np.ndarray]) -> tuple:
+def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
+            width: float) -> tuple:
     """The five lowest eigenvalues of the block A_b + U_b C U_b^T.
 
     Without coupling they are A_b's own.  With U_b C U_b^T = p p^T - q
     q^T (p, q = (u1 +- u2)/sqrt(2)), the k-th eigenvalue lies between
     a_(k-1) and a_(k+1), the neighbours of the k-th eigenvalue of A_b
-    (a_0 = a_1 - |q|^2), and is bisected there on the count of
-    eigenvalues below the midpoint.  No midpoint lies above a_6, so the
-    six lowest of A_b complete every count.
+    (a_0 = a_1 - |q|^2), and is bisected there to ``width`` on the count
+    of eigenvalues below the midpoint.  No midpoint lies above a_6, so
+    the six lowest of A_b give In(A_b - s) to every count.
     """
     a = eig_banded(band, lower=True, eigvals_only=True, select="i",
                    select_range=(0, 5))
@@ -331,13 +450,12 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray]) -> tuple:
         return tuple(a[:5])
     q = (factors[:, 0] - factors[:, 1]) / math.sqrt(2)
     edges = np.concatenate(([a[0] - float(q @ q)], a))
-    width = 1e-14 * float(np.max(np.abs(band)))
     lowest = []
     for k in range(1, 6):
         lo, hi = edges[k - 1], edges[k + 1]
         while hi - lo > width:
             mid = (lo + hi) / 2
-            if _inertia(band, factors, a, mid)[0] >= k:
+            if _inertia(band, factors, mid, a)[0] >= k:
                 hi = mid
             else:
                 lo = mid
@@ -347,9 +465,10 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray]) -> tuple:
 
 def _count(op: OperatorMatrix, tol_kernel: Optional[float]) -> SpectrumSummary:
     """Counts of ``op`` and of its even and odd blocks, made once per
-    operator and tolerance: one banded eigensolve per block, up to +tol,
-    and for the coupled even block one banded solve per shift.  The
-    operator's counts are the two blocks' added, as for any direct sum.
+    operator and tolerance: one split count (``_inertia``) per block and
+    shift -tol, +tol.  The operator's counts are the two blocks' added,
+    as for any direct sum.  A block's ``core_rows`` and ``growth`` are
+    the larger of its two shifts'.
     """
     if tol_kernel in op.counts:
         return op.counts[tol_kernel]
@@ -358,12 +477,12 @@ def _count(op: OperatorMatrix, tol_kernel: Optional[float]) -> SpectrumSummary:
     ess = op.profile.params.omega / op.c if line else None
 
     def summary(band, factors) -> SpectrumSummary:
-        a = eig_banded(band, lower=True, eigvals_only=True, select="v",
-                       select_range=(-np.inf, tol))
-        n_neg = _inertia(band, factors, a, -tol)[0]
-        n_at_most_tol = band.shape[1] - _inertia(band, factors, a, tol)[1]
-        return SpectrumSummary(n_neg, n_at_most_tol - n_neg, ess, tol,
-                               lambda: _lowest(band, factors))
+        n_neg, _, core_lo, g_lo = _inertia(band, factors, -tol)
+        _, above, core_hi, g_hi = _inertia(band, factors, tol)
+        width = LOWEST_WIDTH * float(np.max(np.abs(band)))
+        return SpectrumSummary(n_neg, band.shape[1] - above - n_neg, ess, tol,
+                               lambda: _lowest(band, factors, width), width,
+                               max(core_lo, core_hi), max(g_lo, g_hi))
 
     even, odd = (summary(*block) for block in _parity_blocks(op))
     op.counts[tol_kernel] = replace(block_summary(even, odd), even=even, odd=odd)
@@ -412,7 +531,8 @@ def block_summary(s_re: SpectrumSummary, s_im: SpectrumSummary) -> SpectrumSumma
     return SpectrumSummary(s_re.n_neg + s_im.n_neg,
                            s_re.z_kernel + s_im.z_kernel,
                            ess, max(s_re.tol_kernel, s_im.tol_kernel),
-                           lambda: tuple(sorted(s_re.lowest + s_im.lowest)[:5]))
+                           lambda: tuple(sorted(s_re.lowest + s_im.lowest)[:5]),
+                           max(s_re.lowest_width, s_im.lowest_width))
 
 
 # ----------------------------------------------------------------------

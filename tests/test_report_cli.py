@@ -126,20 +126,53 @@ def test_periodic_verdict_counts_by_inertia(monkeypatch):
     ("periodic_dn_quotient", 2, 0.5, 512, [257, 255] * 2),
 ])
 def test_verdict_solves_each_parity_block_once(monkeypatch, family, r, at, n, orders):
-    # one banded eigensolve per parity block of L_Re and of L_Im, each of
-    # order about n/2; the even pass of the r = 4 verdict reads the even
-    # blocks of the full pass and solves nothing of its own
-    calls = []
+    # each parity block of L_Re and of L_Im (of the given orders) is
+    # counted once per shift -tol, +tol, and the even pass of the r = 4
+    # verdict reads the even blocks of the full pass; a count factors the
+    # far part and eigensolves only its core, so no banded eigensolve
+    # reaches the order of a block
+    counted, solved = [], []
 
-    def spy(a_band, *args, **kwargs):
-        calls.append(np.shape(a_band)[1])
-        return eig_banded(a_band, *args, **kwargs)
+    def spy(fn, log):
+        def wrapped(band, *args, **kwargs):
+            log.append(np.shape(band)[1])
+            return fn(band, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(rp.sp, "eig_banded", spy)
+    monkeypatch.setattr(rp.sp, "_inertia", spy(rp.sp._inertia, counted))
+    monkeypatch.setattr(rp.sp, "eig_banded", spy(eig_banded, solved))
     v = rp.verdict(family, r, at, n=n)
     assert v.verdict != rp.INCONCLUSIVE
-    assert calls == orders
-    assert n not in calls
+    assert sorted(counted) == sorted(orders * 2)
+    assert solved and max(solved) <= 3 < n // 2
+
+
+def test_verdict_inconclusive_when_schur_growth_exceeds_bound(monkeypatch):
+    # a split count whose far part is too close to singular is not
+    # certified: the verdict stops at the spectrum stage
+    monkeypatch.setattr(rp.sp, "GROWTH_BOUND", 0.0)
+    v = rp.verdict("solitary", 1, 1.0, n=256)
+    assert v.verdict == rp.INCONCLUSIVE
+    assert v.evidence["failed_stage"] == "spectrum"
+    assert "Schur growth" in v.evidence["error"]
+
+
+def test_spectrum_report_gives_lowest_width_and_witnesses():
+    # lowest comes with its bisection width, and each block with the
+    # core rows and Schur growth of its split count
+    rep = rp.spectrum_report("solitary", 2, 0.5)
+    params = wv.solve_family("solitary", 2, 0.5)
+    prof = wv.sample_profile(params, wv.default_grid(params))
+    widths = []
+    for kind in rp.sp.OPERATOR_KINDS:
+        blocks = rp.sp._parity_blocks(rp.sp.assemble(kind, prof))
+        ev = rep[kind]
+        widths.append(ev["lowest_width"])
+        assert ev["lowest_width"] == max(1e-14 * np.max(np.abs(band))
+                                         for band, _ in blocks)
+        assert all(0 <= rows <= 3 for rows in ev["core_rows"])
+        assert all(0 <= g <= rp.sp.GROWTH_BOUND for g in ev["schur_growth"])
+    assert rep["lowest_width"] == max(widths)
 
 
 @pytest.mark.parametrize("family, r, at", [

@@ -329,6 +329,69 @@ def test_banded_counts_match_dense_oracle_torus(family, r, k, n):
                                       2 * n * np.finfo(float).eps)
 
 
+def dense_block(band: np.ndarray, factors) -> np.ndarray:
+    """A parity block A_b + U_b C U_b^T, given in lower band storage, as
+    a dense matrix."""
+    m = band.shape[1]
+    M = np.diag(band[0])
+    for k in range(1, min(band.shape[0], m)):
+        M += np.diag(band[k, :m - k], -k) + np.diag(band[k, :m - k], k)
+    if factors is not None:
+        M += factors @ sp.SWAP @ factors.T
+    return M
+
+
+@pytest.mark.parametrize("family, r, at, n, tols", [
+    ("solitary", 2, 0.5, 512, (None, 1e-8, 1e-2)),
+    # unresolved coarse line grid: the core is most of the block
+    ("solitary", 4, 0.3, 256, (None, 1e-8, 1e-2)),
+    # the band is wider than the sine block
+    ("periodic_dn_quotient", 2, 0.97, 64, (None, 1e-8, 1e-2)),
+    ("periodic_dn", 1, 0.5, 128, (None, 1e-8, 1e-2)),
+    # a tolerance above the continuum edge: the far part's Cholesky
+    # stops after a few dozen rows, and the core is eigensolved
+    ("solitary", 4, 0.3, 2048, (1.0,)),
+])
+def test_split_counts_match_dense_blocks(family, r, at, n, tols):
+    # every block's split count (Cholesky of the far part, Haynsworth on
+    # the core) equals the inertia of the dense block at +-tol
+    params = wv.solve_family(family, r, at)
+    prof = wv.sample_profile(params, wv.default_grid(params, n))
+    for kind in sp.OPERATOR_KINDS:
+        op = sp.assemble(kind, prof)
+        blocks = sp._parity_blocks(op)
+        eigs = [np.linalg.eigvalsh(dense_block(*block)) for block in blocks]
+        for tol in tols:
+            s = sp.spectrum(op, tol)
+            for summ, w, (band, _) in zip((s.even, s.odd), eigs, blocks):
+                # a tolerance below the dense solver's resolution is read at it
+                t = max(summ.tol_kernel, 1e-12 * np.max(np.abs(band)))
+                assert (summ.n_neg, summ.z_kernel) == _dense_counts(w, t), (kind, tol)
+                assert 0 <= summ.growth <= sp.GROWTH_BOUND
+                assert 0 <= summ.core_rows <= band.shape[1]
+                if tol == 1.0:
+                    assert summ.core_rows > band.shape[1] // 2
+
+
+def test_split_count_guard_trips_on_nearly_singular_far_part():
+    # the far rows 0..4 are positive definite, but row 0 is 1e-9 from
+    # singular and the coupling reaches it, so U_f^T F^-1 U_f is huge
+    band = np.zeros((2, 6))
+    band[0] = [1e-9, 2.0, 2.0, 2.0, 2.0, -1.0]
+    band[1, 1:5] = 0.5
+    factors = np.zeros((6, 2))
+    factors[[0, -1]] = 1.0
+    with pytest.raises(np.linalg.LinAlgError, match="Schur growth"):
+        sp._inertia(band, factors, 0.0)
+    # without the coupling of that row the same band counts as the dense
+    # block does
+    factors[0] = 0.0
+    w = np.linalg.eigvalsh(dense_block(band, factors))
+    below, above, core, growth = sp._inertia(band, factors, 0.0)
+    assert (below, above) == (int(np.sum(w < 0)), int(np.sum(w > 0)))
+    assert core == 1 and growth <= sp.GROWTH_BOUND
+
+
 # ----------------------------------------------------------------------
 # Floquet constant
 # ----------------------------------------------------------------------
