@@ -64,9 +64,13 @@ The kernel position of the periodic Hill operator is certified by the
 Floquet constant theta: the second fundamental solution satisfies
 y2(x + 2*pi) = y2(x) + theta*y1(x), and zero is a simple eigenvalue of
 the Hill operator iff theta != 0.  theta is read off the monodromy
-matrix of the Hill equation, a product of 4th-order Magnus propagators
-(Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-2009) over the Gauss-node samples of the closed-form profile.
+matrix of the Hill equation.  The waves are even, so the potential q is
+even, and the monodromy follows from the propagator [[c, s], [c', s']]
+over half a period alone: theta = -2 c(pi) c'(pi) / phi''(0)^2 (Magnus &
+Winkler, Hill's Equation, 1966).  That propagator is a product of
+4th-order Magnus propagators (Iserles & Norsett 1999; Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470, 2009) over the Gauss-node samples of the
+closed-form profile on [0, pi].
 """
 
 from __future__ import annotations
@@ -168,6 +172,7 @@ class FloquetResult:
     omega_at: float
     ybar_end: tuple          # (ybar(2*pi), ybar'(2*pi))
     phi_dd0: float
+    det_defect: float        # c s' - s c' - 1 of the half-period propagator
 
 
 # ----------------------------------------------------------------------
@@ -221,12 +226,16 @@ def _trig_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
     kd = int(np.max(lag[np.abs(vh) > floor], initial=0))
     vh[lag > kd] = 0.0
     alpha = _trig_scale(n)
+    k = np.arange(kd + 1)[:, None]
+    q = np.arange(half + 1)
     band = np.zeros((kd + 1, n))
-    for k in range(kd + 1):
-        q = np.arange(max(half + 1 - k, 0))
-        band[k, q] = alpha[q + k] * alpha[q] * (vh[k] + vh[(2 * q + k) % n]) / 2
-        q = np.arange(1, max(half - k, 1))
-        band[k, half + q] = (vh[k] - vh[2 * q + k]) / n
+    band[:, :half + 1] = np.where(
+        q + k <= half,
+        alpha[np.minimum(q + k, half)] * alpha[q] * (vh[k] + vh[(2 * q + k) % n]) / 2,
+        0.0)
+    q = q[1:-1]
+    band[:, half + 1:] = np.where(q + k < half,
+                                  (vh[k] - vh[(2 * q + k) % n]) / n, 0.0)
     m2 = c * wavenumbers(p.grid)[:half + 1] ** 2
     band[0, :half + 1] += m2
     band[0, half + 1:] += m2[1:-1]
@@ -315,11 +324,9 @@ def _parity_blocks(op: OperatorMatrix) -> tuple:
 
 def _reverse(band: np.ndarray) -> np.ndarray:
     """The band of the block with its rows and columns in reverse order."""
-    m = band.shape[1]
-    out = np.zeros_like(band)
-    for k in range(min(band.shape[0], m)):
-        out[k, :m - k] = band[k, m - k - 1::-1]
-    return out
+    k = np.arange(band.shape[0])[:, None]
+    src = band.shape[1] - 1 - k - np.arange(band.shape[1])
+    return np.where(src >= 0, band[k, np.maximum(src, 0)], 0.0)
 
 
 def _solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -549,15 +556,30 @@ def floquet_theta(p: wv.Profile) -> FloquetResult:
     ybar even, theta = ybar'(2*pi)/phi''(0); the normalization makes the
     Wronskian of {phi', ybar} identically one.
 
-    The monodromy M is a product of 4th-order Magnus propagators on
-    MAGNUS_CELLS uniform cells of width h.  On each cell q is sampled at
+    The propagator over [0, pi] is a product of 4th-order Magnus
+    propagators on the first MAGNUS_CELLS / 2 of MAGNUS_CELLS uniform
+    cells of width h = 2*pi / MAGNUS_CELLS.  On each cell q is sampled at
     the left and right Gauss nodes (q1, q2, mean qbar), and
 
         Omega = [[d, h], [h qbar, -d]],  d = sqrt(3) h^2 (q1 - q2) / 12,
 
     squares to s^2 I with s^2 = d^2 + h^2 qbar, so that exp(Omega) =
-    cosh(s) I + sinh(s)/s Omega.  The cell propagators are multiplied
-    pairwise in batches, and (ybar, ybar')(2*pi) = M[:, 0] ybar(0).
+    cosh(s) I + sinh(s)/s Omega, of determinant one.  The cell
+    propagators are multiplied pairwise in batches into
+    M = [[c, s], [c', s']](pi).
+
+    q is even, so the cells on [pi, 2*pi] mirror those on [0, pi]: their
+    Gauss nodes swap, d changes sign, qbar stays, and their product is
+    R M^-1 R with R = diag(1, -1).  The monodromy R M^-1 R M has the
+    first column (1 + 2 c' s, 2 c c') (Magnus & Winkler, Hill's
+    Equation, 1966), which is the full-period product's in exact
+    arithmetic, so
+
+        (ybar, ybar')(2*pi) = -(1 + 2 c' s, 2 c c') / phi''(0),
+        theta = -2 c c' / phi''(0)^2.
+
+    ``det_defect`` = c s' - s c' - 1 is the witness: the two forms
+    2 c s' - 1 and 1 + 2 c' s of c(2*pi) differ by twice it.
     """
     if p.grid.topology != "torus":
         raise UsageError("the Floquet constant is defined for periodic waves")
@@ -568,7 +590,7 @@ def floquet_theta(p: wv.Profile) -> FloquetResult:
     r, w, c = p.params.r, p.params.omega, p.params.c
     h = TWO_PI / MAGNUS_CELLS
     gauss = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6
-    x = h * (np.arange(MAGNUS_CELLS)[:, None] + gauss)
+    x = h * (np.arange(MAGNUS_CELLS // 2)[:, None] + gauss)
     phi = wv.profile_values(p.params, x)[0]
     q = (w - (2 * r + 1) * phi ** (2 * r)) / c
     qbar = (q[:, 0] + q[:, 1]) / 2
@@ -577,16 +599,17 @@ def floquet_theta(p: wv.Profile) -> FloquetResult:
     cosh_s = np.cosh(s).real
     # sinh(s)/s as sin(i s)/(i s): real for either sign of s^2, 1 at s = 0
     sinhc_s = np.sinc(1j * s / math.pi).real
-    cells = np.empty((MAGNUS_CELLS, 2, 2))
+    cells = np.empty((MAGNUS_CELLS // 2, 2, 2))
     cells[:, 0, 0] = cosh_s + sinhc_s * d
     cells[:, 0, 1] = sinhc_s * h
     cells[:, 1, 0] = sinhc_s * h * qbar
     cells[:, 1, 1] = cosh_s - sinhc_s * d
     while len(cells) > 1:
         cells = cells[1::2] @ cells[0::2]
-    ybar_end = cells[0, :, 0] * (-1.0 / phi_dd0)
-    theta = float(ybar_end[1] / phi_dd0)
-    return FloquetResult(theta, w, tuple(ybar_end), phi_dd0)
+    (c0, s0), (dc0, ds0) = cells[0]
+    ybar_end = (-(1.0 + 2.0 * dc0 * s0) / phi_dd0, -2.0 * c0 * dc0 / phi_dd0)
+    return FloquetResult(float(ybar_end[1] / phi_dd0), w, ybar_end, phi_dd0,
+                         float(c0 * ds0 - s0 * dc0 - 1.0))
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,15 @@
 program itself does not call them."""
 
 import json
+import math
 
 import numpy as np
 
+from skwave import spectral as sp
 from skwave import waves as wv
 from skwave.errors import DomainError, UsageError
 from skwave.functionals import state_derivative
-from skwave.kernel import quadrature
+from skwave.kernel import quadrature, wavenumbers
 
 
 def quadratic_form_LRe(p: wv.Profile, P: np.ndarray) -> float:
@@ -35,3 +37,60 @@ def read_profile_header(path) -> dict:
     if not first.startswith("# "):
         raise UsageError("profile CSV lacks the JSON header line")
     return json.loads(first[2:])
+
+
+def trig_band_loop(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
+    """``spectral._trig_band`` written as a loop over the kd + 1 lags."""
+    n, half = p.grid.n, p.grid.n // 2
+    w = p.params.omega
+    vh = np.fft.fft(potential).real
+    lag = np.minimum(np.arange(n), n - np.arange(n))
+    floor = 1e-14 * n * (abs(w) + float(np.max(np.abs(w - potential))))
+    kd = int(np.max(lag[np.abs(vh) > floor], initial=0))
+    vh[lag > kd] = 0.0
+    alpha = sp._trig_scale(n)
+    band = np.zeros((kd + 1, n))
+    for k in range(kd + 1):
+        q = np.arange(max(half + 1 - k, 0))
+        band[k, q] = alpha[q + k] * alpha[q] * (vh[k] + vh[(2 * q + k) % n]) / 2
+        q = np.arange(1, max(half - k, 1))
+        band[k, half + q] = (vh[k] - vh[2 * q + k]) / n
+    m2 = c * wavenumbers(p.grid)[:half + 1] ** 2
+    band[0, :half + 1] += m2
+    band[0, half + 1:] += m2[1:-1]
+    return band
+
+
+def reverse_loop(band: np.ndarray) -> np.ndarray:
+    """``spectral._reverse`` written as a loop over the lags."""
+    m = band.shape[1]
+    out = np.zeros_like(band)
+    for k in range(min(band.shape[0], m)):
+        out[k, :m - k] = band[k, m - k - 1::-1]
+    return out
+
+
+def theta_full_period(p: wv.Profile) -> tuple:
+    """(theta, (ybar, ybar')(2*pi)) from the Magnus product over all
+    MAGNUS_CELLS cells of the period, without the half-period symmetry
+    that ``spectral.floquet_theta`` uses."""
+    phi_dd0 = float(wv.profile_values(p.params, 0.0)[2])
+    r, w, c = p.params.r, p.params.omega, p.params.c
+    h = sp.TWO_PI / sp.MAGNUS_CELLS
+    gauss = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6
+    x = h * (np.arange(sp.MAGNUS_CELLS)[:, None] + gauss)
+    q = (w - (2 * r + 1) * wv.profile_values(p.params, x)[0] ** (2 * r)) / c
+    qbar = (q[:, 0] + q[:, 1]) / 2
+    d = math.sqrt(3) * h * h * (q[:, 0] - q[:, 1]) / 12
+    s = np.sqrt(d * d + h * h * qbar + 0j)
+    cosh_s = np.cosh(s).real
+    sinhc_s = np.sinc(1j * s / math.pi).real
+    cells = np.empty((sp.MAGNUS_CELLS, 2, 2))
+    cells[:, 0, 0] = cosh_s + sinhc_s * d
+    cells[:, 0, 1] = sinhc_s * h
+    cells[:, 1, 0] = sinhc_s * h * qbar
+    cells[:, 1, 1] = cosh_s - sinhc_s * d
+    while len(cells) > 1:
+        cells = cells[1::2] @ cells[0::2]
+    ybar_end = cells[0, :, 0] * (-1.0 / phi_dd0)
+    return float(ybar_end[1] / phi_dd0), tuple(ybar_end)

@@ -1,0 +1,47 @@
+"""The benchmark harness runs against this source tree and prints a
+result line that strict JSON readers accept."""
+
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _listing(path: Path) -> list:
+    return sorted(p.name for p in path.iterdir()) if path.is_dir() else []
+
+
+def test_traced_line_verdicts_result_is_strict_json(tmp_path):
+    # a per-layer metric whose function a verdict no longer calls reads
+    # nan, which json.dumps writes as the non-JSON token NaN
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    for script in (ROOT / "perfbench").glob("*.py"):
+        shutil.copy(script, bench)
+    # a copy, not a symlink: run.py checks where skwave resolves to
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    out_before = _listing(ROOT / "perfbench" / "out")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "line_verdicts",
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1],
+                        parse_constant=_reject_constant)
+    assert result["correct"] and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    for metric in declared:
+        value = result["metrics"][metric["name"]]["value"]
+        assert math.isfinite(value), metric["name"]
+    assert _listing(ROOT / "perfbench" / "out") == out_before

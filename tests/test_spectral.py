@@ -11,7 +11,8 @@ from skwave import waves as wv
 from skwave.errors import DegenerateProfileError, DomainError, UsageError
 from skwave.kernel import Grid, quadrature, symmetric_eigen, wavenumbers
 
-from oracles import quadratic_form_LRe
+from oracles import (quadratic_form_LRe, reverse_loop, theta_full_period,
+                     trig_band_loop)
 
 
 # ----------------------------------------------------------------------
@@ -485,6 +486,21 @@ def test_floquet_theta_matches_dop853_oracle(family, r):
             assert theta == pytest.approx(theta_dop853(p), rel=rel), k
 
 
+@pytest.mark.parametrize("family, r", [(wv.PERIODIC_DN, 1), (wv.PERIODIC_DNQ, 2)])
+def test_half_period_theta_matches_full_product(family, r):
+    # the mirrored cells make the two products equal in exact arithmetic;
+    # below k = 0.2 roundoff divided by phi''(0)^2 ~ k^4 separates them
+    for k in (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.85, 0.97):
+        p = wv.solve_family(family, r, k)
+        prof = wv.sample_profile(p, wv.default_grid(p))
+        res = sp.floquet_theta(prof)
+        theta, ybar_end = theta_full_period(prof)
+        rel = 1e-12 if k >= 0.2 else 1e-9
+        assert res.theta == pytest.approx(theta, rel=rel), k
+        assert res.ybar_end == pytest.approx(ybar_end, rel=rel), k
+        assert abs(res.det_defect) <= 1e-12, k
+
+
 def test_theta_degenerate_profile(dn_profile):
     # a vanishing modulus flattens the wave: phi''(0) ~ k^2 -> 0
     params_flat = wv.WaveParams("periodic_dn", 1, dn_profile.params.omega,
@@ -581,6 +597,25 @@ def test_spectrum_odd_matches_basis_oracle(dn_profile, solitary_r4_profile):
             assert np.max(np.abs(np.array(s.lowest) - w[:5])) <= 1e-12 * norm
             assert (s.n_neg, s.z_kernel) == (int(np.sum(w < -tol)),
                                              int(np.sum(np.abs(w) <= tol)))
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.shape, np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("family, r", [(wv.PERIODIC_DN, 1), (wv.PERIODIC_DNQ, 2)])
+@pytest.mark.parametrize("k", [0.05, 0.15, 0.5, 0.85, 0.97])
+def test_trig_band_and_reverse_match_lag_loops(family, r, k):
+    # bitwise, down to n = 64 where dnq k = 0.97 is wider than the sine block
+    p = wv.solve_family(family, r, k)
+    for n in (64, 512, 1024):
+        prof = wv.sample_profile(p, wv.default_grid(p, n))
+        for kind in sp.OPERATOR_KINDS:
+            potential = sp._potential(kind, prof)
+            band = sp._trig_band(prof, potential, p.c)
+            assert _bits(band) == _bits(trig_band_loop(prof, potential, p.c))
+            for block in (band[:, :n // 2 + 1], band[:, n // 2 + 1:]):
+                assert _bits(sp._reverse(block)) == _bits(reverse_loop(block))
 
 
 @pytest.mark.parametrize("family, r, at", [
