@@ -298,10 +298,10 @@ def orbital_distance(u: np.ndarray, phi_profile: wv.Profile,
 # ----------------------------------------------------------------------
 
 def periodized_profile(params: wv.WaveParams, grid: Grid) -> wv.Profile:
-    """Solitary closed form wrapped onto a wide torus for evolution.
+    """The closed form on the experiment torus.
 
-    The caller is responsible for a box wide enough that the tail at
-    the edges is negligible; ``experiment_grid`` guarantees < 1e-12.
+    A solitary wave needs a box wide enough that the tail at the edges
+    is negligible; ``experiment_grid`` guarantees < 1e-12.
     """
     if grid.topology != "torus":
         raise UsageError("periodized profiles live on torus grids")
@@ -351,9 +351,6 @@ class ExperimentResult:
         }
 
 
-
-
-
 def stability_experiment(family: str, r: int, at: float, epsilon: float,
                          T: float, dt: float = 1e-3, n: int = 512,
                          even: bool = False,
@@ -369,10 +366,7 @@ def stability_experiment(family: str, r: int, at: float, epsilon: float,
     """
     params = wv.solve_family(family, r, at)
     grid = experiment_grid(params, n)
-    if family == wv.SOLITARY:
-        prof = periodized_profile(params, grid)
-    else:
-        prof = wv.sample_profile(params, grid)
+    prof = periodized_profile(params, grid)
     norm_phi = math.sqrt(prof.h1_dual[1])
     if epsilon > 0.05 * norm_phi:
         raise DomainError(

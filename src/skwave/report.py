@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -177,18 +178,15 @@ def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None,
     prof = wv.sample_profile(params, wv.default_grid(params, n))
     ops = [sp.assemble(kind, prof) for kind in sp.OPERATOR_KINDS]
     s_re, s_im, block = _block(ops, sp.spectrum, tol_kernel)
-    theta = None
-    if family != wv.SOLITARY:
-        theta = sp.floquet_theta(prof).theta
+    theta = None if family == wv.SOLITARY else sp.floquet_theta(prof).theta
     return {
         "family": family, "r": r, "parameter": at,
         "n_neg": block.n_neg, "z_kernel": block.z_kernel,
         "lowest": list(block.lowest), "lowest_width": block.lowest_width,
         "ess_edge": block.ess_edge, "theta": theta,
-        "L_Re": {**_operator_evidence(s_re), "lowest": list(s_re.lowest),
-                 "lowest_width": s_re.lowest_width},
-        "L_Im": {**_operator_evidence(s_im), "lowest": list(s_im.lowest),
-                 "lowest_width": s_im.lowest_width},
+        **{kind: {**_operator_evidence(s), "lowest": list(s.lowest),
+                  "lowest_width": s.lowest_width}
+           for kind, s in zip(sp.OPERATOR_KINDS, (s_re, s_im))},
     }
 
 
@@ -214,12 +212,14 @@ def _sign_summary(vals) -> str:
     return "mixed-sign"
 
 
-def _write_csv(path, header, rows, summary) -> None:
+def _write_csv(path, header, rows, rule, columns) -> str:
+    """Write ``rows`` under ``header`` to ``path``, then the summary row:
+    ``rule`` (``_monotone`` or ``_sign_summary``) of each named column."""
+    summary = [f"{name}:{rule([row[header.index(name)] for row in rows])}"
+               for name in columns]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-        w.writerow(summary)
+        csv.writer(fh).writerows([header, *rows, ["summary", *summary]])
+    return path
 
 
 def reproduce_figures(output_dir, n_points: int = 40) -> list:
@@ -232,71 +232,46 @@ def reproduce_figures(output_dir, n_points: int = 40) -> list:
     monotonicity or sign of the data columns.
     """
     os.makedirs(output_dir, exist_ok=True)
+    path = partial(os.path.join, output_dir)
     out = []
 
     for r in (1, 2, 4):
-        thr = wv.solitary_threshold(r)
-        omegas = thr + np.linspace(0.005, 1.5, n_points)
-        rows, mrows = [], []
-        for w in omegas:
-            p = wv.solve_solitary(r, float(w), validate=False)
-            rows.append([w, p.a, p.b])
-            mrows.append([w, p.a ** 2 / p.b, fn.mass_closed_form(p)])
-        path = os.path.join(output_dir, f"solitary_params_r{r}.csv")
-        _write_csv(path, ["omega", "a", "b"], rows,
-                   ["summary", "a:" + _monotone([x[1] for x in rows]),
-                    "b:" + _monotone([x[2] for x in rows])])
-        out.append(path)
-        path = os.path.join(output_dir, f"solitary_mass_r{r}.csv")
-        _write_csv(path, ["omega", "a2_over_b", "mass"], mrows,
-                   ["summary", "a2_over_b:" + _monotone([x[1] for x in mrows]),
-                    "mass:" + _monotone([x[2] for x in mrows])])
-        out.append(path)
+        omegas = wv.solitary_threshold(r) + np.linspace(0.005, 1.5, n_points)
+        waves = [wv.solve_solitary(r, float(w), validate=False) for w in omegas]
+        out.append(_write_csv(
+            path(f"solitary_params_r{r}.csv"), ["omega", "a", "b"],
+            [[w, p.a, p.b] for w, p in zip(omegas, waves)],
+            _monotone, ("a", "b")))
+        out.append(_write_csv(
+            path(f"solitary_mass_r{r}.csv"), ["omega", "a2_over_b", "mass"],
+            [[w, p.a ** 2 / p.b, fn.mass_closed_form(p)]
+             for w, p in zip(omegas, waves)],
+            _monotone, ("a2_over_b", "mass")))
 
-    ks = np.linspace(0.02, 0.96, n_points)
-    rows, mrows = [], []
-    for k in ks:
-        p = wv.solve_periodic_r1(float(k), validate=False)
-        rows.append([k, p.a, p.omega])
-        mrows.append([k, fn.mass_closed_form(p)])
-    path = os.path.join(output_dir, "periodic_dn_params.csv")
-    _write_csv(path, ["k", "a", "omega"], rows,
-               ["summary", "a:" + _monotone([x[1] for x in rows]),
-                "omega:" + _monotone([x[2] for x in rows])])
-    out.append(path)
-    path = os.path.join(output_dir, "periodic_dn_mass.csv")
-    _write_csv(path, ["k", "mass"], mrows,
-               ["summary", "mass:" + _monotone([x[1] for x in mrows])])
-    out.append(path)
-
+    kn = np.linspace(0.02, 0.96, n_points)
     kq = np.linspace(0.05, 0.95, min(n_points, 30))
-    rows, mrows, grows = [], [], []
-    for k in kq:
-        p = wv.solve_periodic_r2(float(k), validate=False)
-        prof = wv.sample_profile(p, wv.default_grid(p))
-        rows.append([k, p.a, p.omega])
-        mrows.append([k, fn.mass_closed_form(p)])
-        grows.append([k, fn.lre_phi_identity(prof)])
-    path = os.path.join(output_dir, "periodic_dnq_params.csv")
-    _write_csv(path, ["k", "a", "omega"], rows,
-               ["summary", "a:" + _monotone([x[1] for x in rows]),
-                "omega:" + _monotone([x[2] for x in rows])])
-    out.append(path)
-    path = os.path.join(output_dir, "periodic_dnq_mass.csv")
-    _write_csv(path, ["k", "mass"], mrows,
-               ["summary", "mass:" + _monotone([x[1] for x in mrows])])
-    out.append(path)
-    path = os.path.join(output_dir, "gamma_curve.csv")
-    _write_csv(path, ["k", "gamma"], grows,
-               ["summary", "gamma:" + _sign_summary([x[1] for x in grows])])
-    out.append(path)
+    dn = [wv.solve_periodic_r1(float(k), validate=False) for k in kn]
+    dnq = [wv.solve_periodic_r2(float(k), validate=False) for k in kq]
+    for name, ks, waves in (("dn", kn, dn), ("dnq", kq, dnq)):
+        out.append(_write_csv(
+            path(f"periodic_{name}_params.csv"), ["k", "a", "omega"],
+            [[k, p.a, p.omega] for k, p in zip(ks, waves)],
+            _monotone, ("a", "omega")))
+        out.append(_write_csv(
+            path(f"periodic_{name}_mass.csv"), ["k", "mass"],
+            [[k, fn.mass_closed_form(p)] for k, p in zip(ks, waves)],
+            _monotone, ("mass",)))
+
+    profiles = [wv.sample_profile(p, wv.default_grid(p)) for p in dnq]
+    out.append(_write_csv(
+        path("gamma_curve.csv"), ["k", "gamma"],
+        [[k, fn.lre_phi_identity(prof)] for k, prof in zip(kq, profiles)],
+        _sign_summary, ("gamma",)))
 
     ktau = np.linspace(0.02, 0.97, 40)
-    rows = [[k, *fn.closed_form_tau(float(k))] for k in ktau]
-    path = os.path.join(output_dir, "tau_curve.csv")
-    _write_csv(path, ["k", "tau1", "tau2", "tau"], rows,
-               ["summary", "tau:" + _sign_summary([x[3] for x in rows])])
-    out.append(path)
-
+    out.append(_write_csv(
+        path("tau_curve.csv"), ["k", "tau1", "tau2", "tau"],
+        [[k, *fn.closed_form_tau(float(k))] for k in ktau],
+        _sign_summary, ("tau",)))
     return out
 

@@ -53,6 +53,9 @@ which is formed on the core from the factors reduced by the same
 elimination.  A count costs O(m kd^2) plus the core's eigensolve, and
 the Schur growth of the elimination is its witness.  No dense n x n
 matrix is formed, and the even-subspace counts are the even block's own.
+``lowest`` is bisected on the secular count #(a < s) + n_neg(S) - 1, a
+the six lowest eigenvalues of A_e and S formed over the whole block by
+one banded solve: no Cholesky split, no Schur growth (Golub, 1973).
 
 The kernel is not guessed: the theory proves L_Re phi' = 0 and
 L_Im phi = 0, so the discretized kernel is counted within the residual
@@ -338,7 +341,7 @@ def _solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         lu[2 * kd - k, k:] = lu[2 * kd + k, :m - k] = band[k, :m - k]
     x, info = dgbsv(kd, kd, lu, rhs)[2:]
     if info:
-        raise np.linalg.LinAlgError("singular core matrix")
+        raise np.linalg.LinAlgError("singular shifted block")
     return x
 
 
@@ -369,8 +372,8 @@ def _far_correction(band: np.ndarray, chol: np.ndarray,
     return corr, float(np.max(np.abs(corr), initial=0.0) / np.max(np.abs(band)))
 
 
-def _inertia(band: np.ndarray, factors: Optional[np.ndarray], s: float,
-             a: Optional[np.ndarray] = None) -> tuple[int, int, int, float]:
+def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
+             s: float) -> tuple[int, int, int, float]:
     """Numbers of eigenvalues of the block A_b + U_b C U_b^T below and
     above the shift ``s``, with the core rows and the Schur growth g.
 
@@ -391,10 +394,8 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray], s: float,
         S' = -C' - W^T K'^-1 W,  In(-C) = (1 below, 1 above),
 
     where In(K') is counted by Sylvester's law from the core's banded
-    eigenvalues, and the -C terms enter only with coupling.  A caller
-    that holds ``a``, every eigenvalue of A_b at or below ``s``, reads
-    (0, p) + In(K') = In(A_b - s) from it instead, and the core is only
-    solved, not eigensolved.
+    eigenvalues, and In(S') - In(-C) by ``_haynsworth``; the -C terms
+    enter only with coupling.
 
     The count is the exact inertia of a matrix within about
     eps (1 + g) max|band| of A_b - s, with the Schur growth
@@ -423,21 +424,26 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray], s: float,
     core = shifted[:min(kd, q - 1) + 1, p:]
     for k in range(t):
         core[k, :t - k] -= corr.diagonal(-k)[:t - k]
-    if a is None:
-        a = eig_banded(core, lower=True, eigvals_only=True, select="v",
-                       select_range=(-np.inf, 0.0)) if q else np.empty(0)
-        s = 0.0
-    below, above = int(np.sum(a < s)), m - int(np.sum(a <= s))
+    a = eig_banded(core, lower=True, eigvals_only=True, select="v",
+                   select_range=(-np.inf, 0.0)) if q else np.empty(0)
+    below, above = int(np.sum(a < 0)), m - int(np.sum(a <= 0))
     if factors is None:
         return below, above, q, growth
     w = factors[p:].copy()
     w[:t] -= corr[:t, t:]
-    schur = -SWAP - corr[t:, t:]
-    if q:
-        schur -= w.T @ _solve(core, w)
+    more_below, more_above = _haynsworth(core, w, -SWAP - corr[t:, t:])
+    return below + more_below, above + more_above, q, growth
+
+
+def _haynsworth(shifted: np.ndarray, w: np.ndarray,
+                schur: np.ndarray) -> tuple[int, int]:
+    """In(S) - In(-C), the eigenvalues that the coupling adds below and
+    above the shift, for the 2x2 Schur complement S = ``schur`` - W^T
+    K^-1 W of the bordered matrix with K = ``shifted`` (band storage)."""
+    if shifted.shape[1]:
+        schur = schur - w.T @ _solve(shifted, w)
     e, _ = symmetric_eigen(schur)
-    return (below + int(np.sum(e < 0)) - 1, above + int(np.sum(e > 0)) - 1,
-            q, growth)
+    return int(np.sum(e < 0)) - 1, int(np.sum(e > 0)) - 1
 
 
 def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
@@ -447,9 +453,12 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
     Without coupling they are A_b's own.  With U_b C U_b^T = p p^T - q
     q^T (p, q = (u1 +- u2)/sqrt(2)), the k-th eigenvalue lies between
     a_(k-1) and a_(k+1), the neighbours of the k-th eigenvalue of A_b
-    (a_0 = a_1 - |q|^2), and is bisected there to ``width`` on the count
-    of eigenvalues below the midpoint.  No midpoint lies above a_6, so
-    the six lowest of A_b give In(A_b - s) to every count.
+    (a_0 = a_1 - |q|^2), and is bisected there to ``width`` on the
+    secular count #(a < s) + n_neg(S) - 1, S = -C - U_b^T (A_b - s)^-1
+    U_b, of eigenvalues below the midpoint s (Golub, SIAM Rev. 15, 1973).
+    No midpoint lies above a_6, so the six lowest of A_b give In(A_b - s)
+    to every count, and S takes one banded solve (``_haynsworth``): no
+    Cholesky split, and no Schur growth.
     """
     a = eig_banded(band, lower=True, eigvals_only=True, select="i",
                    select_range=(0, 5))
@@ -457,12 +466,14 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
         return tuple(a[:5])
     q = (factors[:, 0] - factors[:, 1]) / math.sqrt(2)
     edges = np.concatenate(([a[0] - float(q @ q)], a))
+    shifted = band[:band.shape[1]].copy()
     lowest = []
     for k in range(1, 6):
         lo, hi = edges[k - 1], edges[k + 1]
         while hi - lo > width:
             mid = (lo + hi) / 2
-            if _inertia(band, factors, mid, a)[0] >= k:
+            shifted[0] = band[0] - mid
+            if np.sum(a < mid) + _haynsworth(shifted, factors, -SWAP)[0] >= k:
                 hi = mid
             else:
                 lo = mid

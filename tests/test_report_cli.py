@@ -176,6 +176,25 @@ def test_spectrum_report_gives_lowest_width_and_witnesses():
 
 
 @pytest.mark.parametrize("family, r, at", [
+    ("solitary", 2, 0.5), ("periodic_dn_quotient", 2, 0.5),
+])
+def test_spectrum_report_lowest_makes_no_split_count(monkeypatch, family, r, at):
+    # lowest is bisected on its own secular count, so the only split
+    # counts of a report are the counts themselves: 2 operators x 2
+    # parity blocks x 2 shifts
+    calls, inertia = [], rp.sp._inertia
+
+    def spy(*args):
+        calls.append(args)
+        return inertia(*args)
+
+    monkeypatch.setattr(rp.sp, "_inertia", spy)
+    rep = rp.spectrum_report(family, r, at)
+    assert len(rep["lowest"]) == 5
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("family, r, at", [
     ("solitary", 1, 1.0), ("solitary", 2, 0.5), ("solitary", 4, 0.3),
     ("periodic_dn", 1, 0.5), ("periodic_dn_quotient", 2, 0.5),
 ])
@@ -257,6 +276,38 @@ def _read(path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:-1], rows[-1]
+
+
+FIGURE_FILES = {
+    **{f"solitary_params_r{r}.csv": (["omega", "a", "b"], ["a", "b"])
+       for r in (1, 2, 4)},
+    **{f"solitary_mass_r{r}.csv": (["omega", "a2_over_b", "mass"],
+                                   ["a2_over_b", "mass"])
+       for r in (1, 2, 4)},
+    **{f"periodic_{name}_params.csv": (["k", "a", "omega"], ["a", "omega"])
+       for name in ("dn", "dnq")},
+    **{f"periodic_{name}_mass.csv": (["k", "mass"], ["mass"])
+       for name in ("dn", "dnq")},
+    "gamma_curve.csv": (["k", "gamma"], ["gamma"]),
+    "tau_curve.csv": (["k", "tau1", "tau2", "tau"], ["tau"]),
+}
+
+
+def test_figures_every_file(figure_dir):
+    # each of the 12 files has its header, one row per point and a
+    # summary row naming each summarized column with its rule's value
+    assert sorted(os.listdir(figure_dir)) == sorted(FIGURE_FILES)
+    signs = {"all-negative", "all-positive", "mixed-sign"}
+    trends = {"increasing", "decreasing", "non-monotone"}
+    for name, (columns, summarized) in FIGURE_FILES.items():
+        header, rows, summary = _read(figure_dir / name)
+        assert header == columns, name
+        # tau is sampled at 40 moduli whatever n_points is
+        assert len(rows) == (40 if name == "tau_curve.csv" else 12), name
+        assert all(len(row) == len(columns) for row in rows), name
+        labels, values = zip(*(item.split(":") for item in summary[1:]))
+        assert summary[0] == "summary" and list(labels) == summarized, name
+        assert set(values) <= (signs if name.endswith("curve.csv") else trends)
 
 
 def test_figures_solitary_params(figure_dir):
