@@ -4,8 +4,8 @@ The argument ``k`` is always the *modulus* (Abramowitz & Stegun use the
 parameter m = k^2).  K and E run on the arithmetic-geometric mean and
 its companion sum (A&S 17.6), Pi on the Carlson symmetric integrals
 R_F/R_J evaluated by the duplication algorithm (Carlson, Numerische
-Mathematik 33, 1979), and sn/cn/dn on the descending Landen chain built
-from the same AGM scale (A&S 16.4).
+Mathematik 33, 1979), and sn/cn/dn on the descending Landen chain over
+the same AGM iterates (A&S 16.4), which ``_agm_chain`` alone builds.
 """
 
 from __future__ import annotations
@@ -158,8 +158,8 @@ def jacobi(u, k: float):
     """Jacobi sn, cn, dn at argument u (scalar or array) and modulus k.
 
     Descending Landen (Gauss) transformation in the form given by
-    Numerical Recipes sncndn: the modulus chain is scalar, the
-    back-substitution is vectorized over u.  dn comes out of its own
+    Numerical Recipes sncndn: the modulus chain is the AGM chain of K,
+    the back-substitution is vectorized over u.  dn comes out of its own
     recursion, not out of the identity sqrt(1 - k^2 sn^2).
     """
     _check_modulus(k)
@@ -169,21 +169,8 @@ def jacobi(u, k: float):
     if k < 1e-12:
         sn, cn, dn = np.sin(u), np.cos(u), np.ones_like(u)
     else:
-        emc = (1.0 - k) * (1.0 + k)
-        a = 1.0
-        em: list[float] = []
-        en: list[float] = []
-        for _ in range(16):
-            em.append(a)
-            root = math.sqrt(emc)
-            en.append(root)
-            c = (a + root) / 2
-            if abs(a - root) <= _AGM_REL * a:
-                break
-            emc = a * root
-            a = c
-        else:
-            raise DomainError(f"Landen chain failed to converge for k={k}")
+        em, en, _ = _agm_chain(k)
+        c = (em[-1] + en[-1]) / 2
         uu = c * u
         sn0, cn0 = np.sin(uu), np.cos(uu)
         dn = np.ones_like(uu)

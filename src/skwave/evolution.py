@@ -26,8 +26,8 @@ Monitoring runs on the logging cadence, not every step: mass, energy,
 the Kirchhoff coefficient, the orbital distance and the tail level are
 recorded at steps 0, log_every, 2*log_every, ... and at the last step.
 Blow-up detection stays per step, one finiteness check on each new
-state.  The squared wavenumbers and the Parseval scale come from the
-grid (``Grid.m2``, ``Grid.parseval_scale``), built once per grid.
+state.  Every int |u_x|^2 and squared H^1 norm is ``kernel.parseval``,
+the sum ``functionals.energy`` takes too, over the grid's ``Grid.m2``.
 
 Solitary waves are evolved on a torus wide enough that the periodized
 tail sits below 1e-12 of the peak; the wraparound level is monitored.
@@ -44,9 +44,9 @@ from typing import Optional
 import numpy as np
 
 from . import waves as wv
-from .errors import BlowUpError, DomainError, UsageError
+from .errors import DomainError, UsageError
 from .functionals import kirchhoff_energy
-from .kernel import Grid, quadrature, torus_grid
+from .kernel import Grid, parseval, quadrature, torus_grid
 
 
 @dataclass
@@ -84,20 +84,6 @@ class EvolutionState:
         default=None, init=False, repr=False)
 
 
-def _parseval(grid: Grid, symbol: np.ndarray, vh: np.ndarray) -> float:
-    """(L/n^2) sum symbol |v_hat|^2 from the DFT ``vh`` of a state: by
-    Parseval, int |v_x|^2 for symbol m^2 and the squared H^1 norm for
-    1 + m^2."""
-    return grid.parseval_scale * float(np.dot(symbol, np.abs(vh) ** 2))
-
-
-def kirchhoff_coefficient(u: np.ndarray, grid: Grid) -> float:
-    """1 + int |u_x|^2 with spectral differentiation."""
-    if grid.topology != "torus":
-        raise UsageError("evolution states live on torus grids")
-    return 1.0 + _parseval(grid, grid.m2, np.fft.fft(u))
-
-
 def _phase(theta: np.ndarray) -> np.ndarray:
     """exp(i theta) for real theta, as cos and sin written into the real
     and imaginary parts of one complex array."""
@@ -128,7 +114,7 @@ def step_strang(state: EvolutionState, dt: float) -> EvolutionState:
     else:
         kick = _half_kick(state.u, r, dt)
     uh = np.fft.fft(state.u * kick)
-    c = 1.0 + _parseval(grid, m2, uh)
+    c = 1.0 + parseval(grid, m2, uh)
     # m^2 is even in m and m[-j] = -m[j] exactly, so the propagator over
     # the n/2 + 1 distinct values, mirrored, is the full one bit for bit
     h = grid.n // 2 + 1
@@ -162,8 +148,7 @@ class EvolutionResult:
 def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
            log_every: Optional[int] = None,
            distance_profile: Optional[wv.Profile] = None,
-           rotation_only: bool = False,
-           monitor_tail: bool = False) -> EvolutionResult:
+           rotation_only: bool = False) -> EvolutionResult:
     """Repeated Strang stepping with conservation monitoring on the
     logging cadence.
 
@@ -171,8 +156,8 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
     Every ``log_every`` steps (default n_steps // 200, at least 1) and
     at the last step one record is taken: time, mass, energy and the
     Kirchhoff coefficient, plus the orbital distance to
-    ``distance_profile`` if given and the tail level if
-    ``monitor_tail``.  Mass drift sits at machine level, energy drift at
+    ``distance_profile`` if given and, when that is a solitary wave, the
+    tail level.  Mass drift sits at machine level, energy drift at
     the splitting level O(dt^2).  Every step checks the new state for
     finiteness; a non-finite state sets the blow-up flag with its time
     stamp and stops the run (relevant for the r = 4 experiments; global
@@ -198,7 +183,7 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
     def record(s: EvolutionState, step: int) -> None:
         # one transform serves the gradient norm and the Kirchhoff
         # coefficient; everything else is pointwise
-        grad = _parseval(grid, grid.m2, np.fft.fft(s.u))
+        grad = parseval(grid, grid.m2, np.fft.fft(s.u))
         mod2 = s.u.real ** 2 + s.u.imag ** 2
         mon.steps.append(step)
         mon.t.append(s.t)
@@ -211,8 +196,11 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
                 orbital_distance(s.u, distance_profile, rotation_only).distance)
 
     blow_up = None
-    tail = 0.0
+    # the tail level is taken against a solitary reference wave, at the
     # node diametrically opposite the initial peak
+    solitary = (distance_profile is not None
+                and distance_profile.params.family == wv.SOLITARY)
+    tail = 0.0 if solitary else None
     edge = (int(np.argmax(np.abs(u0))) + grid.n // 2) % grid.n
     record(state, 0)
     if not np.isfinite(state.u).all():
@@ -225,22 +213,20 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
             break
         if step % log_every == 0 or step == n_steps:
             record(state, step)
-            if monitor_tail:
+            if tail is not None:
                 tail = max(tail, float(np.abs(state.u[edge])
                                        / np.max(np.abs(state.u))))
-    F0, E0 = mon.mass[0], mon.energy[0]
 
-    def drift(values, ref):
+    def drift(values):
+        ref = values[0]
         finite = np.asarray([v for v in values if np.isfinite(v)])
         if not np.isfinite(ref) or ref == 0.0 or finite.size == 0:
             return float("inf") if blow_up is not None else 0.0
         return float(np.max(np.abs(finite - ref)) / abs(ref))
 
-    mass_drift = drift(mon.mass, F0)
-    energy_drift = drift(mon.energy, E0)
-    max_dist = max(mon.distance) if mon.distance else None
-    return EvolutionResult(state, mon, mass_drift, energy_drift, blow_up,
-                           max_dist, tail if monitor_tail else None)
+    return EvolutionResult(state, mon, drift(mon.mass), drift(mon.energy),
+                           blow_up, max(mon.distance) if mon.distance else None,
+                           tail)
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +242,7 @@ class OrbitalDistanceResult:
 
 def h1_norm_sq(grid: Grid, v: np.ndarray) -> float:
     """Spectral H^1 norm squared, sum (1 + m^2) |v_hat|^2 weighted."""
-    return _parseval(grid, 1 + grid.m2, np.fft.fft(v))
+    return parseval(grid, 1 + grid.m2, np.fft.fft(v))
 
 
 def orbital_distance(u: np.ndarray, phi_profile: wv.Profile,
@@ -279,7 +265,7 @@ def orbital_distance(u: np.ndarray, phi_profile: wv.Profile,
     scale = grid.parseval_scale
     dual, np_ = phi_profile.h1_dual
     uh = np.fft.fft(u)
-    nu = _parseval(grid, 1.0 + grid.m2, uh)
+    nu = parseval(grid, 1.0 + grid.m2, uh)
     if rotation_only:
         inner = scale * complex(np.sum(uh * dual))
         best, theta, shift = abs(inner), math.atan2(inner.imag, inner.real), 0.0
@@ -377,10 +363,8 @@ def stability_experiment(family: str, r: int, at: float, epsilon: float,
     if not even:
         u0 = u0 + 1j * epsilon * np.sin(2 * q * x)
     res = evolve(u0, grid, r, T, dt, log_every=log_every,
-                 distance_profile=prof, rotation_only=even,
-                 monitor_tail=family == wv.SOLITARY)
-    d0 = res.monitors.distance[0]
-    dmax = max(res.monitors.distance)
+                 distance_profile=prof, rotation_only=even)
+    d0, dmax = res.monitors.distance[0], res.max_distance
     return ExperimentResult(family, r, at, epsilon, T, dt, n, even,
                             d0, dmax, dmax / d0 if d0 > 0 else math.inf,
                             res.blow_up, res)

@@ -1,6 +1,9 @@
 """Conserved quantities, closed-form integral identities, quadratic
 forms, and the frequency slope of the squared norm.
 
+A raw torus state's int |u_x|^2 is ``kernel.parseval``, Nyquist mode
+included, so its energy is the one the time stepper conserves.
+
 The slope d/domega int phi^2 (whose sign, together with the negative
 eigenvalue count of the linearization, decides orbital stability) is
 computed by central differences of the closed-form squared norm with a
@@ -17,7 +20,7 @@ import numpy as np
 from . import elliptic as el
 from . import waves as wv
 from .errors import DomainError, UsageError
-from .kernel import Grid, quadrature, wavenumbers
+from .kernel import Grid, parseval, quadrature, wavenumbers
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,9 @@ def state_derivative(grid: Grid, v: np.ndarray) -> np.ndarray:
 
 
 def _gradient_norm_sq(state, grid: Grid) -> float:
-    du = state_derivative(grid, state)
-    return quadrature(grid, np.abs(du) ** 2)
+    if grid.topology == "torus":
+        return parseval(grid, grid.m2, np.fft.fft(state))
+    return quadrature(grid, np.abs(state_derivative(grid, state)) ** 2)
 
 
 # ----------------------------------------------------------------------

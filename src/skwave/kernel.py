@@ -1,8 +1,7 @@
 """Shared low-level numerics.
 
-Grids with quadrature weights, dense symmetric eigendecomposition and
-the DFT pair.  All operations are pure functions of their inputs and
-safe to call concurrently.
+Grids with quadrature weights, the Parseval sum, dense symmetric
+eigendecomposition and the DFT pair: pure functions, thread-safe.
 
 DFT convention
 --------------
@@ -50,8 +49,7 @@ class Grid:
     def m2(self) -> np.ndarray:
         """Squared wavenumbers m^2 in FFT ordering, built once per torus
         grid and read-only: the symbol of -d^2/dx^2."""
-        m = wavenumbers(self)
-        m2 = m * m
+        m2 = wavenumbers(self) ** 2
         m2.flags.writeable = False
         return m2
 
@@ -115,6 +113,13 @@ def quadrature(grid: Grid, samples: np.ndarray) -> float:
         raise DimensionError(
             f"expected {grid.n} samples, got shape {samples.shape}")
     return float(np.real_if_close(np.dot(grid.weights, samples)))
+
+
+def parseval(grid: Grid, symbol: np.ndarray, vh: np.ndarray) -> float:
+    """(L/n^2) sum symbol |v_hat|^2 from the DFT ``vh`` of a torus state:
+    by Parseval, int |v_x|^2 for symbol m^2 and the squared H^1 norm for
+    1 + m^2."""
+    return grid.parseval_scale * float(np.dot(symbol, np.abs(vh) ** 2))
 
 
 # ----------------------------------------------------------------------

@@ -89,7 +89,7 @@ from scipy.linalg.lapack import dgbsv, dpbtrf, dtbtrs
 
 from . import waves as wv
 from .errors import DegenerateProfileError, DomainError, UsageError
-from .kernel import quadrature, symmetric_eigen, wavenumbers
+from .kernel import quadrature, symmetric_eigen
 
 TWO_PI = 2.0 * math.pi
 
@@ -239,7 +239,7 @@ def _trig_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
     q = q[1:-1]
     band[:, half + 1:] = np.where(q + k < half,
                                   (vh[k] - vh[(2 * q + k) % n]) / n, 0.0)
-    m2 = c * wavenumbers(p.grid)[:half + 1] ** 2
+    m2 = c * p.grid.m2[:half + 1]
     band[0, :half + 1] += m2
     band[0, half + 1:] += m2[1:-1]
     return band

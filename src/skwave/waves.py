@@ -41,7 +41,7 @@ import numpy as np
 
 from . import elliptic as el
 from .errors import DomainError, ExistenceError, UsageError
-from .kernel import Grid, line_grid, quadrature, torus_grid
+from .kernel import Grid, line_grid, parseval, quadrature, torus_grid
 
 SOLITARY = "solitary"
 PERIODIC_DN = "periodic_dn"
@@ -91,7 +91,7 @@ class Profile:
         ph = np.fft.fft(self.phi)
         dual = (1.0 + grid.m2) * np.conj(ph)
         dual.flags.writeable = False
-        return dual, grid.parseval_scale * float(np.dot(ph, dual).real)
+        return dual, parseval(grid, 1.0 + grid.m2, ph)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from skwave import spectral as sp
 from skwave import waves as wv
 from skwave.errors import DomainError, UsageError
 from skwave.functionals import state_derivative
-from skwave.kernel import quadrature, wavenumbers
+from skwave.kernel import parseval, quadrature, wavenumbers
 
 
 def quadratic_form_LRe(p: wv.Profile, P: np.ndarray) -> float:
@@ -28,6 +28,12 @@ def quadratic_form_LRe(p: wv.Profile, P: np.ndarray) -> float:
              - (2 * r + 1) * quadrature(p.grid, p.phi ** (2 * r) * P ** 2))
     cross = quadrature(p.grid, p.dphi * dP)
     return local + 2 * cross * cross
+
+
+def kirchhoff_coefficient(u: np.ndarray, grid) -> float:
+    """1 + int |u_x|^2 on a torus grid by the program's Parseval sum, as
+    ``evolution.step_strang`` takes it."""
+    return 1.0 + parseval(grid, grid.m2, np.fft.fft(u))
 
 
 def read_profile_header(path) -> dict:

@@ -9,6 +9,8 @@ from skwave import waves as wv
 from skwave.errors import DomainError, UsageError
 from skwave.kernel import quadrature, torus_grid, wavenumbers
 
+from oracles import kirchhoff_coefficient
+
 
 @pytest.fixture(scope="module")
 def dn_wave():
@@ -23,19 +25,29 @@ def dn_wave():
 
 def test_kirchhoff_zero_state():
     g = torus_grid(64)
-    assert ev.kirchhoff_coefficient(np.zeros(64, complex), g) == 1.0
+    assert kirchhoff_coefficient(np.zeros(64, complex), g) == 1.0
 
 
 def test_kirchhoff_plane_wave():
     g = torus_grid(256)
     u = np.exp(2j * g.nodes)
-    assert abs(ev.kirchhoff_coefficient(u, g) - (1 + 8 * np.pi)) < 1e-10
+    assert abs(kirchhoff_coefficient(u, g) - (1 + 8 * np.pi)) < 1e-10
 
 
 def test_kirchhoff_dn_wave(dn_wave):
     tau1 = fn.closed_form_tau(0.5)[0]
-    c = ev.kirchhoff_coefficient(dn_wave.phi.astype(complex), dn_wave.grid)
+    c = kirchhoff_coefficient(dn_wave.phi.astype(complex), dn_wave.grid)
     assert abs(c - (1 + tau1)) < 1e-8
+
+
+def test_energy_is_the_monitored_energy():
+    # a random state fills every mode, the Nyquist mode included, so the
+    # gradient sum of the energy must be the one the flow takes
+    g, r = torus_grid(64), 1
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    monitored = ev.evolve(u, g, r, 1e-3, 1e-3).monitors.energy[0]
+    assert abs(fn.energy(u, g, r) - monitored) <= 1e-13 * abs(monitored)
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +208,7 @@ def test_trajectory_matches_fresh_steps(dn_wave):
 
     def energy(u):
         return fn.kirchhoff_energy(
-            ev.kirchhoff_coefficient(u, g) - 1.0,
+            kirchhoff_coefficient(u, g) - 1.0,
             quadrature(g, (u.real ** 2 + u.imag ** 2) ** (r + 1)), r)
 
     u, mass0, energies = u0, fn.mass(u0, g), [energy(u0)]
@@ -409,4 +421,4 @@ def test_blow_up_detected_between_records(monkeypatch):
 def test_evolution_rejects_line_grid():
     from skwave.kernel import line_grid
     with pytest.raises(UsageError):
-        ev.kirchhoff_coefficient(np.zeros(64, complex), line_grid(5, 64))
+        ev.evolve(np.zeros(64, complex), line_grid(5, 64), 1, 0.1, 1e-2)

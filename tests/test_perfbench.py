@@ -9,7 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+# a count, over the workload's own pass, of a call that the workload's
+# per-layer metrics stand on
+OWN_CALLS = {"line_verdicts": "kernel.symmetric_eigen_calls",
+             "periodic_sweep": "elliptic.jacobi_scalar_calls",
+             "stability_t20": "evolution.step_strang_calls"}
 
 
 def _reject_constant(name):
@@ -20,8 +28,9 @@ def _listing(path: Path) -> list:
     return sorted(p.name for p in path.iterdir()) if path.is_dir() else []
 
 
-def test_traced_line_verdicts_result_is_strict_json(tmp_path):
-    # a per-layer metric whose function a verdict no longer calls reads
+@pytest.mark.parametrize("workload", sorted(OWN_CALLS))
+def test_traced_result_is_strict_json(tmp_path, workload):
+    # a per-layer metric whose function no call makes any more reads
     # nan, which json.dumps writes as the non-JSON token NaN
     bench = tmp_path / "perfbench"
     bench.mkdir()
@@ -33,7 +42,7 @@ def test_traced_line_verdicts_result_is_strict_json(tmp_path):
     out_before = _listing(ROOT / "perfbench" / "out")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "line_verdicts",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0", "--trace", "1"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -44,4 +53,5 @@ def test_traced_line_verdicts_result_is_strict_json(tmp_path):
     for metric in declared:
         value = result["metrics"][metric["name"]]["value"]
         assert math.isfinite(value), metric["name"]
+    assert result["metrics"][OWN_CALLS[workload]]["value"] > 0
     assert _listing(ROOT / "perfbench" / "out") == out_before
