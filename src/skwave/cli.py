@@ -19,12 +19,7 @@ from . import functionals as fn
 from . import report as rp
 from . import spectral as sp
 from . import waves as wv
-from .errors import (
-    BlowUpError,
-    DimensionError,
-    DomainError,
-    UsageError,
-)
+from .errors import BlowUpError, DimensionError, DomainError, UsageError
 
 FAMILY_ALIASES = {
     "solitary": wv.SOLITARY,
@@ -51,8 +46,7 @@ def _print_json(obj) -> None:
 
 def cmd_profile(args) -> int:
     family, r, at = _family_point(args)
-    params = rp._solve(family, r, at)
-    prof = wv.sample_profile(params, wv.default_grid(params, args.n))
+    prof = rp._profile(family, r, at, args.n)
     wv.write_profile_csv(prof, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -75,8 +69,7 @@ def cmd_theta(args) -> int:
     family, r, at = _family_point(args)
     if family == wv.SOLITARY:
         raise UsageError("theta is defined for the periodic families")
-    params = rp._solve(family, r, at)
-    prof = wv.sample_profile(params, wv.default_grid(params, args.n))
+    prof = rp._profile(family, r, at, args.n)
     res = sp.floquet_theta(prof)
     _print_json({"family": args.family, "r": r, "k": at,
                  "theta": res.theta, "omega": res.omega_at})

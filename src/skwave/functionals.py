@@ -20,7 +20,7 @@ import numpy as np
 from . import elliptic as el
 from . import waves as wv
 from .errors import DomainError, UsageError
-from .kernel import Grid, parseval, quadrature, wavenumbers
+from .kernel import Grid, parseval, quadrature
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,11 @@ class VkSlopeResult:
 # ----------------------------------------------------------------------
 
 def state_derivative(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """d/dx of a sampled state: spectral on the torus, 4th-order
-    centered differences with zero extension on the line."""
+    """d/dx of a sampled line state: 4th-order centered differences with
+    zero extension (a torus state's gradient is ``kernel.parseval``'s)."""
+    if grid.topology != "line":
+        raise UsageError("the difference stencil is defined on line grids")
     v = np.asarray(v)
-    if grid.topology == "torus":
-        # i*m on the DFT; the Nyquist mode's derivative is not
-        # representable on the grid and is zeroed
-        symbol = 1j * wavenumbers(grid)
-        symbol[grid.n // 2] = 0.0
-        du = np.fft.ifft(symbol * np.fft.fft(v))
-        return du.real if np.isrealobj(v) else du
     h = grid.spacing
     vp = np.zeros(grid.n + 4, dtype=v.dtype)
     vp[2:-2] = v

@@ -24,12 +24,8 @@ import numpy as np
 from . import functionals as fn
 from . import spectral as sp
 from . import waves as wv
-from .errors import (
-    DegenerateProfileError,
-    DimensionError,
-    DomainError,
-    UsageError,
-)
+from .errors import (DegenerateProfileError, DimensionError, DomainError,
+                     UsageError)
 
 SLOPE_PLUS = "+"
 SLOPE_MINUS = "-"
@@ -84,6 +80,17 @@ def _solve(family: str, r: int, at: float) -> wv.WaveParams:
     return wv.solve_family(family, r, at)
 
 
+def _profile(family: str, r: int, at: float, n: Optional[int]) -> wv.Profile:
+    """``_solve``'s wave on its default grid with ``n`` nodes, validated
+    as ``_solve`` validates it: on this one sample at the default n."""
+    params = wv.solve_family(family, r, at, validate=False)
+    default = wv.default_grid(params)
+    prof = wv.sample_profile(params, wv.default_grid(params, n))
+    wv._validate_profile(prof if prof.grid.n == default.n
+                         else wv.sample_profile(params, default))
+    return prof
+
+
 def _block(ops, count, tol_kernel: Optional[float]):
     """Count the assembled (L_Re, L_Im) with ``count`` (``sp.spectrum``
     or ``sp.spectrum_even``); returns (s_re, s_im, block summary)."""
@@ -114,10 +121,10 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
     evidence: dict = {"parameter": at}
     stage = "construct"
     try:
-        params = _solve(family, r, at)
+        prof = _profile(family, r, at, n)
+        params = prof.params
         evidence["params"] = {"a": params.a, "b": params.b,
                               "omega": params.omega, "c": params.c}
-        prof = wv.sample_profile(params, wv.default_grid(params, n))
 
         stage = "spectrum"
         # assembled once: the even pass reads the even blocks counted here
@@ -174,8 +181,7 @@ def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None,
     """Machine-readable spectrum summary of the block operator; each
     ``lowest`` comes with ``lowest_width``, the bisection width that
     bounds its error."""
-    params = _solve(family, r, at)
-    prof = wv.sample_profile(params, wv.default_grid(params, n))
+    prof = _profile(family, r, at, n)
     ops = [sp.assemble(kind, prof) for kind in sp.OPERATOR_KINDS]
     s_re, s_im, block = _block(ops, sp.spectrum, tol_kernel)
     theta = None if family == wv.SOLITARY else sp.floquet_theta(prof).theta

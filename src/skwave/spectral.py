@@ -16,7 +16,7 @@ Both domains store a banded A in LAPACK band storage plus the
 coupling's factors.  Line grids use 4th-order centered differences with
 Dirichlet (decay) truncation: A is pentadiagonal on the nodes.  Torus
 grids use Fourier collocation in the orthonormal basis cos(m x),
-m = 0..n/2, then sin(m x), m = 1..n/2-1, of grid vectors (Fourier-Hill;
+m = n/2..0, then sin(m x), m = n/2-1..1, of grid vectors (Fourier-Hill;
 Deconinck & Kutz, J. Comput. Phys. 219, 2006): -c d^2 is diagonal, the
 potential couples modes through its decaying cosine coefficients, and A
 is a banded cosine block (the even subspace) and a banded sine block.
@@ -26,25 +26,25 @@ even, so each splits into an even and an odd block, and its inertia is
 the sum of theirs.  On the line the blocks are the band folded at the
 midpoint onto (e_j +- e_(n-1-j))/sqrt(2); the nodes are exactly
 antisymmetric, so the fold leaves no even-odd entry.  On the torus they
-are the cosine and the sine block.  The coupling's columns phi'' and
-w phi'' are even, so U C U^T lies in the even block: each operator is
-the direct sum of a coupled even block A_e + U_e C U_e^T and a bare
-banded odd block A_o.  The negative direction of L_Re and the kernel
-phi of L_Im are even, the kernel phi' of L_Re is odd.
+are slices of the band: the cosine and the sine block.  The coupling's
+columns phi'' and w phi'' are even, so U C U^T lies in the even block:
+each operator is the direct sum of a coupled even block A_e + U_e C
+U_e^T and a bare banded odd block A_o.  The negative direction of L_Re
+and the kernel phi of L_Im are even, the kernel phi' of L_Re is odd.
 
 Counts come from inertia alone, block by block, and an operator's
 counts are its two blocks' added.  Each block is ordered far end first
-(the line fold from the outer edge, the torus blocks from the highest
-mode), where A - s is coercive: -c d^2 is positive semidefinite and
-omega - coeff phi^2r > 0 in the tails, and c m^2 dominates the high
-modes.  So at each shift s = -tol, +tol banded Cholesky of A_b - s runs
-from the far end until it fails, and the positive definite far part it
-certifies is eliminated; the core left, 0-3 rows on a resolved grid, is
-counted by Sylvester's law from its own banded eigenvalues (spectrum
-slicing; Parlett, The Symmetric Eigenvalue Problem, 1980).  For the
-coupled even block Haynsworth additivity over the bordered matrix
-[[A_e - s, U_e], [U_e^T, -C]] adds the inertia of a 2x2 Schur
-complement,
+(the line fold from the outer edge, the trig basis from the highest
+mode), where A - s is coercive: -c d^2 is positive
+semidefinite and omega - coeff phi^2r > 0 in the tails, and c m^2
+dominates the high modes.  So at each shift s = -tol, +tol banded
+Cholesky of A_b - s runs from the far end until it fails, and the
+positive definite far part it certifies is eliminated; the core left,
+0-3 rows on a resolved grid, is counted by Sylvester's law from its own
+banded eigenvalues (spectrum slicing; Parlett, The Symmetric Eigenvalue
+Problem, 1980).  For the coupled even block Haynsworth additivity over
+the bordered matrix [[A_e - s, U_e], [U_e^T, -C]] adds the inertia of a
+2x2 Schur complement,
 
     n_below(A_e + U_e C U_e^T, s) = n_below(A_e, s) + n_neg(S) - 1,
     S = -C - U_e^T (A_e - s)^-1 U_e,
@@ -59,9 +59,10 @@ one banded solve: no Cholesky split, no Schur growth (Golub, 1973).
 
 The kernel is not guessed: the theory proves L_Re phi' = 0 and
 L_Im phi = 0, so the discretized kernel is counted within the residual
-rho = ||M v|| / ||v|| of that vector v.  Eigenvalues below -rho count as
-negative and those in [-rho, rho] as kernel.  A genuine eigenvalue
-within rho raises the kernel count, and the verdict turns inconclusive.
+rho = ||M v|| / ||v|| of that vector v, in the operator's orthonormal
+coordinates.  Eigenvalues below -rho count as negative and those in
+[-rho, rho] as kernel.  A genuine eigenvalue within rho raises the
+kernel count, and the verdict turns inconclusive.
 
 The kernel position of the periodic Hill operator is certified by the
 Floquet constant theta: the second fundamental solution satisfies
@@ -85,6 +86,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eig_banded
+from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dgbsv, dpbtrf, dtbtrs
 
 from . import waves as wv
@@ -110,9 +112,9 @@ class OperatorMatrix:
     ``band`` holds A = -c D2 + diag(omega - coeff phi^2r) in LAPACK lower
     band storage (band[k, j] = A[j + k, j]), and ``factors`` holds
     U = [phi'', w phi''] for L_Re and is None for L_Im: on the nodes
-    (line), or in the trig basis of ``_to_trig`` (torus).  ``counts``
-    keeps each summary ``spectrum`` made, by the tolerance it was asked
-    for, so that ``spectrum_even`` reads the even block already counted.
+    (line), or in the far-first trig basis of ``_to_trig`` (torus).
+    ``counts`` keeps each summary ``spectrum`` made, by the tolerance it
+    was asked for, so that ``spectrum_even`` reads the even block counted.
     """
 
     kind: str
@@ -124,15 +126,21 @@ class OperatorMatrix:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The operator applied to the grid vector ``v``."""
-        torus = self.profile.grid.topology == "torus"
-        x = _to_trig(v) if torus else v
-        out = self.band[0] * x
-        for k in range(1, self.band.shape[0]):
-            out[k:] += self.band[k, :-k] * x[:-k]
-            out[:-k] += self.band[k, :-k] * x[k:]
-        if self.factors is not None:
-            out += self.factors @ (SWAP @ (self.factors.T @ x))
-        return _from_trig(out) if torus else out
+        if self.profile.grid.topology == "line":
+            return _product(self, v)
+        x = _product(self, _to_trig(v))
+        m = x.size // 2 + 1      # back to the nodes by _to_trig^T
+        vh = x[m - 1::-1] - 1j * np.pad(x[:m - 1:-1], 1)
+        return np.fft.irfft(vh / _trig_scale(x.size), x.size)
+
+
+def _product(op: OperatorMatrix, x: np.ndarray) -> np.ndarray:
+    """(A + U C U^T) x in the operator's own coordinates: BLAS ``dsbmv``
+    on the stored lower band, plus the coupling's factors."""
+    out = dsbmv(op.band.shape[0] - 1, 1.0, op.band, x, lower=1)
+    if op.factors is not None:
+        out += op.factors @ (SWAP @ (op.factors.T @ x))
+    return out
 
 
 @dataclass(frozen=True)
@@ -191,17 +199,10 @@ def _trig_scale(n: int) -> np.ndarray:
 
 def _to_trig(v: np.ndarray) -> np.ndarray:
     """Coordinates of the grid vector(s) ``v`` (axis 0) in the orthonormal
-    basis alpha_m cos(m x_j), m = 0..n/2, then alpha_m sin(m x_j),
-    m = 1..n/2-1, with x_j = 2*pi*j/n."""
+    basis alpha_m cos(m x_j), m = n/2..0, then alpha_m sin(m x_j),
+    m = n/2-1..1, with x_j = 2*pi*j/n: each parity block far end first."""
     vh = (np.fft.rfft(v, axis=0).T * _trig_scale(len(v))).T
-    return np.concatenate((vh.real, -vh.imag[1:-1]))
-
-
-def _from_trig(x: np.ndarray) -> np.ndarray:
-    """The grid vector with trig coordinates ``x``, by ``_to_trig``^T."""
-    m = x.size // 2 + 1
-    vh = x[:m] - 1j * np.pad(x[m:], 1)
-    return np.fft.irfft(vh / _trig_scale(x.size), x.size)
+    return np.concatenate((vh.real[::-1], -vh.imag[-2:0:-1]))
 
 
 def _potential(kind: str, p: wv.Profile) -> np.ndarray:
@@ -211,13 +212,15 @@ def _potential(kind: str, p: wv.Profile) -> np.ndarray:
 
 
 def _trig_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
-    """-c d^2 + diag(potential) in the trig basis, in lower band storage:
-    the cosine block (columns 0..n/2), then the sine block.
+    """-c d^2 + diag(potential) in the trig basis of ``_to_trig``, in lower
+    band storage: the cosine block (columns 0..n/2), then the sine block.
 
-    With V = fft(potential).real, entry (i, j) is alpha_i alpha_j (V_(i-j)
-    + V_((i+j) mod n))/2 in the cosine block and (V_(i-j) - V_(i+j))/n in
-    the sine block, plus c m^2 on the diagonal.  Coefficients at or below
-    1e-14 n (|omega| + max|omega - potential|), the roundoff floor of the
+    With V = fft(potential).real, the entry of modes q + k and q is
+    alpha_(q+k) alpha_q (V_k + V_((2q+k) mod n))/2 in the cosine block and
+    (V_k - V_(2q+k))/n in the sine block, plus c m^2 on the diagonal; far
+    end first, band[k, j] holds it for q = n/2 - j - k, j counted in the
+    block (from 1 in the sine block).  Coefficients at or below 1e-14 n
+    (|omega| + max|omega - potential|), the roundoff floor of the
     potential's terms, are dropped; the largest lag left is the bandwidth.
     The cosine-sine entries, the potential's odd part, are roundoff.
     """
@@ -230,16 +233,14 @@ def _trig_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
     vh[lag > kd] = 0.0
     alpha = _trig_scale(n)
     k = np.arange(kd + 1)[:, None]
-    q = np.arange(half + 1)
+    j = np.arange(half + 1)
+    q = half - j - k          # the lower mode; entries with q < 0 are zero
     band = np.zeros((kd + 1, n))
     band[:, :half + 1] = np.where(
-        q + k <= half,
-        alpha[np.minimum(q + k, half)] * alpha[q] * (vh[k] + vh[(2 * q + k) % n]) / 2,
-        0.0)
-    q = q[1:-1]
-    band[:, half + 1:] = np.where(q + k < half,
-                                  (vh[k] - vh[(2 * q + k) % n]) / n, 0.0)
-    m2 = c * p.grid.m2[:half + 1]
+        q >= 0, alpha[half - j] * alpha[q] * (vh[k] + vh[(2 * q + k) % n]) / 2, 0.0)
+    q = q[:, 1:-1]            # sine modes start at 1
+    band[:, half + 1:] = np.where(q > 0, (vh[k] - vh[(2 * q + k) % n]) / n, 0.0)
+    m2 = c * p.grid.m2[half::-1]
     band[0, :half + 1] += m2
     band[0, half + 1:] += m2[1:-1]
     return band
@@ -275,10 +276,12 @@ def _kernel_residual(op: OperatorMatrix) -> float:
     """rho = ||M v|| / ||v|| for the kernel vector the theory proves,
     v = phi' for L_Re and v = phi for L_Im.  M is symmetric, so some
     eigenvalue of M lies within rho of zero (Parlett, The Symmetric
-    Eigenvalue Problem, 1980): the discretization's own kernel error."""
+    Eigenvalue Problem, 1980): the discretization's own kernel error,
+    taken in the operator's coordinates, in which the norms are nodal."""
     p = op.profile
     v = p.dphi if op.kind == "L_Re" else p.phi
-    return float(np.linalg.norm(op.apply(v)) / np.linalg.norm(v))
+    v = _to_trig(v) if p.grid.topology == "torus" else v
+    return float(np.linalg.norm(_product(op, v)) / np.linalg.norm(v))
 
 
 def _fold(band: np.ndarray, factors: Optional[np.ndarray], sign: float):
@@ -315,30 +318,30 @@ def _parity_blocks(op: OperatorMatrix) -> tuple:
     band is folded at the midpoint (``_fold``), whose index 0 is the
     outer edge, and the factors onto B^T U.  On the torus the blocks are
     the cosine columns 0..n/2 and the sine columns of the trig band,
-    which stores no cosine-sine entry, reversed so that the high modes
-    come first; the factors' sine rows are roundoff (below 1e-12 max|U|).
+    which stores no cosine-sine entry and stores each block far end
+    first; the factors' sine rows are roundoff (below 1e-12 max|U|).
     """
     if op.profile.grid.topology == "line":
         return _fold(op.band, op.factors, 1.0), _fold(op.band, None, -1.0)
     m = op.profile.grid.n // 2 + 1
-    factors = None if op.factors is None else op.factors[:m][::-1]
-    return (_reverse(op.band[:, :m]), factors), (_reverse(op.band[:, m:]), None)
+    factors = None if op.factors is None else op.factors[:m]
+    return (op.band[:, :m], factors), (op.band[:, m:], None)
 
 
-def _reverse(band: np.ndarray) -> np.ndarray:
-    """The band of the block with its rows and columns in reverse order."""
-    k = np.arange(band.shape[0])[:, None]
-    src = band.shape[1] - 1 - k - np.arange(band.shape[1])
-    return np.where(src >= 0, band[k, np.maximum(src, 0)], 0.0)
-
-
-def _solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The banded symmetric matrix in lower band storage, inverted on
-    ``rhs`` by LU with partial pivoting (LAPACK ``dgbsv``)."""
+def _lu_storage(band: np.ndarray) -> np.ndarray:
+    """``dgbsv``'s storage of a symmetric band in lower band storage: kd
+    rows of room for the pivoting, then its 2 kd + 1 diagonals."""
     kd, m = band.shape[0] - 1, band.shape[1]
-    lu = np.zeros((3 * kd + 1, m))   # kd rows of room for the pivoting
+    lu = np.zeros((3 * kd + 1, m))
     for k in range(kd + 1):
         lu[2 * kd - k, k:] = lu[2 * kd + k, :m - k] = band[k, :m - k]
+    return lu
+
+
+def _solve(lu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The banded matrix in ``dgbsv`` storage (``_lu_storage``, left
+    unchanged) inverted on ``rhs`` by LU with partial pivoting."""
+    kd = (lu.shape[0] - 1) // 3
     x, info = dgbsv(kd, kd, lu, rhs)[2:]
     if info:
         raise np.linalg.LinAlgError("singular shifted block")
@@ -421,7 +424,7 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
             f"Schur growth {growth:.3g} of the far part exceeds "
             f"{GROWTH_BOUND:g}: the count at {s:.3g} is not certified")
     q, t = m - p, min(kd, m - p)
-    core = shifted[:min(kd, q - 1) + 1, p:]
+    core = shifted[:max(min(kd + 1, q), 1), p:]   # a row for _lu_storage
     for k in range(t):
         core[k, :t - k] -= corr.diagonal(-k)[:t - k]
     a = eig_banded(core, lower=True, eigvals_only=True, select="v",
@@ -431,17 +434,17 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
         return below, above, q, growth
     w = factors[p:].copy()
     w[:t] -= corr[:t, t:]
-    more_below, more_above = _haynsworth(core, w, -SWAP - corr[t:, t:])
+    more_below, more_above = _haynsworth(_lu_storage(core), w, -SWAP - corr[t:, t:])
     return below + more_below, above + more_above, q, growth
 
 
-def _haynsworth(shifted: np.ndarray, w: np.ndarray,
+def _haynsworth(lu: np.ndarray, w: np.ndarray,
                 schur: np.ndarray) -> tuple[int, int]:
     """In(S) - In(-C), the eigenvalues that the coupling adds below and
     above the shift, for the 2x2 Schur complement S = ``schur`` - W^T
-    K^-1 W of the bordered matrix with K = ``shifted`` (band storage)."""
-    if shifted.shape[1]:
-        schur = schur - w.T @ _solve(shifted, w)
+    K^-1 W of the bordered matrix with K in ``dgbsv`` storage ``lu``."""
+    if lu.shape[1]:
+        schur = schur - w.T @ _solve(lu, w)
     e, _ = symmetric_eigen(schur)
     return int(np.sum(e < 0)) - 1, int(np.sum(e > 0)) - 1
 
@@ -457,8 +460,8 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
     secular count #(a < s) + n_neg(S) - 1, S = -C - U_b^T (A_b - s)^-1
     U_b, of eigenvalues below the midpoint s (Golub, SIAM Rev. 15, 1973).
     No midpoint lies above a_6, so the six lowest of A_b give In(A_b - s)
-    to every count, and S takes one banded solve (``_haynsworth``): no
-    Cholesky split, and no Schur growth.
+    to every count, and S takes one banded solve, whose storage each
+    midpoint only shifts: no Cholesky split, and no Schur growth.
     """
     a = eig_banded(band, lower=True, eigvals_only=True, select="i",
                    select_range=(0, 5))
@@ -466,14 +469,15 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
         return tuple(a[:5])
     q = (factors[:, 0] - factors[:, 1]) / math.sqrt(2)
     edges = np.concatenate(([a[0] - float(q @ q)], a))
-    shifted = band[:band.shape[1]].copy()
+    lu = _lu_storage(band[:band.shape[1]])
+    diagonal = 2 * min(band.shape) - 2
     lowest = []
     for k in range(1, 6):
         lo, hi = edges[k - 1], edges[k + 1]
         while hi - lo > width:
             mid = (lo + hi) / 2
-            shifted[0] = band[0] - mid
-            if np.sum(a < mid) + _haynsworth(shifted, factors, -SWAP)[0] >= k:
+            lu[diagonal] = band[0] - mid
+            if np.sum(a < mid) + _haynsworth(lu, factors, -SWAP)[0] >= k:
                 hi = mid
             else:
                 lo = mid

@@ -155,7 +155,7 @@ def solve_solitary(r: int, omega: float, validate: bool = True) -> WaveParams:
     c = omega * r * r / (b * b)
     params = WaveParams(SOLITARY, r, omega, a, b, c)
     if validate:
-        _validate_params(params)
+        _validate_profile(sample_profile(params, default_grid(params)))
     return params
 
 
@@ -195,7 +195,7 @@ def solve_periodic_r1(k: float, validate: bool = True) -> WaveParams:
     c = 3 * math.pi ** 3 / den
     params = WaveParams(PERIODIC_DN, 1, omega, a, b, c, k=k)
     if validate:
-        _validate_params(params)
+        _validate_profile(sample_profile(params, default_grid(params)))
     return params
 
 
@@ -247,7 +247,7 @@ def solve_periodic_r2(k: float, validate: bool = True) -> WaveParams:
     omega = dnq_omega_coefficient(k) * A * A
     params = WaveParams(PERIODIC_DNQ, 2, omega, a, b, c, k=k, alpha=alpha)
     if validate:
-        _validate_params(params)
+        _validate_profile(sample_profile(params, default_grid(params)))
     return params
 
 
@@ -345,9 +345,11 @@ def ode_residual(p: Profile) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def _validate_params(params: WaveParams, rel_c: float = 1e-8,
-                     residual_bound: float = 1e-7) -> None:
-    profile = sample_profile(params, default_grid(params))
+def _validate_profile(profile: Profile, rel_c: float = 1e-8,
+                      residual_bound: float = 1e-7) -> None:
+    """A validated solve's checks, on its wave sampled on the default grid:
+    c by quadrature and the stationary residual, or DomainError."""
+    params = profile.params
     c_quad = 1 + quadrature(profile.grid, profile.dphi ** 2)
     if abs(c_quad - params.c) > rel_c * params.c:
         raise DomainError(

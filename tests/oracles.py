@@ -6,11 +6,25 @@ import math
 
 import numpy as np
 
+from skwave import functionals as fn
 from skwave import spectral as sp
 from skwave import waves as wv
 from skwave.errors import DomainError, UsageError
-from skwave.functionals import state_derivative
 from skwave.kernel import parseval, quadrature, wavenumbers
+
+
+def state_derivative(grid, v: np.ndarray) -> np.ndarray:
+    """d/dx of a sampled state: spectral on the torus, with the Nyquist
+    mode's derivative (not representable on the grid) zeroed, and the
+    program's 4th-order differences (``functionals.state_derivative``)
+    on the line."""
+    if grid.topology == "line":
+        return fn.state_derivative(grid, v)
+    v = np.asarray(v)
+    symbol = 1j * wavenumbers(grid)
+    symbol[grid.n // 2] = 0.0
+    du = np.fft.ifft(symbol * np.fft.fft(v))
+    return du.real if np.isrealobj(v) else du
 
 
 def quadratic_form_LRe(p: wv.Profile, P: np.ndarray) -> float:
@@ -46,7 +60,9 @@ def read_profile_header(path) -> dict:
 
 
 def trig_band_loop(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
-    """``spectral._trig_band`` written as a loop over the kd + 1 lags."""
+    """``spectral._trig_band`` written as a loop over the kd + 1 lags, with
+    each block in ascending mode order (cos(m x), m = 0..n/2, then
+    sin(m x), m = 1..n/2-1) rather than far end first."""
     n, half = p.grid.n, p.grid.n // 2
     w = p.params.omega
     vh = np.fft.fft(potential).real
@@ -68,7 +84,8 @@ def trig_band_loop(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray
 
 
 def reverse_loop(band: np.ndarray) -> np.ndarray:
-    """``spectral._reverse`` written as a loop over the lags."""
+    """The band, in lower band storage, of the block with its rows and
+    columns in reverse order, as a loop over the lags."""
     m = band.shape[1]
     out = np.zeros_like(band)
     for k in range(min(band.shape[0], m)):

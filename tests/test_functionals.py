@@ -4,10 +4,10 @@ import pytest
 from skwave import elliptic as el
 from skwave import functionals as fn
 from skwave import waves as wv
-from skwave.errors import DomainError
+from skwave.errors import DomainError, UsageError
 from skwave.kernel import quadrature, torus_grid
 
-from oracles import quadratic_form_LRe
+from oracles import quadratic_form_LRe, state_derivative
 
 
 # ----------------------------------------------------------------------
@@ -25,7 +25,7 @@ def test_plane_wave_moments():
     g = torus_grid(128)
     u = np.exp(2j * g.nodes)
     assert abs(fn.mass(u, g) - np.pi) < 1e-12
-    du = fn.state_derivative(g, u)
+    du = state_derivative(g, u)
     assert abs(quadrature(g, np.abs(du) ** 2) - 8 * np.pi) < 1e-10
 
 
@@ -121,7 +121,7 @@ def test_parts_identity_torus(dn_profile, rng):
     g = dn_profile.grid
     modes = rng.standard_normal(5)
     P = sum(m * np.cos((i + 1) * g.nodes) for i, m in enumerate(modes))
-    dP = fn.state_derivative(g, P)
+    dP = state_derivative(g, P)
     lhs = quadrature(g, dn_profile.dphi * dP)
     rhs = -quadrature(g, dn_profile.d2phi * P)
     assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1e-3)
@@ -135,6 +135,13 @@ def test_parts_identity_line(solitary_r1_profile):
     lhs = quadrature(g, solitary_r1_profile.dphi * dP)
     rhs = -quadrature(g, solitary_r1_profile.d2phi * P)
     assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1e-3)
+
+
+def test_difference_stencil_is_line_only():
+    # a torus state's gradient is the Parseval sum; the zero-extended
+    # stencil would be wrong at the seam
+    with pytest.raises(UsageError, match="line grids"):
+        fn.state_derivative(torus_grid(64), np.ones(64))
 
 
 # ----------------------------------------------------------------------

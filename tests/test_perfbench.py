@@ -28,10 +28,9 @@ def _listing(path: Path) -> list:
     return sorted(p.name for p in path.iterdir()) if path.is_dir() else []
 
 
-@pytest.mark.parametrize("workload", sorted(OWN_CALLS))
-def test_traced_result_is_strict_json(tmp_path, workload):
-    # a per-layer metric whose function no call makes any more reads
-    # nan, which json.dumps writes as the non-JSON token NaN
+def _run_copied(tmp_path, workload: str, trace: int) -> dict:
+    """One ``--seconds 0`` run of the harness on a copy of this tree; its
+    result line, read by a strict JSON reader."""
     bench = tmp_path / "perfbench"
     bench.mkdir()
     for script in (ROOT / "perfbench").glob("*.py"):
@@ -43,15 +42,33 @@ def test_traced_result_is_strict_json(tmp_path, workload):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "0", "--seconds", "0", "--trace", "1"],
+         "--seed", "0", "--seconds", "0", "--trace", str(trace)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert _listing(ROOT / "perfbench" / "out") == out_before
     result = json.loads(proc.stdout.strip().splitlines()[-1],
                         parse_constant=_reject_constant)
     assert result["correct"] and result["failed"] == 0
+    return result
+
+
+@pytest.mark.parametrize("workload", sorted(OWN_CALLS))
+def test_traced_result_is_strict_json(tmp_path, workload):
+    # a per-layer metric whose function no call makes any more reads
+    # nan, which json.dumps writes as the non-JSON token NaN
+    result = _run_copied(tmp_path, workload, trace=1)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     for metric in declared:
         value = result["metrics"][metric["name"]]["value"]
         assert math.isfinite(value), metric["name"]
     assert result["metrics"][OWN_CALLS[workload]]["value"] > 0
-    assert _listing(ROOT / "perfbench" / "out") == out_before
+
+
+def test_untraced_periodic_result_is_strict_json(tmp_path):
+    # the end-to-end metrics come from an untraced run, whose outputs
+    # must be correct and well formed too
+    result = _run_copied(tmp_path, "periodic_sweep", trace=0)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for metric in declared:
+        value = result["metrics"][metric["name"]]["value"]
+        assert math.isfinite(value) and value > 0, metric["name"]

@@ -14,6 +14,7 @@ import skwave
 from skwave import cli
 from skwave import report as rp
 from skwave import waves as wv
+from skwave.errors import DomainError
 
 from oracles import read_profile_header
 
@@ -192,6 +193,39 @@ def test_spectrum_report_lowest_makes_no_split_count(monkeypatch, family, r, at)
     rep = rp.spectrum_report(family, r, at)
     assert len(rep["lowest"]) == 5
     assert len(calls) == 8
+
+
+@pytest.mark.parametrize("family, r, at", [
+    ("periodic_dn", 1, 0.5), ("periodic_dn_quotient", 2, 0.5),
+])
+def test_periodic_verdict_samples_its_grid_once(monkeypatch, family, r, at):
+    # at the default n the validation's two checks run on the verdict's
+    # own sample of the closed form; at another n they still run on a
+    # default-grid sample
+    sizes, values = [], wv.profile_values
+
+    def spy(params, x):
+        sizes.append(np.size(x))
+        return values(params, x)
+
+    monkeypatch.setattr(wv, "profile_values", spy)
+    default = wv.DEFAULT_N_TORUS
+    assert rp.verdict(family, r, at).verdict == rp.STABLE
+    assert sizes.count(default) == 1
+    sizes.clear()
+    assert rp.verdict(family, r, at, n=default // 2).verdict == rp.STABLE
+    assert (sizes.count(default), sizes.count(default // 2)) == (1, 1)
+
+
+@pytest.mark.parametrize("n", [None, 256])
+def test_failed_validation_fails_the_construct_stage(monkeypatch, n):
+    monkeypatch.setattr(wv, "ode_residual", lambda p: 1.0)
+    v = rp.verdict("periodic_dn", 1, 0.5, n=n)
+    assert v.evidence["failed_stage"] == "construct"
+    assert v.evidence["error"].startswith("DomainError: stationary-equation residual")
+    assert "params" not in v.evidence
+    with pytest.raises(DomainError, match="stationary-equation residual"):
+        rp.spectrum_report("periodic_dn", 1, 0.5, n)
 
 
 @pytest.mark.parametrize("family, r, at", [
