@@ -19,7 +19,12 @@ from . import functionals as fn
 from . import report as rp
 from . import spectral as sp
 from . import waves as wv
-from .errors import BlowUpError, DimensionError, DomainError, UsageError
+from .errors import (
+    BlowUpError,
+    DimensionError,
+    DomainError,
+    UsageError,
+)
 
 FAMILY_ALIASES = {
     "solitary": wv.SOLITARY,

@@ -24,8 +24,12 @@ import numpy as np
 from . import functionals as fn
 from . import spectral as sp
 from . import waves as wv
-from .errors import (DegenerateProfileError, DimensionError, DomainError,
-                     UsageError)
+from .errors import (
+    DegenerateProfileError,
+    DimensionError,
+    DomainError,
+    UsageError,
+)
 
 SLOPE_PLUS = "+"
 SLOPE_MINUS = "-"
@@ -84,10 +88,10 @@ def _profile(family: str, r: int, at: float, n: Optional[int]) -> wv.Profile:
     """``_solve``'s wave on its default grid with ``n`` nodes, validated
     as ``_solve`` validates it: on this one sample at the default n."""
     params = wv.solve_family(family, r, at, validate=False)
-    default = wv.default_grid(params)
     prof = wv.sample_profile(params, wv.default_grid(params, n))
-    wv._validate_profile(prof if prof.grid.n == default.n
-                         else wv.sample_profile(params, default))
+    default_n = wv.DEFAULT_N_LINE if family == wv.SOLITARY else wv.DEFAULT_N_TORUS
+    wv._validate_profile(prof if prof.grid.n == default_n
+                         else wv.sample_profile(params, wv.default_grid(params)))
     return prof
 
 

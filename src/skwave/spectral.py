@@ -328,24 +328,24 @@ def _parity_blocks(op: OperatorMatrix) -> tuple:
     return (op.band[:, :m], factors), (op.band[:, m:], None)
 
 
-def _lu_storage(band: np.ndarray) -> np.ndarray:
-    """``dgbsv``'s storage of a symmetric band in lower band storage: kd
-    rows of room for the pivoting, then its 2 kd + 1 diagonals."""
+def _banded_solver(band: np.ndarray) -> Callable:
+    """``solve(rhs, s=0)``: the symmetric band in lower band storage, less
+    s on its diagonal, inverted on ``rhs`` by LU with partial pivoting
+    (LAPACK ``dgbsv``).  Its storage, kd rows of room for the pivoting
+    and then the 2 kd + 1 diagonals, is built once; a call shifts a copy."""
     kd, m = band.shape[0] - 1, band.shape[1]
     lu = np.zeros((3 * kd + 1, m))
     for k in range(kd + 1):
         lu[2 * kd - k, k:] = lu[2 * kd + k, :m - k] = band[k, :m - k]
-    return lu
 
-
-def _solve(lu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The banded matrix in ``dgbsv`` storage (``_lu_storage``, left
-    unchanged) inverted on ``rhs`` by LU with partial pivoting."""
-    kd = (lu.shape[0] - 1) // 3
-    x, info = dgbsv(kd, kd, lu, rhs)[2:]
-    if info:
-        raise np.linalg.LinAlgError("singular shifted block")
-    return x
+    def solve(rhs: np.ndarray, s: float = 0.0) -> np.ndarray:
+        shifted = lu.copy()
+        shifted[2 * kd] = band[0] - s
+        x, info = dgbsv(kd, kd, shifted, rhs, overwrite_ab=1)[2:]
+        if info:
+            raise np.linalg.LinAlgError("singular shifted block")
+        return x
+    return solve
 
 
 def _far_correction(band: np.ndarray, chol: np.ndarray,
@@ -424,7 +424,7 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
             f"Schur growth {growth:.3g} of the far part exceeds "
             f"{GROWTH_BOUND:g}: the count at {s:.3g} is not certified")
     q, t = m - p, min(kd, m - p)
-    core = shifted[:max(min(kd + 1, q), 1), p:]   # a row for _lu_storage
+    core = shifted[:min(kd, q - 1) + 1, p:]
     for k in range(t):
         core[k, :t - k] -= corr.diagonal(-k)[:t - k]
     a = eig_banded(core, lower=True, eigvals_only=True, select="v",
@@ -434,17 +434,16 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
         return below, above, q, growth
     w = factors[p:].copy()
     w[:t] -= corr[:t, t:]
-    more_below, more_above = _haynsworth(_lu_storage(core), w, -SWAP - corr[t:, t:])
+    schur = -SWAP - corr[t:, t:]
+    if q:
+        schur = schur - w.T @ _banded_solver(core)(w)
+    more_below, more_above = _haynsworth(schur)
     return below + more_below, above + more_above, q, growth
 
 
-def _haynsworth(lu: np.ndarray, w: np.ndarray,
-                schur: np.ndarray) -> tuple[int, int]:
+def _haynsworth(schur: np.ndarray) -> tuple[int, int]:
     """In(S) - In(-C), the eigenvalues that the coupling adds below and
-    above the shift, for the 2x2 Schur complement S = ``schur`` - W^T
-    K^-1 W of the bordered matrix with K in ``dgbsv`` storage ``lu``."""
-    if lu.shape[1]:
-        schur = schur - w.T @ _solve(lu, w)
+    above the shift, for the 2x2 Schur complement S = ``schur``."""
     e, _ = symmetric_eigen(schur)
     return int(np.sum(e < 0)) - 1, int(np.sum(e > 0)) - 1
 
@@ -469,15 +468,14 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
         return tuple(a[:5])
     q = (factors[:, 0] - factors[:, 1]) / math.sqrt(2)
     edges = np.concatenate(([a[0] - float(q @ q)], a))
-    lu = _lu_storage(band[:band.shape[1]])
-    diagonal = 2 * min(band.shape) - 2
+    solve = _banded_solver(band[:band.shape[1]])
     lowest = []
     for k in range(1, 6):
         lo, hi = edges[k - 1], edges[k + 1]
         while hi - lo > width:
             mid = (lo + hi) / 2
-            lu[diagonal] = band[0] - mid
-            if np.sum(a < mid) + _haynsworth(lu, factors, -SWAP)[0] >= k:
+            schur = -SWAP - factors.T @ solve(factors, mid)
+            if np.sum(a < mid) + _haynsworth(schur)[0] >= k:
                 hi = mid
             else:
                 lo = mid
