@@ -1,15 +1,16 @@
 """Complete elliptic integrals K, E, Pi and Jacobi elliptic functions.
 
 The argument ``k`` is always the *modulus* (Abramowitz & Stegun use the
-parameter m = k^2).  K and E run on the arithmetic-geometric mean and
-its companion sum (A&S 17.6), Pi on the Carlson symmetric integrals
-R_F/R_J evaluated by the duplication algorithm (Carlson, Numerische
-Mathematik 33, 1979), and sn/cn/dn on the descending Landen chain over
-the same AGM iterates (A&S 16.4), which ``_agm_chain`` alone builds.
+parameter m = k^2).  One arithmetic-geometric mean chain, built by
+``_agm_chain`` alone, serves everything: K is its limit, E adds the
+companion sum (A&S 17.6), Pi the sequence p_n, Q_n carried along it
+(DLMF 19.8(i)), and sn/cn/dn are its descending Landen
+back-substitution (A&S 16.4).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -55,99 +56,33 @@ def complete_E(k: float) -> float:
     return math.pi / (2 * a[-1]) * (1.0 - s)
 
 
-# ----------------------------------------------------------------------
-# Carlson symmetric forms (scalar, nonnegative arguments)
-# ----------------------------------------------------------------------
-
-def _rc1p(e: float) -> float:
-    """R_C(1, 1+e) for e > -1, stable for e near 0 (the ratio forms
-    atan(sqrt(e))/sqrt(e) and atanh(sqrt(-e))/sqrt(-e) have no
-    cancellation, unlike the general closed form of R_C)."""
-    if e <= -1:
-        raise DomainError("R_C(1, 1+e) requires e > -1")
-    if e == 0.0:
-        return 1.0
-    if e > 0:
-        s = math.sqrt(e)
-        return math.atan(s) / s
-    s = math.sqrt(-e)
-    return math.atanh(s) / s
-
-
-def _rf(x: float, y: float, z: float) -> float:
-    """Carlson R_F by duplication; at most one argument may be zero."""
-    x0, y0, z0 = x, y, z
-    A0 = (x + y + z) / 3
-    Q = (3 * np.finfo(float).eps) ** (-1 / 8) * max(
-        abs(A0 - x), abs(A0 - y), abs(A0 - z))
-    A = A0
-    fourm = 1.0
-    while Q * fourm >= abs(A):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sx * sz + sy * sz
-        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
-        A = (A + lam) / 4
-        fourm /= 4
-    X = (A0 - x0) * fourm / A
-    Y = (A0 - y0) * fourm / A
-    Z = -(X + Y)
-    E2 = X * Y - Z * Z
-    E3 = X * Y * Z
-    series = (1.0 - E2 / 10 + E3 / 14 + E2 * E2 / 24 - 3 * E2 * E3 / 44
-              - 5 * E2 ** 3 / 208 + 3 * E3 ** 2 / 104 + E2 ** 2 * E3 / 16)
-    return series / math.sqrt(A)
-
-
-def _rj(x: float, y: float, z: float, p: float) -> float:
-    """Carlson R_J by duplication with the R_C correction sum; p > 0."""
-    if p <= 0:
-        raise DomainError("R_J requires p > 0")
-    x0, y0, z0 = x, y, z
-    A0 = (x + y + z + 2 * p) / 5
-    delta = (p - x) * (p - y) * (p - z)
-    Q = (np.finfo(float).eps / 5) ** (-1 / 8) * max(
-        abs(A0 - x), abs(A0 - y), abs(A0 - z), abs(A0 - p))
-    A = A0
-    fourm = 1.0
-    acc = 0.0
-    while Q * fourm >= abs(A):
-        sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
-        lam = sx * sy + sx * sz + sy * sz
-        d = (sp + sx) * (sp + sy) * (sp + sz)
-        e = fourm ** 3 * delta / d ** 2
-        acc += fourm / d * _rc1p(e)
-        x, y, z, p = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (p + lam) / 4
-        A = (A + lam) / 4
-        fourm /= 4
-    X = (A0 - x0) * fourm / A
-    Y = (A0 - y0) * fourm / A
-    Z = (A0 - z0) * fourm / A
-    P = -(X + Y + Z) / 2
-    E2 = X * Y + X * Z + Y * Z - 3 * P * P
-    E3 = X * Y * Z + 2 * E2 * P + 4 * P ** 3
-    E4 = (2 * X * Y * Z + E2 * P + 3 * P ** 3) * P
-    E5 = X * Y * Z * P * P
-    series = (1 - 3 * E2 / 14 + E3 / 6 + 9 * E2 ** 2 / 88 - 3 * E4 / 22
-              - 9 * E2 * E3 / 52 + 3 * E5 / 26 - E2 ** 3 / 16
-              + 3 * E3 ** 2 / 40 + 3 * E2 * E4 / 20 + 45 * E2 ** 2 * E3 / 272
-              - 9 * (E3 * E4 + E2 * E5) / 68)
-    return fourm * A ** (-1.5) * series + 6 * acc
-
-
 def complete_Pi(alpha: float, k: float) -> float:
     """Complete elliptic integral of the third kind.
 
     Pi(alpha, k) = int_0^{pi/2} dtheta / ((1 - alpha sin^2) sqrt(1 - k^2 sin^2)),
-    computed as R_F + (alpha/3) R_J in Carlson form.  alpha < 1 is
-    required; the dn-quotient wave family only ever needs alpha < 0.
+    computed on the AGM chain of K (DLMF 19.8.6-19.8.8): from
+    p_0 = sqrt(1 - alpha) and Q_0 = 1, each step sets
+    p <- (p^2 + a b)/(2p) and Q <- Q (p^2 - a b)/(2(p^2 + a b)), and
+    Pi = K (1 + alpha/(2(1 - alpha)) sum Q).  Past the end of the chain
+    a = b = its last mean, where p is still on its way there by Newton
+    steps (k = 0, or alpha far below 0).  A finite alpha < 1 is required.
+    For alpha far below 0 that last sum cancels, and the relative error
+    grows like sqrt(-alpha) eps (1e-14 at alpha = -1e4); the dn-quotient
+    wave family only ever needs -1 < alpha < 0.
     """
     _check_modulus(k)
-    if alpha >= 1.0:
+    if not -math.inf < alpha < 1.0:
         raise DomainError(f"characteristic must satisfy alpha < 1, got {alpha}")
-    kc2 = (1.0 - k) * (1.0 + k)
-    if alpha == 0.0:
-        return _rf(0.0, kc2, 1.0)
-    return _rf(0.0, kc2, 1.0) + alpha / 3 * _rj(0.0, kc2, 1.0, 1.0 - alpha)
+    a, b, _ = _agm_chain(k)
+    p, q, total = math.sqrt(1.0 - alpha), 1.0, 1.0
+    # |Q| at least halves per step: stop once it no longer moves the sum
+    for an, bn in itertools.chain(zip(a, b), itertools.repeat((a[-1], a[-1]))):
+        p2, ab = p * p, an * bn
+        p, q = (p2 + ab) / (2 * p), q * (p2 - ab) / (2 * (p2 + ab))
+        if total + q == total:
+            break
+        total += q
+    return math.pi / (2 * a[-1]) * (1.0 + alpha / (2 * (1.0 - alpha)) * total)
 
 
 # ----------------------------------------------------------------------

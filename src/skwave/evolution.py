@@ -79,7 +79,6 @@ class EvolutionState:
     t: float
     r: int
     grid: Grid
-    monitors: Monitors = field(default_factory=Monitors)
     half_kick: Optional[tuple[np.ndarray, float, np.ndarray]] = field(
         default=None, init=False, repr=False)
 
@@ -125,7 +124,7 @@ def step_strang(state: EvolutionState, dt: float) -> EvolutionState:
     kick = _half_kick(u, r, dt)
     u *= kick
     u.flags.writeable = False
-    new = EvolutionState(u, state.t + dt, r, grid, state.monitors)
+    new = EvolutionState(u, state.t + dt, r, grid)
     new.half_kick = (u, dt, kick)
     return new
 
@@ -178,7 +177,7 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
     if log_every is None:
         log_every = max(1, n_steps // 200)
     state = EvolutionState(np.asarray(u0, dtype=complex), 0.0, r, grid)
-    mon = state.monitors
+    mon = Monitors()
 
     def record(s: EvolutionState, step: int) -> None:
         # one transform serves the gradient norm and the Kirchhoff

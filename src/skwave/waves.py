@@ -52,6 +52,11 @@ FAMILIES = (SOLITARY, PERIODIC_DN, PERIODIC_DNQ)
 DEFAULT_N_LINE = 1024
 DEFAULT_N_TORUS = 512
 
+# a validated solve's wave must reproduce its Kirchhoff constant to this
+# relative level by quadrature, and the stationary equation to this residual
+_VALIDATE_REL_C = 1e-8
+_VALIDATE_RESIDUAL = 1e-7
+
 
 @dataclass(frozen=True)
 class WaveParams:
@@ -204,15 +209,19 @@ def solve_periodic_r1(k: float, validate: bool = True) -> WaveParams:
 # ----------------------------------------------------------------------
 
 def dnq_alpha(k: float) -> float:
-    """Characteristic alpha(k) < 0 of the quotient ansatz."""
-    return -k * k + 1 - math.sqrt(k ** 4 - k * k + 1)
+    """Characteristic alpha(k) < 0 of the quotient ansatz,
+    1 - k^2 - s with s = sqrt(k^4 - k^2 + 1), written without its
+    cancellation at small k."""
+    s = math.sqrt(k ** 4 - k * k + 1)
+    return -k * k * (k * k + s) / (1 + s)
 
 
 def dnq_omega_coefficient(k: float) -> float:
-    """kappa(k) with omega = kappa * a^4 on the quotient branch."""
-    alpha = dnq_alpha(k)
-    return (k * k * (alpha * k * k - k * k - alpha)
-            / (alpha * alpha * (alpha - 2)))
+    """kappa(k) with omega = kappa * a^4 on the quotient branch:
+    k^2 (alpha k^2 - k^2 - alpha) / (alpha^2 (alpha - 2)), reduced to
+    s (1 + s) / ((s + k^2)(2 - alpha)) so that nothing cancels."""
+    s = math.sqrt(k ** 4 - k * k + 1)
+    return s * (1 + s) / ((s + k * k) * (2 - dnq_alpha(k)))
 
 
 def solve_periodic_r2(k: float, validate: bool = True) -> WaveParams:
@@ -345,20 +354,19 @@ def ode_residual(p: Profile) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def _validate_profile(profile: Profile, rel_c: float = 1e-8,
-                      residual_bound: float = 1e-7) -> None:
+def _validate_profile(profile: Profile) -> None:
     """A validated solve's checks, on its wave sampled on the default grid:
     c by quadrature and the stationary residual, or DomainError."""
     params = profile.params
     c_quad = 1 + quadrature(profile.grid, profile.dphi ** 2)
-    if abs(c_quad - params.c) > rel_c * params.c:
+    if abs(c_quad - params.c) > _VALIDATE_REL_C * params.c:
         raise DomainError(
             f"Kirchhoff constant mismatch: stored {params.c!r}, "
             f"from profile {c_quad!r}")
     resid = ode_residual(profile)
-    if resid > residual_bound:
+    if resid > _VALIDATE_RESIDUAL:
         raise DomainError(
-            f"stationary-equation residual {resid:.3e} exceeds {residual_bound}")
+            f"stationary-equation residual {resid:.3e} exceeds {_VALIDATE_RESIDUAL}")
 
 
 # ----------------------------------------------------------------------

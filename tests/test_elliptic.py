@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +6,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from skwave import elliptic as el
+from skwave import waves as wv
 from skwave.errors import DomainError
 
 
@@ -93,9 +95,40 @@ def test_Pi_negative_characteristic_vs_oracle():
     assert abs(el.complete_Pi(-0.9, 0.9) - Pi_oracle(-0.9, 0.9)) < 1e-10
 
 
+def Pi_mpmath(alpha, k):
+    """Pi(alpha, k) at 40 digits; mpmath takes the parameter m = k^2."""
+    with mpmath.workdps(40):
+        return float(mpmath.ellippi(alpha, mpmath.mpf(k) ** 2))
+
+
+def test_Pi_along_dnq_family_vs_mpmath():
+    # the characteristic the dn-quotient mass needs, alpha(k) < 0
+    for k in np.linspace(0.001, 0.999, 80):
+        alpha = wv.dnq_alpha(k)
+        ref = Pi_mpmath(alpha, k)
+        assert abs(el.complete_Pi(alpha, k) - ref) <= 2e-15 * ref
+
+
+def test_Pi_grid_vs_mpmath():
+    # at k = 0, and with alpha far below 0, p still takes Newton steps
+    # after the AGM chain has ended
+    ks = np.concatenate([[0.0, 1e-8, 1e-3], np.linspace(0.01, 0.9999, 15)])
+    for alpha in np.concatenate([np.linspace(-100.0, 0.99, 25), [-1e-8, 1e-8]]):
+        for k in ks:
+            ref = Pi_mpmath(alpha, k)
+            assert abs(el.complete_Pi(alpha, k) - ref) <= 1e-14 * ref, (alpha, k)
+
+
 def test_Pi_singular_characteristic():
     with pytest.raises(DomainError):
         el.complete_Pi(1.0, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), -float("inf")])
+def test_Pi_rejects_nonfinite_characteristic(alpha):
+    # p and Q would be nan from the first step, and the sum never settles
+    with pytest.raises(DomainError):
+        el.complete_Pi(alpha, 0.5)
 
 
 # ----------------------------------------------------------------------

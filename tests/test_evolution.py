@@ -407,7 +407,7 @@ def test_blow_up_detected_between_records(monkeypatch):
             # a stepped u is read-only: hand back a poisoned copy
             u = new.u.copy()
             u[3] = np.nan
-            new = ev.EvolutionState(u, new.t, new.r, new.grid, new.monitors)
+            new = ev.EvolutionState(u, new.t, new.r, new.grid)
         return new
 
     monkeypatch.setattr(ev, "step_strang", nan_at_step_7)

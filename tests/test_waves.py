@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -357,6 +358,20 @@ def test_periodic_r2_alpha():
     assert abs(wv.dnq_alpha(0.5) + 0.151388) < 1e-6
     for k in (0.1, 0.3, 0.5, 0.7, 0.9):
         assert wv.dnq_alpha(k) < 0
+
+
+def test_periodic_r2_alpha_kappa_vs_mpmath():
+    # the defining forms 1 - k^2 - s and k^2 (alpha k^2 - k^2 - alpha) /
+    # (alpha^2 (alpha - 2)) at 50 digits; in doubles both cancel at small k
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for k in np.geomspace(1e-3, 0.999, 120):
+            km = mpmath.mpf(k)
+            alpha = 1 - km ** 2 - mpmath.sqrt(km ** 4 - km ** 2 + 1)
+            kappa = (km ** 2 * (alpha * km ** 2 - km ** 2 - alpha)
+                     / (alpha ** 2 * (alpha - 2)))
+            assert abs(wv.dnq_alpha(k) - alpha) <= 4 * eps * abs(alpha)
+            assert abs(wv.dnq_omega_coefficient(k) - kappa) <= 4 * eps * kappa
 
 
 def test_periodic_r2_frequency_at_half():
