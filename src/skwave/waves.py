@@ -210,18 +210,20 @@ def solve_periodic_r1(k: float, validate: bool = True) -> WaveParams:
 
 def dnq_alpha(k: float) -> float:
     """Characteristic alpha(k) < 0 of the quotient ansatz,
-    1 - k^2 - s with s = sqrt(k^4 - k^2 + 1), written without its
-    cancellation at small k."""
+    1 - k^2 - s with s = sqrt(k^4 - k^2 + 1), written as
+    -k^2 / (1 - k^2 + s) so that nothing cancels at small k."""
     s = math.sqrt(k ** 4 - k * k + 1)
-    return -k * k * (k * k + s) / (1 + s)
+    return -k * k / (1 - k * k + s)
 
 
 def dnq_omega_coefficient(k: float) -> float:
     """kappa(k) with omega = kappa * a^4 on the quotient branch:
     k^2 (alpha k^2 - k^2 - alpha) / (alpha^2 (alpha - 2)), reduced to
-    s (1 + s) / ((s + k^2)(2 - alpha)) so that nothing cancels."""
+    s d / (2 - alpha) = s d^2 / (2 d + k^2) with d = 1 - k^2 + s, so
+    that nothing cancels."""
     s = math.sqrt(k ** 4 - k * k + 1)
-    return s * (1 + s) / ((s + k * k) * (2 - dnq_alpha(k)))
+    d = 1 - k * k + s
+    return s * d * d / (2 * d + k * k)
 
 
 def solve_periodic_r2(k: float, validate: bool = True) -> WaveParams:

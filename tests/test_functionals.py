@@ -167,9 +167,12 @@ def test_vk_slope_dnq_small_k(k):
     ref = fn.vk_slope(wv.PERIODIC_DNQ, 2, 0.15).slope
     assert not res.flagged
     assert slope_sign_of(res) == SLOPE_PLUS
-    # the slope is nearly flat in k; at k = 0.01 its own Richardson
-    # discrepancy (2.7e-3) is the wider bound
-    assert abs(res.slope - ref) <= max(1e-3 * abs(ref), res.richardson_discrepancy)
+    # the slope is nearly flat in k; at k = 0.01 alone the result's own
+    # Richardson discrepancy (about 2.4e-3) is the wider bound
+    tol = 1e-3 * abs(ref)
+    if k == 0.01:
+        tol = max(tol, res.richardson_discrepancy)
+    assert abs(res.slope - ref) <= tol
 
 
 def test_vk_slope_r1_implicit_differentiation_oracle():
