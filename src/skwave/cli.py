@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 domain/existence error, 3 inconclusive
-verdict, 4 numerical failure.  A JSON config file passed with --config
-supplies defaults for any flag; explicit flags override it.
+Exit codes: 0 success, 2 domain/existence error or degenerate profile,
+3 inconclusive verdict, 4 numerical failure.  A JSON config file passed
+with --config supplies defaults for any flag; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from . import spectral as sp
 from . import waves as wv
 from .errors import (
     BlowUpError,
+    DegenerateProfileError,
     DimensionError,
     DomainError,
     UsageError,
@@ -201,7 +202,7 @@ def main(argv=None) -> int:
         args = _build_parser(known).parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, UsageError, DimensionError) as exc:
+    except (DomainError, UsageError, DimensionError, DegenerateProfileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BlowUpError, np.linalg.LinAlgError) as exc:

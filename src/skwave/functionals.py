@@ -203,6 +203,9 @@ def vk_slope(family: str, r: int, at: float, step: float = None) -> VkSlopeResul
 
         def slope_of(h: float) -> float:
             pp, pm = solver(at + h), solver(at - h)
+            if pp.omega == pm.omega:
+                raise DomainError(f"omega does not move over the step {h:g} "
+                                  f"at k = {at:g}: the slope is undefined")
             dm_dk = (mass_closed_form(pp) - mass_closed_form(pm)) / (2 * h)
             dw_dk = (pp.omega - pm.omega) / (2 * h)
             return dm_dk / dw_dk

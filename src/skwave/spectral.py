@@ -12,25 +12,25 @@ with c = 1 + int phi'^2.  Integrating the nonlocal coupling by parts,
 Assembled against the quadrature weights w and symmetrized it is the
 rank-two term U C U^T, U = [phi'', w phi''], C = [[0, 1], [1, 0]].
 
-Both domains store a banded A in LAPACK band storage plus the
-coupling's factors.  Line grids use 4th-order centered differences with
-Dirichlet (decay) truncation: A is pentadiagonal on the nodes.  Torus
-grids use Fourier collocation in the orthonormal basis cos(m x),
-m = n/2..0, then sin(m x), m = n/2-1..1, of grid vectors (Fourier-Hill;
-Deconinck & Kutz, J. Comput. Phys. 219, 2006): -c d^2 is diagonal, the
-potential couples modes through its decaying cosine coefficients, and A
-is a banded cosine block (the even subspace) and a banded sine block.
-
 Both operators commute with the reflection x -> -x, for the waves are
 even, so each splits into an even and an odd block, and its inertia is
-the sum of theirs.  On the line the blocks are the band folded at the
-midpoint onto (e_j +- e_(n-1-j))/sqrt(2); the nodes are exactly
-antisymmetric, so the fold leaves no even-odd entry.  On the torus they
-are slices of the band: the cosine and the sine block.  The coupling's
-columns phi'' and w phi'' are even, so U C U^T lies in the even block:
-each operator is the direct sum of a coupled even block A_e + U_e C
-U_e^T and a bare banded odd block A_o.  The negative direction of L_Re
-and the kernel phi of L_Im are even, the kernel phi' of L_Re is odd.
+the sum of theirs.  Both domains store a banded A in LAPACK band storage
+plus the coupling's factors in parity coordinates: an orthonormal basis
+of even grid vectors, then one of odd vectors, so that A's two blocks
+sit side by side with no entry between them.  Line grids use 4th-order
+centered differences with Dirichlet (decay) truncation, in the fold
+(e_j +- e_(n-1-j))/sqrt(2) of the exactly antisymmetric nodes: each
+block is pentadiagonal, and the stencil crosses the midpoint only in
+its last two rows.  Torus grids use Fourier collocation in the
+orthonormal basis cos(m x), m = n/2..0, then sin(m x), m = n/2-1..1, of
+grid vectors (Fourier-Hill; Deconinck & Kutz, J. Comput. Phys. 219,
+2006): -c d^2 is diagonal, the potential couples modes through its
+decaying cosine coefficients, and the blocks are a banded cosine and a
+banded sine block.  The coupling's columns phi'' and w phi'' are even,
+so U C U^T lies in the even block: each operator is the direct sum of a
+coupled even block A_e + U_e C U_e^T and a bare banded odd block A_o.
+The negative direction of L_Re and the kernel phi of L_Im are even, the
+kernel phi' of L_Re is odd.
 
 Counts come from inertia alone, block by block, and an operator's
 counts are its two blocks' added.  Each block is ordered far end first
@@ -91,7 +91,7 @@ from scipy.linalg.lapack import dgbsv, dpbtrf, dtbtrs
 
 from . import waves as wv
 from .errors import DegenerateProfileError, DomainError, UsageError
-from .kernel import quadrature, symmetric_eigen
+from .kernel import Grid, quadrature, symmetric_eigen
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,26 +111,27 @@ class OperatorMatrix:
 
     ``band`` holds A = -c D2 + diag(omega - coeff phi^2r) in LAPACK lower
     band storage (band[k, j] = A[j + k, j]), and ``factors`` holds
-    U = [phi'', w phi''] for L_Re and is None for L_Im: on the nodes
-    (line), or in the far-first trig basis of ``_to_trig`` (torus).
+    U = [phi'', w phi''] for L_Re and is None for L_Im, both in the
+    parity coordinates of ``_to_parity``: the even block's columns, then
+    the odd block's, each far end first.
     ``counts`` keeps each summary ``spectrum`` made, by the tolerance it
     was asked for, so that ``spectrum_even`` reads the even block counted.
     """
 
     kind: str
     profile: wv.Profile
-    c: float
     band: np.ndarray
     factors: Optional[np.ndarray] = None
     counts: dict = field(default_factory=dict, init=False, repr=False)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The operator applied to the grid vector ``v``."""
+        x = _product(self, _to_parity(self.profile.grid, v))
+        m = x.size // 2          # back to the nodes by _to_parity^T
         if self.profile.grid.topology == "line":
-            return _product(self, v)
-        x = _product(self, _to_trig(v))
-        m = x.size // 2 + 1      # back to the nodes by _to_trig^T
-        vh = x[m - 1::-1] - 1j * np.pad(x[:m - 1:-1], 1)
+            even, odd = x[:m], x[m:]
+            return np.concatenate((even + odd, (even - odd)[::-1])) * math.sqrt(0.5)
+        vh = x[m::-1] - 1j * np.pad(x[:m:-1], 1)
         return np.fft.irfft(vh / _trig_scale(x.size), x.size)
 
 
@@ -197,10 +198,16 @@ def _trig_scale(n: int) -> np.ndarray:
     return alpha
 
 
-def _to_trig(v: np.ndarray) -> np.ndarray:
+def _to_parity(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Coordinates of the grid vector(s) ``v`` (axis 0) in the orthonormal
-    basis alpha_m cos(m x_j), m = n/2..0, then alpha_m sin(m x_j),
-    m = n/2-1..1, with x_j = 2*pi*j/n: each parity block far end first."""
+    basis of the operators: an even block, then an odd block, each far
+    end first.  On the line it is the fold (e_j +- e_(n-1-j))/sqrt(2),
+    j = 0..n/2-1 from the outer edge; on the torus alpha_m cos(m x_j),
+    m = n/2..0, then alpha_m sin(m x_j), m = n/2-1..1, x_j = 2*pi*j/n."""
+    if grid.topology == "line":
+        m = len(v) // 2
+        near, far = v[:m], v[:m - 1:-1]
+        return np.concatenate((near + far, near - far)) * math.sqrt(0.5)
     vh = (np.fft.rfft(v, axis=0).T * _trig_scale(len(v))).T
     return np.concatenate((vh.real[::-1], -vh.imag[-2:0:-1]))
 
@@ -212,7 +219,7 @@ def _potential(kind: str, p: wv.Profile) -> np.ndarray:
 
 
 def _trig_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
-    """-c d^2 + diag(potential) in the trig basis of ``_to_trig``, in lower
+    """-c d^2 + diag(potential) in the trig basis of ``_to_parity``, in lower
     band storage: the cosine block (columns 0..n/2), then the sine block.
 
     With V = fft(potential).real, the entry of modes q + k and q is
@@ -248,24 +255,26 @@ def _trig_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
 
 def assemble(kind: str, p: wv.Profile) -> OperatorMatrix:
     """Symmetric discretization of L_Re or L_Im: a band plus the
-    coupling factors, on the nodes (line) or in the trig basis
-    (torus)."""
+    coupling factors, in the parity coordinates of ``_to_parity``.  On
+    the line the folded stencil crosses the midpoint only in each
+    block's last two rows: +-d1 on the diagonal, +-d2 below it (+ in
+    the even block, - in the odd one)."""
     if kind not in OPERATOR_KINDS:
         raise UsageError(f"operator kind must be one of {OPERATOR_KINDS}")
     c, potential = p.params.c, _potential(kind, p)
-    factors = None
-    if kind == "L_Re":
-        factors = np.column_stack((p.d2phi, p.grid.weights * p.d2phi))
+    factors = None if kind == "L_Im" else _to_parity(
+        p.grid, np.column_stack((p.d2phi, p.grid.weights * p.d2phi)))
     if p.grid.topology == "torus":
-        trig = None if factors is None else _to_trig(factors)
-        return OperatorMatrix(kind, p, c, _trig_band(p, potential, c), trig)
-    h = p.grid.spacing
-    stencil = np.array([-30.0, 16.0, -1.0]) / (12 * h * h)
-    band = np.zeros((3, p.grid.n))
-    band[0] = -c * stencil[0] + potential
-    band[1, :-1] = -c * stencil[1]
-    band[2, :-2] = -c * stencil[2]
-    return OperatorMatrix(kind, p, c, band, factors)
+        return OperatorMatrix(kind, p, _trig_band(p, potential, c), factors)
+    m, h = p.grid.n // 2, p.grid.spacing
+    d0, d1, d2 = -c * (np.array([-30.0, 16.0, -1.0]) / (12 * h * h))
+    block = np.zeros((3, m))
+    block[0] = d0 + potential[:m]     # the potential is even
+    block[1, :-1], block[2, :-2] = d1, d2
+    band = np.hstack((block, block))
+    band[0, [m - 1, -1]] += (d1, -d1)
+    band[1, [m - 2, -2]] += (d2, -d2)
+    return OperatorMatrix(kind, p, band, factors)
 
 
 # ----------------------------------------------------------------------
@@ -279,51 +288,21 @@ def _kernel_residual(op: OperatorMatrix) -> float:
     Eigenvalue Problem, 1980): the discretization's own kernel error,
     taken in the operator's coordinates, in which the norms are nodal."""
     p = op.profile
-    v = p.dphi if op.kind == "L_Re" else p.phi
-    v = _to_trig(v) if p.grid.topology == "torus" else v
+    v = _to_parity(p.grid, p.dphi if op.kind == "L_Re" else p.phi)
     return float(np.linalg.norm(_product(op, v)) / np.linalg.norm(v))
 
 
-def _fold(band: np.ndarray, factors: Optional[np.ndarray], sign: float):
-    """The even (``sign`` = 1) or odd (-1) block B^T A B, in lower band
-    storage, and B^T U, for the orthonormal basis b_j = (e_j + sign
-    e_(n-1-j))/sqrt(2), j < n/2, of even or odd line vectors.
-
-    Entry (i, j) of the block is (A_ij + A_(n-1-i, n-1-j) + sign
-    (A_(i, n-1-j) + A_(n-1-i, j)))/2.  The corner terms reach across the
-    midpoint only where n-1-i-j <= kd, so the block keeps the bandwidth
-    kd.
-    """
-    kd, n = band.shape[0] - 1, band.shape[1]
-    m = n // 2
-    block = np.zeros((kd + 1, m))
-    for k in range(kd + 1):
-        block[k, :m - k] = (band[k, :m - k] + band[k, m:n - k][::-1]) / 2
-    for j in range(m - kd, m):
-        for i in range(j, m):
-            t = n - 1 - i - j
-            if t <= kd:
-                block[i - j, j] += sign * (band[t, i] + band[t, j]) / 2
-    if factors is not None:
-        factors = (factors[:m] + sign * factors[::-1][:m]) * math.sqrt(0.5)
-    return block, factors
-
-
 def _parity_blocks(op: OperatorMatrix) -> tuple:
-    """The (band, factors) pairs of the even and the odd block of ``op``,
-    each ordered far end first.
+    """The (band, factors) pairs of the even and the odd block of ``op``:
+    its band split after the even columns, n/2 fold vectors on the line
+    and cos(m x), m = 0..n/2, on the torus.  No entry joins the blocks.
 
     The coupling's factors phi'' and w phi'' are even, so they belong to
-    the even block, and the odd block is its band alone.  On the line the
-    band is folded at the midpoint (``_fold``), whose index 0 is the
-    outer edge, and the factors onto B^T U.  On the torus the blocks are
-    the cosine columns 0..n/2 and the sine columns of the trig band,
-    which stores no cosine-sine entry and stores each block far end
-    first; the factors' sine rows are roundoff (below 1e-12 max|U|).
+    the even block, and the odd block is its band alone: their odd rows
+    are exactly zero on the line, roundoff (below 1e-12 max|U|) on the
+    torus.
     """
-    if op.profile.grid.topology == "line":
-        return _fold(op.band, op.factors, 1.0), _fold(op.band, None, -1.0)
-    m = op.profile.grid.n // 2 + 1
+    m = op.profile.grid.n // 2 + (op.profile.grid.topology == "torus")
     factors = None if op.factors is None else op.factors[:m]
     return (op.band[:, :m], factors), (op.band[:, m:], None)
 
@@ -493,8 +472,8 @@ def _count(op: OperatorMatrix, tol_kernel: Optional[float]) -> SpectrumSummary:
     if tol_kernel in op.counts:
         return op.counts[tol_kernel]
     tol = _kernel_residual(op) if tol_kernel is None else tol_kernel
-    line = op.profile.grid.topology == "line"
-    ess = op.profile.params.omega / op.c if line else None
+    params = op.profile.params
+    ess = params.omega / params.c if op.profile.grid.topology == "line" else None
 
     def summary(band, factors) -> SpectrumSummary:
         n_neg, _, core_lo, g_lo = _inertia(band, factors, -tol)

@@ -83,6 +83,43 @@ def trig_band_loop(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray
     return band
 
 
+def nodal_line_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
+    """-c D2 + diag(potential) on the nodes of a line grid, with D2 the
+    4th-order centered differences truncated at the ends, in lower band
+    storage: the pentadiagonal band before any parity fold."""
+    h = p.grid.spacing
+    stencil = np.array([-30.0, 16.0, -1.0]) / (12 * h * h)
+    band = np.zeros((3, p.grid.n))
+    band[0] = -c * stencil[0] + potential
+    band[1, :-1] = -c * stencil[1]
+    band[2, :-2] = -c * stencil[2]
+    return band
+
+
+def fold_loop(band: np.ndarray, factors, sign: float) -> tuple:
+    """The even (``sign`` = 1) or odd (-1) block B^T A B of a nodal line
+    band, in lower band storage, and B^T U, for the orthonormal basis
+    b_j = (e_j + sign e_(n-1-j))/sqrt(2), j < n/2, as loops.
+
+    Entry (i, j) of the block is (A_ij + A_(n-1-i, n-1-j) + sign
+    (A_(i, n-1-j) + A_(n-1-i, j)))/2.  The corner terms reach across the
+    midpoint only where n-1-i-j <= kd, so the block keeps the bandwidth
+    kd."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    m = n // 2
+    block = np.zeros((kd + 1, m))
+    for k in range(kd + 1):
+        block[k, :m - k] = (band[k, :m - k] + band[k, m:n - k][::-1]) / 2
+    for j in range(m - kd, m):
+        for i in range(j, m):
+            t = n - 1 - i - j
+            if t <= kd:
+                block[i - j, j] += sign * (band[t, i] + band[t, j]) / 2
+    if factors is not None:
+        factors = (factors[:m] + sign * factors[::-1][:m]) * math.sqrt(0.5)
+    return block, factors
+
+
 def reverse_loop(band: np.ndarray) -> np.ndarray:
     """The band, in lower band storage, of the block with its rows and
     columns in reverse order, as a loop over the lags."""

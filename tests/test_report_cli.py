@@ -407,6 +407,30 @@ def test_cli_verdict_exit_codes(capsys):
     assert ret == 3
 
 
+def test_verdict_names_the_slope_stage_where_omega_does_not_move():
+    # omega' vanishes like k^3: at dn k = 1e-3 the Richardson half step
+    # 5e-8 leaves omega(k + h) equal to omega(k - h)
+    v = rp.verdict(wv.PERIODIC_DN, 1, 0.001)
+    assert v.verdict == rp.INCONCLUSIVE
+    assert v.evidence["failed_stage"] == "slope"
+    assert v.evidence["error"] == ("DomainError: omega does not move over the "
+                                   "step 5e-08 at k = 0.001: the slope is undefined")
+
+
+@pytest.mark.parametrize("command, family, k, code", [
+    *(("vk-slope", "dn", k, 2) for k in ("1e-3", "1e-7", "1e-9")),
+    *(("vk-slope", "dnq", k, 2) for k in ("1e-7", "1e-9")),
+    *((command, family, k, 2) for command in ("theta", "spectrum")
+      for family in ("dn", "dnq") for k in ("1e-7", "1e-9")),
+    ("verdict", "dn", "1e-3", 3),
+])
+def test_cli_small_modulus_exit_codes(capsys, command, family, k, code):
+    # omega that does not move over the slope's step, and a phi''(0)
+    # that vanishes for theta, are domain failures, not tracebacks
+    r = "1" if family == "dn" else "2"
+    assert cli.main([command, "--family", family, "--r", r, "--k", k]) == code
+
+
 def test_cli_domain_error_exit(capsys, tmp_path):
     ret = cli.main(["profile", "--family", "solitary", "--r", "1",
                     "--omega", "0.2", "--out", str(tmp_path / "x.csv")])

@@ -12,8 +12,8 @@ from skwave import waves as wv
 from skwave.errors import DegenerateProfileError, DomainError, UsageError
 from skwave.kernel import Grid, quadrature, symmetric_eigen, wavenumbers
 
-from oracles import (quadratic_form_LRe, reverse_loop, state_derivative,
-                     theta_full_period, trig_band_loop)
+from oracles import (fold_loop, nodal_line_band, quadratic_form_LRe, reverse_loop,
+                     state_derivative, theta_full_period, trig_band_loop)
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +81,7 @@ def assemble_dense_oracle(kind: str, p: wv.Profile) -> np.ndarray:
 def trig_basis(grid: Grid) -> np.ndarray:
     """Orthonormal columns cos(m x), m = n/2 down to 0, then sin(m x),
     m = n/2-1 down to 1, on the nodes x_j = 2*pi*j/n of a torus grid:
-    the far-first order of ``spectral._to_trig``."""
+    the far-first order of ``spectral._to_parity``."""
     n = grid.n
     x = 2 * np.pi * np.arange(n) / n
     m = np.arange(n // 2 + 1)
@@ -93,8 +93,8 @@ def trig_basis(grid: Grid) -> np.ndarray:
 
 def coordinate_matrix(op: sp.OperatorMatrix) -> np.ndarray:
     """The dense matrix of an assembled operator in its own coordinates
-    (the nodes, or the trig basis), built from the band and the coupling
-    factors."""
+    (the line fold, or the trig basis), built from the band and the
+    coupling factors."""
     n = op.band.shape[1]
     M = np.diag(op.band[0])
     for k in range(1, op.band.shape[0]):
@@ -105,13 +105,16 @@ def coordinate_matrix(op: sp.OperatorMatrix) -> np.ndarray:
 
 
 def dense(op: sp.OperatorMatrix) -> np.ndarray:
-    """The dense nodal matrix of an assembled operator; on the torus it
-    is mapped back from the trig basis."""
-    M = coordinate_matrix(op)
-    if op.profile.grid.topology == "torus":
-        Q = trig_basis(op.profile.grid)
-        M = Q @ M @ Q.T
-    return M
+    """The dense nodal matrix of an assembled operator, mapped back from
+    its parity coordinates: on the line the fold, the even and then the
+    odd restriction, each from the outer edge; on the torus the trig
+    basis."""
+    grid = op.profile.grid
+    if grid.topology == "torus":
+        Q = trig_basis(grid)
+    else:
+        Q = np.hstack((even_restriction(grid), odd_restriction(grid)))
+    return Q @ coordinate_matrix(op) @ Q.T
 
 
 def even_restriction(grid: Grid) -> np.ndarray:
@@ -220,7 +223,7 @@ def test_product_and_rho_match_dense_oracle(family, r, at, rng):
         assert np.linalg.norm(op.apply(v) - M @ v) <= bound * np.linalg.norm(v), kind
         rho = sp._kernel_residual(op)
         kernel = prof.dphi if kind == "L_Re" else prof.phi
-        x = sp._to_trig(kernel) if prof.grid.topology == "torus" else kernel
+        x = sp._to_parity(prof.grid, kernel)
         size = coordinate_matrix(replace(
             op, band=np.abs(op.band),
             factors=None if op.factors is None else np.abs(op.factors))) @ np.abs(x)
@@ -674,9 +677,10 @@ def test_trig_band_and_reverse_match_lag_loops(family, r, k):
 ])
 def test_parity_blocks_add_up(family, r, at):
     # at both resolutions the block counts add up to the operator's; on
-    # the line the band is exactly centrosymmetric and L_Re's coupling
-    # exactly even, so the fold leaves no even-odd entry; on the torus
-    # the coupling's sine rows are roundoff, so it sits in the even block
+    # the line the blocks are bitwise the fold of the nodal band at the
+    # midpoint, and L_Re's coupling is exactly even, so its odd rows are
+    # zero; on the torus the coupling's sine rows are roundoff, so it
+    # sits in the even block
     params = wv.solve_family(family, r, at)
     for n in (None, 2 * wv.default_grid(params).n):
         prof = wv.sample_profile(params, wv.default_grid(params, n))
@@ -687,11 +691,16 @@ def test_parity_blocks_add_up(family, r, at):
             assert s.z_kernel == s.even.z_kernel + s.odd.z_kernel
             assert s.even.tol_kernel == s.odd.tol_kernel == s.tol_kernel
             if prof.grid.topology == "line":
-                for k, row in enumerate(op.band):
-                    row = row[:prof.grid.n - k]
-                    assert np.array_equal(row, row[::-1])
+                band = nodal_line_band(prof, sp._potential(kind, prof), params.c)
+                nodal = None if op.factors is None else np.column_stack(
+                    (prof.d2phi, prof.grid.weights * prof.d2phi))
+                for (block, factors), sign in zip(sp._parity_blocks(op), (1.0, -1.0)):
+                    want, want_factors = fold_loop(band, nodal if sign > 0 else None, sign)
+                    assert _bits(block) == _bits(want)
+                    assert (factors is None) == (want_factors is None)
+                    assert factors is None or _bits(factors) == _bits(want_factors)
                 if op.factors is not None:
-                    assert np.array_equal(op.factors, op.factors[::-1])
+                    assert not np.any(op.factors[prof.grid.n // 2:])
             elif op.factors is not None:
                 sine = op.factors[prof.grid.n // 2 + 1:]
                 assert np.max(np.abs(sine)) <= 1e-12 * np.max(np.abs(op.factors))
