@@ -9,7 +9,7 @@ in the position that gives exactly one negative eigenvalue.
 
 import numpy as np
 
-from skwave import floquet_theta, isoinertia_sweep
+from skwave import assemble, floquet_theta, spectrum
 from skwave.waves import default_grid, sample_profile, solve_family
 
 for family, r, k in [("periodic_dn", 1, 0.5), ("periodic_dn_quotient", 2, 0.5)]:
@@ -21,13 +21,14 @@ for family, r, k in [("periodic_dn", 1, 0.5), ("periodic_dn_quotient", 2, 0.5)]:
     print(f"  ybar(2pi)={res.ybar_end[0]:.6f}, ybar'(2pi)={res.ybar_end[1]:.6f}, "
           f"phi''(0)={res.phi_dd0:.6f}")
 
-print("\ntheta and the operator inertia are constant along each branch")
-print("(isoinertia): any change would be flagged as an anomaly.\n")
+print("\ntheta and the inertia of L_Re are constant along each branch")
+print("(isoinertia): theta < 0, one negative eigenvalue, a simple kernel.\n")
 for family, r, ks in [("periodic_dn", 1, np.linspace(0.15, 0.9, 6)),
                       ("periodic_dn_quotient", 2, [0.25, 0.5, 0.75])]:
-    rep = isoinertia_sweep(family, r, ks)
     print(f"{family}:")
-    for e in rep.entries:
-        print(f"  k={e.k:.2f}: theta={e.theta:9.4f}  "
-              f"n_neg={e.n_neg} kernel={e.z_kernel}")
-    print(f"  anomalies: {list(rep.anomalies) or 'none'}")
+    for k in ks:
+        params = solve_family(family, r, float(k))
+        prof = sample_profile(params, default_grid(params, 256))
+        counts = spectrum(assemble("L_Re", prof))
+        print(f"  k={k:.2f}: theta={floquet_theta(prof).theta:9.4f}  "
+              f"n_neg={counts.n_neg} kernel={counts.z_kernel}")

@@ -7,11 +7,7 @@ in the even subspace, where translation symmetry is unavailable and
 the counts become (1, 1).
 """
 
-import numpy as np
-
 from skwave import vk_slope, verdict, reproduce_figures
-from skwave.spectral import eta_equation_check, finite_difference_eta
-from skwave.waves import default_grid, sample_profile, solve_family
 
 CASES = [
     ("solitary", 1, 1.0),
@@ -27,13 +23,6 @@ for family, r, at in CASES:
     print(f"{family} r={r} at {at}: slope={res.slope:+.6f} "
           f"(step {res.step:.1e}, discrepancy {res.richardson_discrepancy:.1e}, "
           f"method {res.method})")
-
-print("\nthe slope is -2x the quadratic form of the omega-derivative eta:")
-params = solve_family("solitary", 1, 1.0)
-prof = sample_profile(params, default_grid(params))
-eta = finite_difference_eta(prof, 1e-4)
-resid = eta_equation_check(prof, 1e-4)
-print(f"  ||L_Re eta - phi||/||phi|| = {resid:.2e} (eta from re-solved waves)")
 
 print("\n=== verdicts ===")
 for family, r, at in CASES:

@@ -21,7 +21,6 @@ from .spectral import (
     assemble,
     block_summary,
     floquet_theta,
-    isoinertia_sweep,
     spectrum,
 )
 from .evolution import evolve, orbital_distance, stability_experiment

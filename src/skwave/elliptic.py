@@ -29,7 +29,9 @@ def _check_modulus(k: float) -> None:
 
 
 def _agm_chain(k: float) -> tuple[list[float], list[float], list[float]]:
-    """AGM iterates (a_n, b_n, c_n) starting from (1, k', k)."""
+    """AGM iterates (a_n, b_n, c_n) starting from (1, k', k).  c_(n+1) is
+    (a_n - b_n)/2 written as c_n^2 / (4 a_(n+1)), which does not cancel:
+    c_1 ~ k^2/4 keeps full relative precision at small k."""
     a = [1.0]
     b = [math.sqrt((1.0 - k) * (1.0 + k))]
     c = [k]
@@ -37,7 +39,7 @@ def _agm_chain(k: float) -> tuple[list[float], list[float], list[float]]:
         an, bn = a[-1], b[-1]
         a.append((an + bn) / 2)
         b.append(math.sqrt(an * bn))
-        c.append((an - bn) / 2)
+        c.append(c[-1] ** 2 / (4 * a[-1]))
     return a, b, c
 
 

@@ -148,10 +148,8 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
         theta = None
         if family != wv.SOLITARY:
             stage = "floquet"
-            floquet = sp.floquet_theta(prof)
-            theta = floquet.theta
+            theta = sp.floquet_theta(prof).theta
             evidence["theta"] = theta
-            evidence["theta_witness"] = floquet.det_defect
 
         stage = "slope"
         slope = fn.vk_slope(family, r, at)

@@ -67,14 +67,12 @@ kernel count, and the verdict turns inconclusive.
 The kernel position of the periodic Hill operator is certified by the
 Floquet constant theta: the second fundamental solution satisfies
 y2(x + 2*pi) = y2(x) + theta*y1(x), and zero is a simple eigenvalue of
-the Hill operator iff theta != 0.  theta is read off the monodromy
-matrix of the Hill equation.  The waves are even, so the potential q is
-even, and the monodromy follows from the propagator [[c, s], [c', s']]
-over half a period alone: theta = -2 c(pi) c'(pi) / phi''(0)^2 (Magnus &
-Winkler, Hill's Equation, 1966).  That propagator is a product of
-4th-order Magnus propagators (Iserles & Norsett 1999; Blanes, Casas,
-Oteo & Ros, Phys. Rep. 470, 2009) over the Gauss-node samples of the
-closed-form profile on [0, pi].
+the Hill operator iff theta != 0 (Magnus & Winkler, Hill's Equation,
+1966; Neves, J. Dyn. Diff. Equat. 21, 2009).  theta is the family's
+closed form: y2 is the derivative of the wave along its family at fixed
+omega and c, and its jump over a period is a combination of K, dK/dk
+and the family's parameter derivatives, written on the AGM chain of K
+so that nothing cancels at small k.
 """
 
 from __future__ import annotations
@@ -89,15 +87,12 @@ from scipy.linalg import eig_banded
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dgbsv, dpbtrf, dtbtrs
 
+from . import elliptic as el
 from . import waves as wv
-from .errors import DegenerateProfileError, DomainError, UsageError
-from .kernel import Grid, quadrature, symmetric_eigen
-
-TWO_PI = 2.0 * math.pi
+from .errors import DegenerateProfileError, UsageError
+from .kernel import Grid, symmetric_eigen
 
 OPERATOR_KINDS = ("L_Re", "L_Im")
-
-MAGNUS_CELLS = 2048     # a power of two, for the pairwise product
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])   # C, its own inverse
 
@@ -182,9 +177,8 @@ class SpectrumSummary:
 class FloquetResult:
     theta: float
     omega_at: float
-    ybar_end: tuple          # (ybar(2*pi), ybar'(2*pi))
+    ybar_end: tuple          # (ybar(2*pi), ybar'(2*pi)), ybar(2*pi) = ybar(0)
     phi_dd0: float
-    det_defect: float        # c s' - s c' - 1 of the half-period propagator
 
 
 # ----------------------------------------------------------------------
@@ -539,39 +533,33 @@ def block_summary(s_re: SpectrumSummary, s_im: SpectrumSummary) -> SpectrumSumma
 # ----------------------------------------------------------------------
 
 def floquet_theta(p: wv.Profile) -> FloquetResult:
-    """theta from the monodromy of the Hill equation
+    """theta of the Hill equation
 
         ybar'' = q ybar,  q = (omega - (2r+1) phi^2r) / c,
         ybar(0) = -1/phi''(0),  ybar'(0) = 0,
 
-    over one period of the closed-form profile.  With y1 = phi' odd and
-    ybar even, theta = ybar'(2*pi)/phi''(0); the normalization makes the
-    Wronskian of {phi', ybar} identically one.
+    over one period of the profile.  With y1 = phi' odd and ybar even,
+    theta = ybar'(2*pi)/phi''(0); the normalization makes the Wronskian
+    of {phi', ybar} identically one.
 
-    The propagator over [0, pi] is a product of 4th-order Magnus
-    propagators on the first MAGNUS_CELLS / 2 of MAGNUS_CELLS uniform
-    cells of width h = 2*pi / MAGNUS_CELLS.  On each cell q is sampled at
-    the left and right Gauss nodes (q1, q2, mean qbar), and
+    theta is the family's closed form.  With omega and c held fixed,
+    phi = a psi(b x; k) is an even solution of the stationary equation
+    for every k, so y = d phi / dk solves the Hill equation, with
+    y(0) = a' and y'(0) = 0: ybar = -y / (a' phi''(0)), and y(2*pi) =
+    y(0).  At x = 2*pi, where b x = 2K, psi_u vanishes for every k, so
+    its k-derivative is -2 K' psi''(0), and
 
-        Omega = [[d, h], [h qbar, -d]],  d = sqrt(3) h^2 (q1 - q2) / 12,
+        theta = K (H - k t / k'^2) / (g_a a^2 b^3 psi''(0)),
 
-    squares to s^2 I with s^2 = d^2 + h^2 qbar, so that exp(Omega) =
-    cosh(s) I + sinh(s)/s Omega, of determinant one.  The cell
-    propagators are multiplied pairwise in batches into
-    M = [[c, s], [c', s']](pi).
-
-    q is even, so the cells on [pi, 2*pi] mirror those on [0, pi]: their
-    Gauss nodes swap, d changes sign, qbar stays, and their product is
-    R M^-1 R with R = diag(1, -1).  The monodromy R M^-1 R M has the
-    first column (1 + 2 c' s, 2 c c') (Magnus & Winkler, Hill's
-    Equation, 1966), which is the full-period product's in exact
-    arithmetic, so
-
-        (ybar, ybar')(2*pi) = -(1 + 2 c' s, 2 c c') / phi''(0),
-        theta = -2 c c' / phi''(0)^2.
-
-    ``det_defect`` = c s' - s c' - 1 is the witness: the two forms
-    2 c s' - 1 and 1 + 2 c' s of c(2*pi) differ by twice it.
+    with g_a = a'/a, t = sum_(n>=1) 2^n c_n^2 / k^2 over the AGM chain
+    of K (DLMF 19.8.5, so that 2 K'/K = k/k'^2 - k t / k'^2) and
+    H = k/k'^2 - 2 b'/b, written so that nothing cancels at small k:
+    - dn: b^2 = omega / (c (2 - k^2)) and a^2 = 2 c b^2, so g_a = b'/b =
+      k / (2 - k^2), H = k^3 / (k'^2 (2 - k^2)) and psi''(0) = -k^2;
+    - dn quotient: a^4 = omega / kappa(k) and b^2 = mu(k) a^4 / c, so
+      g_a = -kappa'/(4 kappa), H = k^3 (2 - k^2) / (k'^2 s^2) with
+      s^2 = k^4 - k^2 + 1, and psi''(0) = alpha - k^2.
+    phi''(0) enters ybar(0) and ybar'(2*pi) = theta phi''(0) only.
     """
     if p.grid.topology != "torus":
         raise UsageError("the Floquet constant is defined for periodic waves")
@@ -579,131 +567,21 @@ def floquet_theta(p: wv.Profile) -> FloquetResult:
     scale = float(np.max(np.abs(p.d2phi)))
     if abs(phi_dd0) < 1e-12 * max(scale, 1.0):
         raise DegenerateProfileError("phi''(0) vanishes, theta is undefined")
-    r, w, c = p.params.r, p.params.omega, p.params.c
-    h = TWO_PI / MAGNUS_CELLS
-    gauss = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6
-    x = h * (np.arange(MAGNUS_CELLS // 2)[:, None] + gauss)
-    phi = wv.profile_values(p.params, x)[0]
-    q = (w - (2 * r + 1) * phi ** (2 * r)) / c
-    qbar = (q[:, 0] + q[:, 1]) / 2
-    d = math.sqrt(3) * h * h * (q[:, 0] - q[:, 1]) / 12
-    s = np.sqrt(d * d + h * h * qbar + 0j)
-    cosh_s = np.cosh(s).real
-    # sinh(s)/s as sin(i s)/(i s): real for either sign of s^2, 1 at s = 0
-    sinhc_s = np.sinc(1j * s / math.pi).real
-    cells = np.empty((MAGNUS_CELLS // 2, 2, 2))
-    cells[:, 0, 0] = cosh_s + sinhc_s * d
-    cells[:, 0, 1] = sinhc_s * h
-    cells[:, 1, 0] = sinhc_s * h * qbar
-    cells[:, 1, 1] = cosh_s - sinhc_s * d
-    while len(cells) > 1:
-        cells = cells[1::2] @ cells[0::2]
-    (c0, s0), (dc0, ds0) = cells[0]
-    ybar_end = (-(1.0 + 2.0 * dc0 * s0) / phi_dd0, -2.0 * c0 * dc0 / phi_dd0)
-    return FloquetResult(float(ybar_end[1] / phi_dd0), w, ybar_end, phi_dd0,
-                         float(c0 * ds0 - s0 * dc0 - 1.0))
-
-
-# ----------------------------------------------------------------------
-# isoinertia sweep
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepEntry:
-    k: float
-    theta: float
-    n_neg: int
-    z_kernel: int
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    family: str
-    r: int
-    entries: tuple
-    anomalies: tuple
-
-    @property
-    def consistent(self) -> bool:
-        return not self.anomalies
-
-
-def isoinertia_sweep(family: str, r: int, k_grid, n: int = 256) -> SweepReport:
-    """theta sign and (n_neg, z_kernel) of L_Re along a modulus grid.
-
-    Both are constant along the branch (the operator inertia does not
-    change with the frequency); any change is reported as an anomaly.
-    Counts are at the default residual tolerance rho, which the
-    spectrally exact torus discretization keeps far below the genuine
-    third eigenvalue, though that closes on the kernel like k^4 near
-    k -> 0 (3.9e-5 at k = 0.1).  Simplicity of the kernel is certified
-    by theta != 0.
-    """
-    if family == wv.SOLITARY:
-        raise UsageError("isoinertia sweeps run over the periodic families")
-    entries = []
-    anomalies = []
-    for k in k_grid:
-        params = wv.solve_family(family, r, float(k), validate=False)
-        prof = wv.sample_profile(params, wv.default_grid(params, n))
-        th = floquet_theta(prof).theta
-        summ = spectrum(assemble("L_Re", prof))
-        entries.append(SweepEntry(float(k), th, summ.n_neg, summ.z_kernel))
-    first = entries[0]
-    for e in entries[1:]:
-        if np.sign(e.theta) != np.sign(first.theta):
-            anomalies.append(f"theta sign change at k={e.k}")
-        if (e.n_neg, e.z_kernel) != (first.n_neg, first.z_kernel):
-            anomalies.append(f"inertia change at k={e.k}")
-    return SweepReport(family, r, tuple(entries), tuple(anomalies))
-
-
-# ----------------------------------------------------------------------
-# the eta equation (derivative of the wave in omega)
-# ----------------------------------------------------------------------
-
-def _family_parameter(params: wv.WaveParams) -> float:
-    """omega on the solitary family, the modulus k on the periodic ones."""
-    return params.omega if params.family == wv.SOLITARY else params.k
-
-
-def finite_difference_eta(p: wv.Profile, step: float) -> np.ndarray:
-    """eta = -d(phi)/d(omega) on the profile's own grid, by the chain rule
-    along the family: the central difference of re-solved waves in the
-    family parameter over the same difference of omega."""
-    family, r = p.params.family, p.params.r
-    at = _family_parameter(p.params)
-    pp = wv.solve_family(family, r, at + step, validate=False)
-    pm = wv.solve_family(family, r, at - step, validate=False)
-    phi_p = wv.profile_values(pp, p.grid.nodes)[0]
-    phi_m = wv.profile_values(pm, p.grid.nodes)[0]
-    return -(phi_p - phi_m) / (pp.omega - pm.omega)
-
-
-def eta_equation_check(p: wv.Profile, step: float = None) -> float:
-    """Relative residual ||L_Re eta - phi|| / ||phi|| with the
-    finite-difference eta.  The central difference leaves an O(step^2)
-    error above the discretization floor of L_Re.
-
-    The step is in the family parameter: by default 1e-4 omega on the
-    solitary family and max(1e-4 k, 2.5e-5 / k) on the periodic ones.
-    The roundoff of the sampled profiles enters eta divided by the
-    change of omega, about 2 step omega'(k), and L_Re lifts it by its
-    largest eigenvalue.  omega' vanishes like k^3 as k -> 0, so a step
-    proportional to k leaves a roundoff term growing like k^-4 (7e-3 at
-    dn k = 0.05, n = 512).  Below k = 1/2 the step 2.5e-5 / k cuts it to
-    k^-2 (1e-4 at k = 0.05), and its O(step^2) term stays below that;
-    from k = 1/2 on, where omega' is O(1), 1e-4 k is the larger step.
-    """
-    if step is None:
-        at = abs(_family_parameter(p.params))
-        step = 1e-4 * at
-        if p.params.family != wv.SOLITARY:
-            step = max(step, 2.5e-5 / at)
-    if step <= 0:
-        raise DomainError("step must be positive")
-    eta = finite_difference_eta(p, step)
-    resid = assemble("L_Re", p).apply(eta) - p.phi
-    num = math.sqrt(quadrature(p.grid, resid ** 2))
-    den = math.sqrt(quadrature(p.grid, p.phi ** 2))
-    return num / den
+    params = p.params
+    k, k2 = params.k, params.k ** 2
+    agm, _, c = el._agm_chain(k)
+    t = sum(2 ** n * (cn / k) ** 2 for n, cn in enumerate(c[1:], 1))
+    kp2 = (1 - k) * (1 + k)
+    if params.family == wv.PERIODIC_DN:
+        g_a, H, psi_dd0 = k / (2 - k2), k ** 3 / (kp2 * (2 - k2)), -k2
+    else:
+        s = math.sqrt(k2 * k2 - k2 + 1)
+        d, ds = 1 - k2 + s, k * (2 * k2 - 1) / s
+        dd = ds - 2 * k
+        # kappa'/kappa of kappa = s d^2 / (2 d + k^2)
+        g_a = -(ds / s + 2 * dd / d - 2 * (dd + k) / (2 * d + k2)) / 4
+        H, psi_dd0 = k ** 3 * (2 - k2) / (kp2 * s * s), params.alpha - k2
+    theta = (math.pi / (2 * agm[-1]) * (H - k * t / kp2)
+             / (g_a * params.a ** 2 * params.b ** 3 * psi_dd0))
+    ybar_end = (-1.0 / phi_dd0, theta * phi_dd0)
+    return FloquetResult(ybar_end[1] / phi_dd0, params.omega, ybar_end, phi_dd0)

@@ -3,14 +3,19 @@ program itself does not call them."""
 
 import json
 import math
+from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from skwave import functionals as fn
 from skwave import spectral as sp
 from skwave import waves as wv
 from skwave.errors import DomainError, UsageError
+from skwave.spectral import assemble, floquet_theta, spectrum
 from skwave.kernel import parseval, quadrature, wavenumbers
+
+MAGNUS_CELLS = 2048     # a power of two, for the pairwise product
 
 
 def state_derivative(grid, v: np.ndarray) -> np.ndarray:
@@ -131,21 +136,29 @@ def reverse_loop(band: np.ndarray) -> np.ndarray:
 
 
 def theta_full_period(p: wv.Profile) -> tuple:
-    """(theta, (ybar, ybar')(2*pi)) from the Magnus product over all
-    MAGNUS_CELLS cells of the period, without the half-period symmetry
-    that ``spectral.floquet_theta`` uses."""
+    """(theta, (ybar, ybar')(2*pi)) of the Hill equation of
+    ``spectral.floquet_theta`` as a product of 4th-order Magnus
+    propagators (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470, 2009) over MAGNUS_CELLS uniform cells of the period.
+
+    On each cell q is sampled at the two Gauss nodes (q1, q2, mean qbar),
+    and Omega = [[d, h], [h qbar, -d]], d = sqrt(3) h^2 (q1 - q2) / 12,
+    squares to s^2 I with s^2 = d^2 + h^2 qbar, so that exp(Omega) =
+    cosh(s) I + sinh(s)/s Omega.  Its theta is off from 50 digits by up
+    to 3.4e-11 relative at k >= 0.1 and 9.4e-10 at dn k = 0.05."""
     phi_dd0 = float(wv.profile_values(p.params, 0.0)[2])
     r, w, c = p.params.r, p.params.omega, p.params.c
-    h = sp.TWO_PI / sp.MAGNUS_CELLS
+    h = 2 * math.pi / MAGNUS_CELLS
     gauss = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3) / 6
-    x = h * (np.arange(sp.MAGNUS_CELLS)[:, None] + gauss)
+    x = h * (np.arange(MAGNUS_CELLS)[:, None] + gauss)
     q = (w - (2 * r + 1) * wv.profile_values(p.params, x)[0] ** (2 * r)) / c
     qbar = (q[:, 0] + q[:, 1]) / 2
     d = math.sqrt(3) * h * h * (q[:, 0] - q[:, 1]) / 12
     s = np.sqrt(d * d + h * h * qbar + 0j)
     cosh_s = np.cosh(s).real
+    # sinh(s)/s as sin(i s)/(i s): real for either sign of s^2, 1 at s = 0
     sinhc_s = np.sinc(1j * s / math.pi).real
-    cells = np.empty((sp.MAGNUS_CELLS, 2, 2))
+    cells = np.empty((MAGNUS_CELLS, 2, 2))
     cells[:, 0, 0] = cosh_s + sinhc_s * d
     cells[:, 0, 1] = sinhc_s * h
     cells[:, 1, 0] = sinhc_s * h * qbar
@@ -154,3 +167,136 @@ def theta_full_period(p: wv.Profile) -> tuple:
         cells = cells[1::2] @ cells[0::2]
     ybar_end = cells[0, :, 0] * (-1.0 / phi_dd0)
     return float(ybar_end[1] / phi_dd0), tuple(ybar_end)
+
+
+def theta_closed_form_mp(params: wv.WaveParams) -> float:
+    """theta = 2 (K' - K b'/b) / (g_a a^2 b^3 psi''(0)) of the periodic
+    family at ``params``, in 50-digit mpmath, with K' = dK/dk =
+    (E - k'^2 K)/(k k'^2) and nothing rearranged against cancellation.
+    g_a = a'/a and g_b = b'/b hold omega and c fixed: k/(2 - k^2) for
+    both on dn; -(log kappa)'/4 and ((log mu)' - (log kappa)')/2 on the
+    dn quotient, differentiated numerically from the definitions
+    alpha = 1 - k^2 - s, kappa = k^2 (alpha k^2 - k^2 - alpha) /
+    (alpha^2 (alpha - 2)) and mu = (1 - 2 k^2 + 2 s)/3,
+    s = sqrt(k^4 - k^2 + 1).  a and b are the float parameters."""
+    with mpmath.workdps(50):
+        k = mpmath.mpf(params.k)
+        K, E = mpmath.ellipk(k * k), mpmath.ellipe(k * k)
+        dK = (E - (1 - k * k) * K) / (k * (1 - k * k))
+        if params.family == wv.PERIODIC_DN:
+            g_a = g_b = k / (2 - k * k)
+            psi_dd0 = -k * k
+        else:
+            def alpha(x):
+                return 1 - x * x - mpmath.sqrt(x ** 4 - x * x + 1)
+
+            def log_kappa(x):
+                al = alpha(x)
+                return mpmath.log(x * x * (al * x * x - x * x - al)
+                                  / (al * al * (al - 2)))
+
+            def log_mu(x):
+                return mpmath.log((1 - 2 * x * x + 2 * mpmath.sqrt(x ** 4 - x * x + 1)) / 3)
+
+            g_a = -mpmath.diff(log_kappa, k) / 4
+            g_b = (mpmath.diff(log_mu, k) - mpmath.diff(log_kappa, k)) / 2
+            psi_dd0 = alpha(k) - k * k
+        a, b = mpmath.mpf(params.a), mpmath.mpf(params.b)
+        return float(2 * (dK - K * g_b) / (g_a * a * a * b ** 3 * psi_dd0))
+
+
+@dataclass(frozen=True)
+class SweepEntry:
+    k: float
+    theta: float
+    n_neg: int
+    z_kernel: int
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    family: str
+    r: int
+    entries: tuple
+    anomalies: tuple
+
+    @property
+    def consistent(self) -> bool:
+        return not self.anomalies
+
+
+def isoinertia_sweep(family: str, r: int, k_grid, n: int = 256) -> SweepReport:
+    """theta sign and (n_neg, z_kernel) of L_Re along a modulus grid.
+
+    Both are constant along the branch (the operator inertia does not
+    change with the frequency); any change is reported as an anomaly.
+    Counts are at the default residual tolerance rho, which the
+    spectrally exact torus discretization keeps far below the genuine
+    third eigenvalue, though that closes on the kernel like k^4 near
+    k -> 0 (3.9e-5 at k = 0.1).  Simplicity of the kernel is certified
+    by theta != 0.
+    """
+    if family == wv.SOLITARY:
+        raise UsageError("isoinertia sweeps run over the periodic families")
+    entries = []
+    anomalies = []
+    for k in k_grid:
+        params = wv.solve_family(family, r, float(k), validate=False)
+        prof = wv.sample_profile(params, wv.default_grid(params, n))
+        th = floquet_theta(prof).theta
+        summ = spectrum(assemble("L_Re", prof))
+        entries.append(SweepEntry(float(k), th, summ.n_neg, summ.z_kernel))
+    first = entries[0]
+    for e in entries[1:]:
+        if np.sign(e.theta) != np.sign(first.theta):
+            anomalies.append(f"theta sign change at k={e.k}")
+        if (e.n_neg, e.z_kernel) != (first.n_neg, first.z_kernel):
+            anomalies.append(f"inertia change at k={e.k}")
+    return SweepReport(family, r, tuple(entries), tuple(anomalies))
+
+
+def _family_parameter(params: wv.WaveParams) -> float:
+    """omega on the solitary family, the modulus k on the periodic ones."""
+    return params.omega if params.family == wv.SOLITARY else params.k
+
+
+def finite_difference_eta(p: wv.Profile, step: float) -> np.ndarray:
+    """eta = -d(phi)/d(omega) on the profile's own grid, by the chain rule
+    along the family: the central difference of re-solved waves in the
+    family parameter over the same difference of omega."""
+    family, r = p.params.family, p.params.r
+    at = _family_parameter(p.params)
+    pp = wv.solve_family(family, r, at + step, validate=False)
+    pm = wv.solve_family(family, r, at - step, validate=False)
+    phi_p = wv.profile_values(pp, p.grid.nodes)[0]
+    phi_m = wv.profile_values(pm, p.grid.nodes)[0]
+    return -(phi_p - phi_m) / (pp.omega - pm.omega)
+
+
+def eta_equation_check(p: wv.Profile, step: float = None) -> float:
+    """Relative residual ||L_Re eta - phi|| / ||phi|| with the
+    finite-difference eta.  The central difference leaves an O(step^2)
+    error above the discretization floor of L_Re.
+
+    The step is in the family parameter: by default 1e-4 omega on the
+    solitary family and max(1e-4 k, 2.5e-5 / k) on the periodic ones.
+    The roundoff of the sampled profiles enters eta divided by the
+    change of omega, about 2 step omega'(k), and L_Re lifts it by its
+    largest eigenvalue.  omega' vanishes like k^3 as k -> 0, so a step
+    proportional to k leaves a roundoff term growing like k^-4 (7e-3 at
+    dn k = 0.05, n = 512).  Below k = 1/2 the step 2.5e-5 / k cuts it to
+    k^-2 (1e-4 at k = 0.05), and its O(step^2) term stays below that;
+    from k = 1/2 on, where omega' is O(1), 1e-4 k is the larger step.
+    """
+    if step is None:
+        at = abs(_family_parameter(p.params))
+        step = 1e-4 * at
+        if p.params.family != wv.SOLITARY:
+            step = max(step, 2.5e-5 / at)
+    if step <= 0:
+        raise DomainError("step must be positive")
+    eta = finite_difference_eta(p, step)
+    resid = assemble("L_Re", p).apply(eta) - p.phi
+    num = math.sqrt(quadrature(p.grid, resid ** 2))
+    den = math.sqrt(quadrature(p.grid, p.phi ** 2))
+    return num / den

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -70,6 +72,16 @@ def test_legendre_relation(k):
            + el.complete_E(kc) * el.complete_K(k)
            - el.complete_K(k) * el.complete_K(kc))
     assert abs(lhs - np.pi / 2) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1e-3, 1e-5])
+def test_agm_chain_c1_without_cancellation(k):
+    # c_1 = (1 - k')/2 = k^2 / (4 a_1): the difference form loses
+    # eps / k^2, and theta's AGM sum needs c_n to full precision
+    c = el._agm_chain(k)[2]
+    with mpmath.workdps(50):
+        exact = (1 - mpmath.sqrt(1 - mpmath.mpf(k) ** 2)) / 2
+        assert abs(c[1] - exact) <= math.ulp(float(exact))
 
 
 # ----------------------------------------------------------------------

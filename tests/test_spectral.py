@@ -12,8 +12,10 @@ from skwave import waves as wv
 from skwave.errors import DegenerateProfileError, DomainError, UsageError
 from skwave.kernel import Grid, quadrature, symmetric_eigen, wavenumbers
 
-from oracles import (fold_loop, nodal_line_band, quadratic_form_LRe, reverse_loop,
-                     state_derivative, theta_full_period, trig_band_loop)
+from oracles import (eta_equation_check, finite_difference_eta, fold_loop,
+                     isoinertia_sweep, nodal_line_band, quadratic_form_LRe,
+                     reverse_loop, state_derivative, theta_closed_form_mp,
+                     theta_full_period, trig_band_loop)
 
 
 # ----------------------------------------------------------------------
@@ -539,17 +541,48 @@ def test_floquet_theta_matches_dop853_oracle(family, r):
 
 @pytest.mark.parametrize("family, r", [(wv.PERIODIC_DN, 1), (wv.PERIODIC_DNQ, 2)])
 def test_half_period_theta_matches_full_product(family, r):
-    # the mirrored cells make the two products equal in exact arithmetic;
-    # below k = 0.2 roundoff divided by phi''(0)^2 ~ k^4 separates them
+    # the full-period Magnus product is the less accurate side: its
+    # theta is off from 50 digits by up to 3.4e-11 at k >= 0.1 and
+    # 9.4e-10 at dn k = 0.05
     for k in (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.85, 0.97):
         p = wv.solve_family(family, r, k)
         prof = wv.sample_profile(p, wv.default_grid(p))
         res = sp.floquet_theta(prof)
         theta, ybar_end = theta_full_period(prof)
-        rel = 1e-12 if k >= 0.2 else 1e-9
+        rel = 1e-10 if k >= 0.1 else 1e-8
         assert res.theta == pytest.approx(theta, rel=rel), k
-        assert res.ybar_end == pytest.approx(ybar_end, rel=rel), k
-        assert abs(res.det_defect) <= 1e-12, k
+        assert res.ybar_end[1] == pytest.approx(ybar_end[1], rel=rel), k
+        # ybar(2 pi) = ybar(0) exactly; the product's is off by up to
+        # 1.5e-10 (dnq k = 0.97)
+        assert res.ybar_end[0] == pytest.approx(ybar_end[0], rel=10 * rel), k
+
+
+THETA_GRID = (1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95)
+
+
+@pytest.mark.parametrize("family, r, ks", [(wv.PERIODIC_DN, 1, THETA_GRID + (0.97,)),
+                                           (wv.PERIODIC_DNQ, 2, THETA_GRID)],
+                         ids=["dn", "dnq"])
+def test_floquet_theta_matches_mpmath_formula(family, r, ks):
+    # the AGM sum keeps the closed form free of cancellation down to the
+    # guard on phi''(0); 50 digits absorb the O(k) / O(k^3) cancellation
+    # of the oracle's form
+    for k in ks:
+        p = wv.solve_family(family, r, k, validate=False)
+        theta = sp.floquet_theta(wv.sample_profile(p, wv.default_grid(p))).theta
+        assert theta == pytest.approx(theta_closed_form_mp(p), rel=1e-13), k
+
+
+@pytest.mark.parametrize("family, r, limit", [(wv.PERIODIC_DN, 1, -6 * math.pi),
+                                              (wv.PERIODIC_DNQ, 2, -40 * math.pi / 3)],
+                         ids=["dn", "dnq"])
+def test_floquet_theta_small_modulus_limit(family, r, limit):
+    # both families shrink to a constant wave as k -> 0, where theta
+    # tends to -6 pi (dn) and -40 pi/3 (dn quotient)
+    for k in (1e-3, 1e-4, 1e-5):
+        p = wv.solve_family(family, r, k, validate=False)
+        theta = sp.floquet_theta(wv.sample_profile(p, wv.default_grid(p))).theta
+        assert theta == pytest.approx(limit, rel=1e-12), k
 
 
 def test_theta_degenerate_profile(dn_profile):
@@ -572,14 +605,14 @@ def test_theta_rejects_line_profile(solitary_r1_profile):
 # ----------------------------------------------------------------------
 
 def test_isoinertia_dn():
-    rep = sp.isoinertia_sweep(wv.PERIODIC_DN, 1, np.linspace(0.1, 0.9, 9))
+    rep = isoinertia_sweep(wv.PERIODIC_DN, 1, np.linspace(0.1, 0.9, 9))
     assert rep.consistent
     assert all(e.theta < 0 for e in rep.entries)
     assert all((e.n_neg, e.z_kernel) == (1, 1) for e in rep.entries)
 
 
 def test_isoinertia_dnq():
-    rep = sp.isoinertia_sweep(wv.PERIODIC_DNQ, 2, [0.2, 0.5, 0.8])
+    rep = isoinertia_sweep(wv.PERIODIC_DNQ, 2, [0.2, 0.5, 0.8])
     assert rep.consistent
     assert all(e.theta < 0 for e in rep.entries)
     assert all(e.z_kernel == 1 for e in rep.entries)
@@ -589,7 +622,7 @@ def test_isoinertia_dnq():
 def test_isoinertia_down_to_small_modulus(family, r):
     # the default residual tolerance separates the kernel from the third
     # eigenvalue, which closes on it like k^4 as k -> 0
-    rep = sp.isoinertia_sweep(family, r, [0.02, 0.05, 0.1, 0.5, 0.95])
+    rep = isoinertia_sweep(family, r, [0.02, 0.05, 0.1, 0.5, 0.95])
     assert rep.consistent
     assert all((e.n_neg, e.z_kernel) == (1, 1) for e in rep.entries)
 
@@ -711,19 +744,19 @@ def test_parity_blocks_add_up(family, r, at):
 # ----------------------------------------------------------------------
 
 def test_eta_residual_solitary(solitary_r1_profile):
-    assert sp.eta_equation_check(solitary_r1_profile, 1e-4) < 1e-3
+    assert eta_equation_check(solitary_r1_profile, 1e-4) < 1e-3
 
 
 def test_eta_residual_halves_with_step(solitary_r1_profile):
     # second-order central differences; tested where the h^2 term
     # dominates the 4th-order discretization floor (~6e-6)
-    r1 = sp.eta_equation_check(solitary_r1_profile, 0.1)
-    r2 = sp.eta_equation_check(solitary_r1_profile, 0.05)
+    r1 = eta_equation_check(solitary_r1_profile, 0.1)
+    r2 = eta_equation_check(solitary_r1_profile, 0.05)
     assert 2.5 < r1 / r2 < 6.0
 
 
 def test_eta_periodic(dn_profile):
-    assert sp.eta_equation_check(dn_profile, 1e-4) < 1e-3
+    assert eta_equation_check(dn_profile, 1e-4) < 1e-3
 
 
 @pytest.mark.parametrize("k", [0.05, 0.1, 0.2])
@@ -736,14 +769,14 @@ def test_eta_small_modulus(family, r, k):
     # 1/k there (a step of 1e-4 k left 7e-3 at dn k = 0.05)
     params = wv.solve_family(family, r, k)
     prof = wv.sample_profile(params, wv.default_grid(params))
-    assert sp.eta_equation_check(prof) < 1e-3
+    assert eta_equation_check(prof) < 1e-3
 
 
 def test_eta_slope_identity(solitary_r1_profile):
     # (L_Re eta, eta) = -slope/2 links the eta equation to the
     # frequency slope of the squared norm
     prof = solitary_r1_profile
-    eta = sp.finite_difference_eta(prof, 1e-4)
+    eta = finite_difference_eta(prof, 1e-4)
     lhs = float(eta @ sp.assemble("L_Re", prof).apply(eta) * prof.grid.weights[1])
     slope = fn.vk_slope("solitary", 1, 1.0).slope
     assert abs(lhs - (-slope / 2)) < 0.05 * abs(slope / 2)
