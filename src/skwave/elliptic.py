@@ -31,11 +31,13 @@ def _check_modulus(k: float) -> None:
 def _agm_chain(k: float) -> tuple[list[float], list[float], list[float]]:
     """AGM iterates (a_n, b_n, c_n) starting from (1, k', k).  c_(n+1) is
     (a_n - b_n)/2 written as c_n^2 / (4 a_(n+1)), which does not cancel:
-    c_1 ~ k^2/4 keeps full relative precision at small k."""
+    c_1 ~ k^2/4 keeps full relative precision at small k.  The chain
+    takes at least one step, so that c_1 is there even where k^2 < eps
+    rounds k' to 1 and the stop test already holds at n = 0."""
     a = [1.0]
     b = [math.sqrt((1.0 - k) * (1.0 + k))]
     c = [k]
-    while abs(a[-1] - b[-1]) > _AGM_REL * a[-1]:
+    while len(a) == 1 or abs(a[-1] - b[-1]) > _AGM_REL * a[-1]:
         an, bn = a[-1], b[-1]
         a.append((an + bn) / 2)
         b.append(math.sqrt(an * bn))

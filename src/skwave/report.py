@@ -182,16 +182,22 @@ def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None,
                     tol_kernel: Optional[float] = None) -> dict:
     """Machine-readable spectrum summary of the block operator; each
     ``lowest`` comes with ``lowest_width``, the bisection width that
-    bounds its error."""
+    bounds its error.  Where phi''(0) vanishes (periodic k <= 1e-7)
+    theta is None and ``theta_error`` says why; the counts stand."""
     prof = _profile(family, r, at, n)
     ops = [sp.assemble(kind, prof) for kind in sp.OPERATOR_KINDS]
     s_re, s_im, block = _block(ops, sp.spectrum, tol_kernel)
-    theta = None if family == wv.SOLITARY else sp.floquet_theta(prof).theta
+    theta = theta_error = None
+    if family != wv.SOLITARY:
+        try:
+            theta = sp.floquet_theta(prof).theta
+        except DegenerateProfileError as exc:
+            theta_error = f"{type(exc).__name__}: {exc}"
     return {
         "family": family, "r": r, "parameter": at,
         "n_neg": block.n_neg, "z_kernel": block.z_kernel,
         "lowest": list(block.lowest), "lowest_width": block.lowest_width,
-        "ess_edge": block.ess_edge, "theta": theta,
+        "ess_edge": block.ess_edge, "theta": theta, "theta_error": theta_error,
         **{kind: {**_operator_evidence(s), "lowest": list(s.lowest),
                   "lowest_width": s.lowest_width}
            for kind, s in zip(sp.OPERATOR_KINDS, (s_re, s_im))},

@@ -37,14 +37,16 @@ counts are its two blocks' added.  Each block is ordered far end first
 (the line fold from the outer edge, the trig basis from the highest
 mode), where A - s is coercive: -c d^2 is positive
 semidefinite and omega - coeff phi^2r > 0 in the tails, and c m^2
-dominates the high modes.  So at each shift s = -tol, +tol banded
+dominates the high modes.  So at each shift s = +tol, -tol banded
 Cholesky of A_b - s runs from the far end until it fails, and the
 positive definite far part it certifies is eliminated; the core left,
 0-3 rows on a resolved grid, is counted by Sylvester's law from its own
-banded eigenvalues (spectrum slicing; Parlett, The Symmetric Eigenvalue
-Problem, 1980).  For the coupled even block Haynsworth additivity over
-the bordered matrix [[A_e - s, U_e], [U_e^T, -C]] adds the inertia of a
-2x2 Schur complement,
+eigenvalues, by the LAPACK driver dsbev (spectrum slicing; Parlett, The
+Symmetric Eigenvalue Problem, 1980).  n_below(s) is nondecreasing in s,
+so a block with every eigenvalue above +tol has none below -tol, and
+its -tol count is not run.  For the coupled even block Haynsworth
+additivity over the bordered matrix [[A_e - s, U_e], [U_e^T, -C]] adds
+the inertia of a 2x2 Schur complement,
 
     n_below(A_e + U_e C U_e^T, s) = n_below(A_e, s) + n_neg(S) - 1,
     S = -C - U_e^T (A_e - s)^-1 U_e,
@@ -85,7 +87,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import eig_banded
 from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dgbsv, dpbtrf, dtbtrs
+from scipy.linalg.lapack import dgbsv, dpbtrf, dsbev, dtbtrs
 
 from . import elliptic as el
 from . import waves as wv
@@ -153,8 +155,9 @@ class SpectrumSummary:
     error; digits below it are roundoff.  A summary of a whole operator
     carries those of its even and odd reflection-parity blocks, counted
     at the same tolerance.  A block's summary carries the witnesses of
-    its split counts (``_inertia``) at -tol and +tol, the larger of the
-    two: the core rows eigensolved and the Schur growth.
+    its split counts (``_inertia``) at +tol and -tol, the larger of the
+    two, or those at +tol alone where that count settles the block: the
+    core rows eigensolved and the Schur growth.
     """
 
     n_neg: int
@@ -369,9 +372,9 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
         In(A_b + U_b C U_b^T - s) = (0, p) + In(K') + In(S') - In(-C),
         S' = -C' - W^T K'^-1 W,  In(-C) = (1 below, 1 above),
 
-    where In(K') is counted by Sylvester's law from the core's banded
-    eigenvalues, and In(S') - In(-C) by ``_haynsworth``; the -C terms
-    enter only with coupling.
+    where In(K') is counted by Sylvester's law from the core's
+    eigenvalues, by LAPACK ``dsbev`` on its band, and In(S') - In(-C)
+    by ``_haynsworth``; the -C terms enter only with coupling.
 
     The count is the exact inertia of a matrix within about
     eps (1 + g) max|band| of A_b - s, with the Schur growth
@@ -400,8 +403,13 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
     core = shifted[:min(kd, q - 1) + 1, p:]
     for k in range(t):
         core[k, :t - k] -= corr.diagonal(-k)[:t - k]
-    a = eig_banded(core, lower=True, eigvals_only=True, select="v",
-                   select_range=(-np.inf, 0.0)) if q else np.empty(0)
+    a = np.empty(0)
+    if q:
+        # the coupled block solves with the core below, and a 1-row core
+        # is contiguous both ways: dsbev must not overwrite it
+        a, _, info = dsbev(core, compute_v=0, lower=1, overwrite_ab=0)
+        if info:
+            raise np.linalg.LinAlgError(f"dsbev failed on the core (info {info})")
     below, above = int(np.sum(a < 0)), m - int(np.sum(a <= 0))
     if factors is None:
         return below, above, q, growth
@@ -447,7 +455,13 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
         lo, hi = edges[k - 1], edges[k + 1]
         while hi - lo > width:
             mid = (lo + hi) / 2
-            schur = -SWAP - factors.T @ solve(factors, mid)
+            try:
+                schur = -SWAP - factors.T @ solve(factors, mid)
+            except np.linalg.LinAlgError:
+                # mid is an eigenvalue of A_b (a diagonal band, as at
+                # k -> 0, has them on the dyadic midpoints): count above it
+                mid = math.nextafter(mid, hi)
+                schur = -SWAP - factors.T @ solve(factors, mid)
             if np.sum(a < mid) + _haynsworth(schur)[0] >= k:
                 hi = mid
             else:
@@ -458,10 +472,12 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
 
 def _count(op: OperatorMatrix, tol_kernel: Optional[float]) -> SpectrumSummary:
     """Counts of ``op`` and of its even and odd blocks, made once per
-    operator and tolerance: one split count (``_inertia``) per block and
-    shift -tol, +tol.  The operator's counts are the two blocks' added,
-    as for any direct sum.  A block's ``core_rows`` and ``growth`` are
-    the larger of its two shifts'.
+    operator and tolerance: one split count (``_inertia``) per block at
+    +tol, then one at -tol unless the first found every eigenvalue above
+    +tol; n_below is nondecreasing in the shift, so n_neg = 0 then (of
+    the four blocks, L_Im's odd one).  The operator's counts are the two
+    blocks' added, as for any direct sum.  A block's ``core_rows`` and
+    ``growth`` are the larger of its counts'.
     """
     if tol_kernel in op.counts:
         return op.counts[tol_kernel]
@@ -470,8 +486,10 @@ def _count(op: OperatorMatrix, tol_kernel: Optional[float]) -> SpectrumSummary:
     ess = params.omega / params.c if op.profile.grid.topology == "line" else None
 
     def summary(band, factors) -> SpectrumSummary:
-        n_neg, _, core_lo, g_lo = _inertia(band, factors, -tol)
         _, above, core_hi, g_hi = _inertia(band, factors, tol)
+        n_neg, core_lo, g_lo = 0, core_hi, g_hi
+        if above < band.shape[1]:
+            n_neg, _, core_lo, g_lo = _inertia(band, factors, -tol)
         width = LOWEST_WIDTH * float(np.max(np.abs(band)))
         return SpectrumSummary(n_neg, band.shape[1] - above - n_neg, ess, tol,
                                lambda: _lowest(band, factors, width), width,

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy.linalg import eig_banded
+from scipy.linalg.lapack import dpbtrf
 
 from skwave import functionals as fn
 from skwave import spectral as sp
@@ -133,6 +135,43 @@ def reverse_loop(band: np.ndarray) -> np.ndarray:
     for k in range(min(band.shape[0], m)):
         out[k, :m - k] = band[k, m - k - 1::-1]
     return out
+
+
+def inertia_eig_banded(band: np.ndarray, factors, s: float) -> tuple:
+    """``spectral._inertia`` with the core counted by scipy's
+    ``eig_banded`` (the eigenvalues in (-inf, 0] by LAPACK ``dsbevx``):
+    (below, above, core rows, Schur growth) of the block at ``s``."""
+    m = band.shape[1]
+    kd = min(band.shape[0] - 1, m - 1)
+    band = band[:kd + 1]
+    shifted = band.copy()
+    shifted[0] -= s
+    chol, info = dpbtrf(shifted, lower=1)
+    p = m if info == 0 else info - 1
+    if info and p:
+        chol = dpbtrf(shifted[:, :p], lower=1)[0]
+    corr, growth = sp._far_correction(band, chol, factors, p)
+    if growth > sp.GROWTH_BOUND and p:
+        p -= 1
+        corr, growth = sp._far_correction(band, chol, factors, p)
+    if growth > sp.GROWTH_BOUND:
+        raise np.linalg.LinAlgError("Schur growth exceeds the bound")
+    q, t = m - p, min(kd, m - p)
+    core = shifted[:min(kd, q - 1) + 1, p:]
+    for k in range(t):
+        core[k, :t - k] -= corr.diagonal(-k)[:t - k]
+    a = eig_banded(core, lower=True, eigvals_only=True, select="v",
+                   select_range=(-np.inf, 0.0)) if q else np.empty(0)
+    below, above = int(np.sum(a < 0)), m - int(np.sum(a <= 0))
+    if factors is None:
+        return below, above, q, growth
+    w = factors[p:].copy()
+    w[:t] -= corr[:t, t:]
+    schur = -sp.SWAP - corr[t:, t:]
+    if q:
+        schur = schur - w.T @ sp._banded_solver(core)(w)
+    more_below, more_above = sp._haynsworth(schur)
+    return below + more_below, above + more_above, q, growth
 
 
 def theta_full_period(p: wv.Profile) -> tuple:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from skwave import elliptic as el
 from skwave import waves as wv
@@ -13,20 +12,21 @@ from skwave.errors import DomainError
 
 
 def K_oracle(k):
-    """Defining integral by adaptive quadrature, independent of the AGM."""
-    return quad(lambda t: 1 / np.sqrt(1 - (k * np.sin(t)) ** 2), 0, np.pi / 2,
-                epsabs=1e-15, epsrel=1e-14)[0]
+    """K at 40 digits; mpmath takes the parameter m = k^2."""
+    with mpmath.workdps(40):
+        return float(mpmath.ellipk(mpmath.mpf(k) ** 2))
 
 
 def E_oracle(k):
-    return quad(lambda t: np.sqrt(1 - (k * np.sin(t)) ** 2), 0, np.pi / 2,
-                epsabs=1e-15, epsrel=1e-14)[0]
+    """E at 40 digits; mpmath takes the parameter m = k^2."""
+    with mpmath.workdps(40):
+        return float(mpmath.ellipe(mpmath.mpf(k) ** 2))
 
 
 def Pi_oracle(alpha, k):
-    return quad(lambda t: 1 / ((1 - alpha * np.sin(t) ** 2)
-                               * np.sqrt(1 - (k * np.sin(t)) ** 2)),
-                0, np.pi / 2, epsabs=1e-15, epsrel=1e-14)[0]
+    """Pi(alpha, k) at 40 digits; mpmath takes the parameter m = k^2."""
+    with mpmath.workdps(40):
+        return float(mpmath.ellippi(alpha, mpmath.mpf(k) ** 2))
 
 
 # ----------------------------------------------------------------------
@@ -43,8 +43,8 @@ def test_E_limit_at_one():
 
 
 def test_K_E_against_quadrature_oracle():
-    assert abs(el.complete_K(0.5) - K_oracle(0.5)) < 1e-12
-    assert abs(el.complete_E(0.5) - E_oracle(0.5)) < 1e-12
+    assert abs(el.complete_K(0.5) - K_oracle(0.5)) < 1e-15
+    assert abs(el.complete_E(0.5) - E_oracle(0.5)) < 1e-15
     # frozen oracle values
     assert el.complete_K(0.5) == pytest.approx(1.6857503548125961, abs=1e-13)
     assert el.complete_E(0.5) == pytest.approx(1.4674622093394272, abs=1e-13)
@@ -84,6 +84,21 @@ def test_agm_chain_c1_without_cancellation(k):
         assert abs(c[1] - exact) <= math.ulp(float(exact))
 
 
+@pytest.mark.parametrize("k", [1e-9, 1e-8])
+def test_agm_chain_sum_below_sqrt_eps(k):
+    # k^2 < eps rounds k' to 1, yet the chain takes its first step, so
+    # the sum t = sum_(n>=1) 2^n c_n^2 / k^2 of theta is ~1/8 k^2, not 0
+    c = el._agm_chain(k)[2]
+    t = sum(2 ** n * (cn / k) ** 2 for n, cn in enumerate(c[1:], 1))
+    with mpmath.workdps(50):
+        kk = mpmath.mpf(k)
+        a, b, cn, exact = mpmath.mpf(1), mpmath.sqrt(1 - kk ** 2), kk, 0
+        for n in range(1, 8):
+            a, b, cn = (a + b) / 2, mpmath.sqrt(a * b), (a - b) / 2
+            exact += 2 ** n * (cn / kk) ** 2
+        assert abs(t - exact) <= 2 * np.finfo(float).eps * exact
+
+
 # ----------------------------------------------------------------------
 # Pi
 # ----------------------------------------------------------------------
@@ -103,21 +118,15 @@ def test_Pi_at_zero_modulus():
 def test_Pi_negative_characteristic_vs_oracle():
     # alpha value of the dn-quotient family at k = 0.5
     alpha = -0.1514
-    assert abs(el.complete_Pi(alpha, 0.5) - Pi_oracle(alpha, 0.5)) < 1e-10
-    assert abs(el.complete_Pi(-0.9, 0.9) - Pi_oracle(-0.9, 0.9)) < 1e-10
-
-
-def Pi_mpmath(alpha, k):
-    """Pi(alpha, k) at 40 digits; mpmath takes the parameter m = k^2."""
-    with mpmath.workdps(40):
-        return float(mpmath.ellippi(alpha, mpmath.mpf(k) ** 2))
+    assert abs(el.complete_Pi(alpha, 0.5) - Pi_oracle(alpha, 0.5)) < 1e-15
+    assert abs(el.complete_Pi(-0.9, 0.9) - Pi_oracle(-0.9, 0.9)) < 1e-15
 
 
 def test_Pi_along_dnq_family_vs_mpmath():
     # the characteristic the dn-quotient mass needs, alpha(k) < 0
     for k in np.linspace(0.001, 0.999, 80):
         alpha = wv.dnq_alpha(k)
-        ref = Pi_mpmath(alpha, k)
+        ref = Pi_oracle(alpha, k)
         assert abs(el.complete_Pi(alpha, k) - ref) <= 2e-15 * ref
 
 
@@ -127,7 +136,7 @@ def test_Pi_grid_vs_mpmath():
     ks = np.concatenate([[0.0, 1e-8, 1e-3], np.linspace(0.01, 0.9999, 15)])
     for alpha in np.concatenate([np.linspace(-100.0, 0.99, 25), [-1e-8, 1e-8]]):
         for k in ks:
-            ref = Pi_mpmath(alpha, k)
+            ref = Pi_oracle(alpha, k)
             assert abs(el.complete_Pi(alpha, k) - ref) <= 1e-14 * ref, (alpha, k)
 
 

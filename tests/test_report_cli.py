@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eig_banded
 
 import skwave
 from skwave import cli
@@ -128,10 +127,11 @@ def test_periodic_verdict_counts_by_inertia(monkeypatch):
 ])
 def test_verdict_solves_each_parity_block_once(monkeypatch, family, r, at, n, orders):
     # each parity block of L_Re and of L_Im (of the given orders) is
-    # counted once per shift -tol, +tol, and the even pass of the r = 4
-    # verdict reads the even blocks of the full pass; a count factors the
-    # far part and eigensolves only its core, so no banded eigensolve
-    # reaches the order of a block
+    # counted once per shift +tol, -tol, except L_Im's odd block, which
+    # has every eigenvalue above +tol and so none below -tol; the even
+    # pass of the r = 4 verdict reads the even blocks of the full pass.
+    # A count factors the far part and eigensolves only its core (LAPACK
+    # dsbev), so no banded eigensolve reaches the order of a block
     counted, solved = [], []
 
     def spy(fn, log):
@@ -141,10 +141,10 @@ def test_verdict_solves_each_parity_block_once(monkeypatch, family, r, at, n, or
         return wrapped
 
     monkeypatch.setattr(rp.sp, "_inertia", spy(rp.sp._inertia, counted))
-    monkeypatch.setattr(rp.sp, "eig_banded", spy(eig_banded, solved))
+    monkeypatch.setattr(rp.sp, "dsbev", spy(rp.sp.dsbev, solved))
     v = rp.verdict(family, r, at, n=n)
     assert v.verdict != rp.INCONCLUSIVE
-    assert sorted(counted) == sorted(orders * 2)
+    assert sorted(counted) == sorted(orders + orders[:-1])
     assert solved and max(solved) <= 3 < n // 2
 
 
@@ -182,17 +182,24 @@ def test_spectrum_report_gives_lowest_width_and_witnesses():
 def test_spectrum_report_lowest_makes_no_split_count(monkeypatch, family, r, at):
     # lowest is bisected on its own secular count, so the only split
     # counts of a report are the counts themselves: 2 operators x 2
-    # parity blocks x 2 shifts
-    calls, inertia = [], rp.sp._inertia
+    # parity blocks x 2 shifts, less the -tol count of L_Im's odd block,
+    # which its +tol count settles; reading lowest adds none
+    calls, marks, inertia, lowest = [], [], rp.sp._inertia, rp.sp._lowest
 
     def spy(*args):
         calls.append(args)
         return inertia(*args)
 
+    def spy_lowest(*args):
+        marks.append(len(calls))
+        return lowest(*args)
+
     monkeypatch.setattr(rp.sp, "_inertia", spy)
+    monkeypatch.setattr(rp.sp, "_lowest", spy_lowest)
     rep = rp.spectrum_report(family, r, at)
     assert len(rep["lowest"]) == 5
-    assert len(calls) == 8
+    assert len(calls) == 7
+    assert marks == [7] * 4
 
 
 @pytest.mark.parametrize("family, r, at", [
@@ -418,8 +425,9 @@ def test_verdict_names_the_slope_stage_where_omega_does_not_move():
 @pytest.mark.parametrize("command, family, k, code", [
     *(("vk-slope", "dn", k, 2) for k in ("1e-3", "1e-7", "1e-9")),
     *(("vk-slope", "dnq", k, 2) for k in ("1e-7", "1e-9")),
-    *((command, family, k, 2) for command in ("theta", "spectrum")
-      for family in ("dn", "dnq") for k in ("1e-7", "1e-9")),
+    *(("theta", family, k, 2) for family in ("dn", "dnq") for k in ("1e-7", "1e-9")),
+    # the spectrum's counts stand without theta
+    *(("spectrum", family, k, 0) for family in ("dn", "dnq") for k in ("1e-7", "1e-9")),
     ("verdict", "dn", "1e-3", 3),
 ])
 def test_cli_small_modulus_exit_codes(capsys, command, family, k, code):
@@ -427,6 +435,25 @@ def test_cli_small_modulus_exit_codes(capsys, command, family, k, code):
     # that vanishes for theta, are domain failures, not tracebacks
     r = "1" if family == "dn" else "2"
     assert cli.main([command, "--family", family, "--r", r, "--k", k]) == code
+
+
+@pytest.mark.parametrize("family, r", [("periodic_dn", 1), ("periodic_dn_quotient", 2)])
+def test_spectrum_report_without_theta_keeps_counts(family, r):
+    # at k = 1e-9 phi''(0) vanishes: the report gives theta as None with
+    # the reason and the counts the verdict's evidence carries, while the
+    # verdict stops at its floquet stage
+    rep = rp.spectrum_report(family, r, 1e-9)
+    v = rp.verdict(family, r, 1e-9)
+    assert rep["theta"] is None
+    assert rep["theta_error"] == ("DegenerateProfileError: phi''(0) vanishes, "
+                                  "theta is undefined")
+    assert v.verdict == rp.INCONCLUSIVE
+    assert v.evidence["failed_stage"] == "floquet"
+    for kind in rp.sp.OPERATOR_KINDS:
+        assert rep[kind] == {**v.evidence[kind], "lowest": rep[kind]["lowest"],
+                             "lowest_width": rep[kind]["lowest_width"]}
+    assert (rep["n_neg"], rep["z_kernel"]) == (v.evidence["block"]["n_neg"],
+                                               v.evidence["block"]["z_kernel"])
 
 
 def test_cli_domain_error_exit(capsys, tmp_path):
@@ -463,7 +490,7 @@ def test_cli_profile_and_spectrum(tmp_path, capsys):
     assert ret == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["n_neg"] == 1 and rep["z_kernel"] == 2
-    assert rep["theta"] < 0
+    assert rep["theta"] < 0 and rep["theta_error"] is None
     assert rep["ess_edge"] is None
 
 

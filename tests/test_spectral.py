@@ -13,9 +13,9 @@ from skwave.errors import DegenerateProfileError, DomainError, UsageError
 from skwave.kernel import Grid, quadrature, symmetric_eigen, wavenumbers
 
 from oracles import (eta_equation_check, finite_difference_eta, fold_loop,
-                     isoinertia_sweep, nodal_line_band, quadratic_form_LRe,
-                     reverse_loop, state_derivative, theta_closed_form_mp,
-                     theta_full_period, trig_band_loop)
+                     inertia_eig_banded, isoinertia_sweep, nodal_line_band,
+                     quadratic_form_LRe, reverse_loop, state_derivative,
+                     theta_closed_form_mp, theta_full_period, trig_band_loop)
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +395,7 @@ def dense_block(band: np.ndarray, factors) -> np.ndarray:
     return M
 
 
-@pytest.mark.parametrize("family, r, at, n, tols", [
+SPLIT_CASES = [
     ("solitary", 2, 0.5, 512, (None, 1e-8, 1e-2)),
     # unresolved coarse line grid: the core is most of the block
     ("solitary", 4, 0.3, 256, (None, 1e-8, 1e-2)),
@@ -405,7 +405,10 @@ def dense_block(band: np.ndarray, factors) -> np.ndarray:
     # a tolerance above the continuum edge: the far part's Cholesky
     # stops after a few dozen rows, and the core is eigensolved
     ("solitary", 4, 0.3, 2048, (1.0,)),
-])
+]
+
+
+@pytest.mark.parametrize("family, r, at, n, tols", SPLIT_CASES)
 def test_split_counts_match_dense_blocks(family, r, at, n, tols):
     # every block's split count (Cholesky of the far part, Haynsworth on
     # the core) equals the inertia of the dense block at +-tol
@@ -425,6 +428,53 @@ def test_split_counts_match_dense_blocks(family, r, at, n, tols):
                 assert 0 <= summ.core_rows <= band.shape[1]
                 if tol == 1.0:
                     assert summ.core_rows > band.shape[1] // 2
+
+
+@pytest.mark.parametrize("family, r, at, n, tols", SPLIT_CASES)
+def test_split_count_core_matches_eig_banded_oracle(family, r, at, n, tols):
+    # the core eigensolved by LAPACK dsbev counts exactly as the
+    # eig_banded count it replaced, on every block at -tol and +tol,
+    # unresolved cores included; the +tol count alone settles a block
+    # with every eigenvalue above +tol
+    params = wv.solve_family(family, r, at)
+    prof = wv.sample_profile(params, wv.default_grid(params, n))
+    for kind in sp.OPERATOR_KINDS:
+        op = sp.assemble(kind, prof)
+        for tol in tols:
+            s = sp.spectrum(op, tol)
+            for summ, block in zip((s.even, s.odd), sp._parity_blocks(op)):
+                shifts = (-s.tol_kernel, s.tol_kernel)
+                lo, hi = (sp._inertia(*block, t) for t in shifts)
+                assert (lo, hi) == tuple(inertia_eig_banded(*block, t)
+                                         for t in shifts), (kind, tol)
+                assert summ.n_neg == lo[0]
+                assert summ.z_kernel == block[0].shape[1] - hi[1] - lo[0]
+                if hi[1] == block[0].shape[1]:
+                    assert lo[0] == 0
+                    assert (summ.core_rows, summ.growth) == hi[2:]
+                else:
+                    assert (summ.core_rows, summ.growth) == (
+                        max(lo[2], hi[2]), max(lo[3], hi[3]))
+
+
+def test_split_count_raises_where_the_core_eigensolve_fails(monkeypatch):
+    # a nonzero info from dsbev is a LinAlgError, which a verdict reports
+    # as an inconclusive spectrum stage, not a count
+    monkeypatch.setattr(sp, "dsbev", lambda ab, **kw: (np.zeros(ab.shape[1]), None, 1))
+    with pytest.raises(np.linalg.LinAlgError, match="dsbev"):
+        sp._inertia(np.array([[-1.0, 2.0]]), None, 0.0)
+
+
+def test_lowest_bisects_past_a_midpoint_on_an_eigenvalue():
+    # a diagonal band, as at periodic k -> 0: the bisection of the 5th
+    # eigenvalue between 8 and 24 reaches the midpoint 15, an eigenvalue
+    # of A_b, where the shifted band is exactly singular
+    band = np.array([[-1.0, 0.0, 3.0, 8.0, 15.0, 24.0, 35.0]])
+    factors = np.zeros((7, 2))
+    factors[0] = 1e-3
+    width = sp.LOWEST_WIDTH * 35.0
+    w = np.linalg.eigvalsh(dense_block(band, factors))
+    assert np.max(np.abs(np.array(sp._lowest(band, factors, width)) - w[:5])) <= width
 
 
 def test_split_count_guard_trips_on_nearly_singular_far_part():

@@ -227,17 +227,19 @@ def test_shape_constants_vs_quadrature(r):
 
 
 def test_shape_constants_vs_substitution_oracle():
-    # t = tanh(x) maps the integrals onto a finite interval: an oracle
-    # independent of the infinite-interval quadrature above
+    # t = tanh(x) maps the integrals onto [0, 1], with the weight
+    # (1 - t^2)^(1/r - 1); then 1 - t = v^r takes out its endpoint
+    # singularity: an oracle independent of the infinite-interval
+    # quadrature above, by mpmath at 30 digits
     for r in (2, 4):
-        p = 2.0 / r
-        A_or = 2 * quad(lambda t: (1 - t * t) ** (p / 2 - 1) * t * t, 0, 1,
-                        epsabs=1e-13, epsrel=1e-13)[0]
-        M_or = 2 * quad(lambda t: (1 - t * t) ** (p / 2 - 1), 0, 1,
-                        epsabs=1e-13, epsrel=1e-13)[0]
         A, M = wv.shape_constants(r)
-        assert abs(A - A_or) < 1e-10
-        assert abs(M - M_or) < 1e-10
+        with mpmath.workdps(30):
+            s = mpmath.mpf(1) / r - 1
+            A_or = 2 * r * mpmath.quad(lambda v: (2 - v ** r) ** s * (1 - v ** r) ** 2,
+                                       [0, 1])
+            M_or = 2 * r * mpmath.quad(lambda v: (2 - v ** r) ** s, [0, 1])
+            assert abs(A - A_or) < 1e-15 * A_or
+            assert abs(M - M_or) < 1e-15 * M_or
 
 
 # ----------------------------------------------------------------------
