@@ -1,6 +1,7 @@
 """The frequency slope of the squared norm and the stability verdicts.
 
-The sign of d/domega int phi^2, combined with the eigenvalue counts of
+The sign of d/domega int phi^2 (the derivative of the family's closed
+forms for omega and int phi^2), combined with the eigenvalue counts of
 the linearization, decides orbital stability: slope > 0 with counts
 (n_neg, kernel) = (1, 2) is stable in H^1; slope < 0 gives instability
 in the even subspace, where translation symmetry is unavailable and
@@ -17,12 +18,11 @@ CASES = [
     ("periodic_dn_quotient", 2, 0.5),
 ]
 
-print("=== slopes (Richardson-verified central differences) ===")
+print("=== slopes (derivatives of the closed forms, with their error bound) ===")
 for family, r, at in CASES:
     res = vk_slope(family, r, at)
     print(f"{family} r={r} at {at}: slope={res.slope:+.6f} "
-          f"(step {res.step:.1e}, discrepancy {res.richardson_discrepancy:.1e}, "
-          f"method {res.method})")
+          f"(bound {res.richardson_discrepancy:.1e}, method {res.method})")
 
 print("\n=== verdicts ===")
 for family, r, at in CASES:

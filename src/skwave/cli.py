@@ -84,13 +84,12 @@ def cmd_theta(args) -> int:
 
 def cmd_vk_slope(args) -> int:
     family, r, at = _family_point(args)
-    res = fn.vk_slope(family, r, at, args.step)
+    res = fn.vk_slope(family, r, at)
     _print_json({
         "family": args.family, "r": r, "parameter": at,
         "slope": res.slope, "sign": rp.slope_sign_of(res),
-        "index_I": res.index_I, "method": res.method, "step": res.step,
-        "richardson_discrepancy": res.richardson_discrepancy,
-        "flagged": res.flagged,
+        "index_I": res.index_I, "method": res.method,
+        "richardson_discrepancy": res.richardson_discrepancy, "flagged": res.flagged,
     })
     return 0
 
@@ -158,9 +157,8 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     _add_selectors(p, theta_only=True)
     p.set_defaults(func=cmd_theta)
 
-    p = sub.add_parser("vk-slope", help="slope of the squared norm in omega")
+    p = sub.add_parser("vk-slope", help="closed-form slope of the squared norm in omega")
     _add_selectors(p)
-    p.add_argument("--step", type=float, default=None)
     p.set_defaults(func=cmd_vk_slope)
 
     p = sub.add_parser("verdict", help="orbital stability verdict")

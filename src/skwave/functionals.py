@@ -4,15 +4,14 @@ forms, and the frequency slope of the squared norm.
 A raw torus state's int |u_x|^2 is ``kernel.parseval``, Nyquist mode
 included, so its energy is the one the time stepper conserves.
 
-The slope d/domega int phi^2 (whose sign, together with the negative
-eigenvalue count of the linearization, decides orbital stability) is
-computed by central differences of the closed-form squared norm with a
-mandatory Richardson step-halving check.
+The slope d/domega int phi^2, whose sign decides orbital stability with
+the linearization's counts, is the derivative of the family's closed forms.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +27,17 @@ class VkSlopeResult:
     """d/domega of the squared norm along the family.
 
     ``index_I`` is the quadratic-form value -slope/2; ``flagged`` is set
-    when the step-halved slope disagrees by more than 1%.
+    where the stated bound ``richardson_discrepancy`` exceeds 1% of |slope|.
     """
 
     slope: float
     index_I: float
-    method: str            # "closed_form" | "finite_difference" | "chain_rule_k"
-    step: float
+    method: str            # "closed_form"
     richardson_discrepancy: float
     flagged: bool
+
+
+_SLOPE_EPS = 64 * sys.float_info.epsilon     # c eps of the slope's bound
 
 
 # ----------------------------------------------------------------------
@@ -162,60 +163,83 @@ def lre_phi_identity(p: wv.Profile) -> float:
 # Vakhitov-Kolokolov slope
 # ----------------------------------------------------------------------
 
-def _family_solver(family: str, r: int):
-    if family not in wv.FAMILIES:
-        raise UsageError(f"unknown family {family!r}")
-    return lambda x: wv.solve_family(family, r, x, validate=False)
+def _amplitude_rule(k: float, alpha: float, dal: float) -> np.ndarray:
+    """(I, I'/k, J'/k), I = int psi^2 du and J = int psi_u^2 du of the dn
+    quotient over u in [0, 2K], by rectangle rules in the amplitude phi in
+    [0, pi] (sn = sin phi, du = dphi/dn), explicit in k (``dal`` = alpha'/k).
+    The nodes (about 1/k' needed) double until no row moves by 1e-14."""
+    def rows(phi):
+        S, C = np.sin(phi) ** 2, np.cos(phi) ** 2
+        g, dn2, am = 1 - alpha * S, (1 - k) * (1 + k) + k * k * C, alpha - k * k
+        dn = np.sqrt(dn2)
+        dJ = (am * S * C / (g ** 3 * dn)
+              * (2 * dal - 4 + am * S * (3 * dal / g + 1 / dn2)))
+        return np.array([dn / g, S * (dn * dal / g - 1 / dn) / g, dJ]).sum(axis=1)
+
+    n, total = 8, rows(np.arange(8) * (np.pi / 8))
+    while n < 2 ** 20:
+        finer = total + rows((np.arange(n) + 0.5) * (np.pi / n))
+        n *= 2
+        if np.all(np.abs(finer - 2 * total) <= 1e-14 * np.abs(finer)):
+            return finer * (np.pi / n)
+        total = finer
+    raise DomainError(f"the amplitude rule does not settle at k = {k}")
 
 
-def vk_slope(family: str, r: int, at: float, step: float = None) -> VkSlopeResult:
-    """Sign-reliable d/domega int phi^2 at a family point.
+def vk_slope(family: str, r: int, at: float) -> VkSlopeResult:
+    """d/domega int phi^2 from the family's closed forms, with its stated
+    bound as ``richardson_discrepancy``; ``flagged`` where that exceeds
+    1% of |slope|.
 
-    Solitary waves: central differences of the closed-form squared norm
-    in omega (fresh parameter solves at omega +- h).  Periodic waves:
-    chain rule (d/dk int phi^2)/(domega/dk), both by central differences
-    in the modulus.  The result is Richardson-extrapolated from steps h
-    and h/2 and flagged when the two disagree by more than 1%.
+    Solitary: the width cubic p b^3 + b^2 = omega r^2, p' = p/(r omega),
+    gives b' = (r^2 - p' b^3)/(3 p b^2 + 2 b), and d/domega (a^2 M / b) =
+    a^2 M / b (1/(r omega) - b'/b); the bound is 64 eps times the terms.
+
+    Periodic: (int phi^2 / omega) (log int phi^2)' / (log omega)' in k.
+    Each log-derivative is k times O(1) terms that cancel to O(k^2)
+    (omega' ~ k^3), so the bound is 64 eps (1 + k^-2) |slope|.  K' =
+    k (K - D)/k'^2 and E' = -k D, with D = (K - E)/k^2 = K (1 + t)/2 from
+    the AGM chain.  dn: omega = 3 pi (2 - k^2) K^2 / den and int phi^2 =
+    12 pi^2 K E / den, den = 3 pi^3 / c.  dn quotient: omega = kappa A^2
+    and int phi^2 = A I / b, with A the root of mu A^2 - b^4 J A - b^2,
+    J = (c - 1)/(a^2 b^2), and I, J' from ``_amplitude_rule``.  Raises
+    DomainError where a derivative evaluates to 0 (k^2 < eps).
     """
-    solver = _family_solver(family, r)
-    if step is None:
-        step = 1e-4 * abs(at)
-    if step <= 0:
-        raise DomainError("step must be positive")
-
+    params = wv.solve_family(family, r, at, validate=False)
     if family == wv.SOLITARY:
-        thr = wv.solitary_threshold(r)
-        if at - step <= thr:
-            raise DomainError(
-                f"step {step} straddles the existence threshold {thr:.6f}")
-
-        def slope_of(h: float) -> float:
-            mp = mass_closed_form(solver(at + h))
-            mm = mass_closed_form(solver(at - h))
-            return (mp - mm) / (2 * h)
-
-        method = "finite_difference"
+        A, M = wv.shape_constants(r)
+        w, a2, b = params.omega, params.a ** 2, params.b
+        p = A * a2 / (r * r)
+        db = (r * r - p * b ** 3 / (r * w)) / (3 * p * b * b + 2 * b)
+        terms = (a2 * M / (b * r * w), a2 * M * db / (b * b))
+        slope, bound = terms[0] - terms[1], _SLOPE_EPS * sum(terms)
     else:
-        hi_lim = wv.dn_modulus_limit() if family == wv.PERIODIC_DN else 1.0
-        if not (step < at and at + step < hi_lim):
-            raise DomainError(
-                f"step {step} leaves the modulus range (0, {hi_lim:.6f})")
-
-        def slope_of(h: float) -> float:
-            pp, pm = solver(at + h), solver(at - h)
-            if pp.omega == pm.omega:
-                raise DomainError(f"omega does not move over the step {h:g} "
-                                  f"at k = {at:g}: the slope is undefined")
-            dm_dk = (mass_closed_form(pp) - mass_closed_form(pm)) / (2 * h)
-            dw_dk = (pp.omega - pm.omega) / (2 * h)
-            return dm_dk / dw_dk
-
-        method = "chain_rule_k"
-
-    s1 = slope_of(step)
-    s2 = slope_of(step / 2)
-    disc = abs(s1 - s2)
-    flagged = disc > 0.01 * abs(s2) if s2 != 0.0 else True
-    slope = (4 * s2 - s1) / 3
-    return VkSlopeResult(slope, -slope / 2, method, step, disc, flagged)
-
+        k, k2, kp2 = at, at * at, (1 - at) * (1 + at)
+        agm, _, c = el._agm_chain(k)
+        t = sum(2 ** n * (cn / k) ** 2 for n, cn in enumerate(c[1:], 1))
+        d = (1 + t) / 2                          # D / K
+        g_k = (1 - d) / kp2                      # K' / (k K)
+        if family == wv.PERIODIC_DN:
+            e = 1 - k2 * d                       # E / K
+            g_den = ((math.pi / (2 * agm[-1])) ** 4 * params.c / (3 * math.pi ** 3)
+                     * (8 * e - 16 + 32 * (1 - d)
+                        - 4 * (2 - k2) * (3 * e * (1 - d) / kp2 - d)))   # den'/(k den)
+            weight, dm = 4 * math.pi * e / (2 - k2), g_k - d / e - g_den
+            dw = 2 * g_k - 2 / (2 - k2) - g_den
+        else:
+            s = math.sqrt(k2 * k2 - k2 + 1)
+            ds, mu, b = (2 * k2 - 1) / s, (1 - 2 * k2 + 2 * s) / 3, params.b  # s'/k
+            dal = (k2 * (ds - 2) / (1 - k2 + s) - 2) / (1 - k2 + s)      # alpha'/k
+            I, dI, dJ = _amplitude_rule(k, params.alpha, dal)
+            b4J = b * b * (params.c - 1) / params.a ** 2
+            A = (b4J + math.sqrt(b4J * b4J + 4 * mu * b * b)) / (2 * mu)
+            dA = (((3 * g_k * b4J + b ** 3 * dJ) * A + 2 * b * b * g_k   # A'/k
+                   - (2 * ds - 4) / 3 * A * A) / (2 * mu * A - b4J))
+            weight, dm = A * I / (b * params.omega), dA / A + dI / I - g_k
+            dw = wv._dnq_kappa_log_derivative(k) / k + 2 * dA / A
+        if dw == 0 or dm == 0:
+            raise DomainError(f"d/dk of omega or int phi^2 evaluates to 0 at k = {k:g}")
+        slope = float(weight * dm / dw)
+        bound = _SLOPE_EPS * (1 + k ** -2) * abs(slope)
+    return VkSlopeResult(slope, -slope / 2, "closed_form", bound,
+                         bound > 0.01 * abs(slope))

@@ -73,9 +73,9 @@ def decide(n_neg_L: int, z_kernel_L: int, slope_sign: str,
 
 
 def slope_sign_of(res: fn.VkSlopeResult) -> str:
-    """Degenerate when flagged or within 10x the Richardson discrepancy
-    of zero (the counting argument cannot be applied there)."""
-    if res.flagged or abs(res.slope) < 10 * res.richardson_discrepancy:
+    """Degenerate when flagged: where the slope's stated bound exceeds 1%
+    of |slope| the counting argument cannot be applied."""
+    if res.flagged:
         return SLOPE_DEGENERATE
     return SLOPE_PLUS if res.slope > 0 else SLOPE_MINUS
 
@@ -154,7 +154,7 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
         stage = "slope"
         slope = fn.vk_slope(family, r, at)
         sign = slope_sign_of(slope)
-        evidence["slope"] = {"value": slope.slope, "step": slope.step,
+        evidence["slope"] = {"value": slope.slope,
                              "richardson": slope.richardson_discrepancy,
                              "flagged": slope.flagged, "sign": sign}
 

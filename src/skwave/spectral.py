@@ -358,8 +358,9 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
 
     The block is ordered far end first, where A_b - s is coercive.
     Cholesky (``dpbtrf``) of A_b - s fails at row k (k = m + 1 if it
-    does not fail), so its leading k - 1 rows are positive definite;
-    they are factored afresh.  The far part F is the leading p = k - 1
+    does not fail), so its leading k - 1 rows are positive definite, and
+    that call's leading k - 1 columns hold their factor (it stops at the
+    failing pivot).  The far part F is the leading p = k - 1
     rows, or k - 2 where F's last pivot is so small that g exceeds
     GROWTH_BOUND (one row back the pivot is not small).  Eliminating F
     from the bordered matrix [[A_b - s, U_b], [U_b^T, -C]] leaves the
@@ -389,8 +390,6 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
     shifted[0] -= s
     chol, info = dpbtrf(shifted, lower=1)
     p = m if info == 0 else info - 1
-    if info and p:
-        chol = dpbtrf(shifted[:, :p], lower=1)[0]
     corr, growth = _far_correction(band, chol, factors, p)
     if growth > GROWTH_BOUND and p:
         p -= 1
@@ -594,10 +593,7 @@ def floquet_theta(p: wv.Profile) -> FloquetResult:
         g_a, H, psi_dd0 = k / (2 - k2), k ** 3 / (kp2 * (2 - k2)), -k2
     else:
         s = math.sqrt(k2 * k2 - k2 + 1)
-        d, ds = 1 - k2 + s, k * (2 * k2 - 1) / s
-        dd = ds - 2 * k
-        # kappa'/kappa of kappa = s d^2 / (2 d + k^2)
-        g_a = -(ds / s + 2 * dd / d - 2 * (dd + k) / (2 * d + k2)) / 4
+        g_a = -wv._dnq_kappa_log_derivative(k) / 4
         H, psi_dd0 = k ** 3 * (2 - k2) / (kp2 * s * s), params.alpha - k2
     theta = (math.pi / (2 * agm[-1]) * (H - k * t / kp2)
              / (g_a * params.a ** 2 * params.b ** 3 * psi_dd0))

@@ -226,6 +226,15 @@ def dnq_omega_coefficient(k: float) -> float:
     return s * d * d / (2 * d + k * k)
 
 
+def _dnq_kappa_log_derivative(k: float) -> float:
+    """kappa'/kappa of ``dnq_omega_coefficient``."""
+    k2 = k ** 2
+    s = math.sqrt(k2 * k2 - k2 + 1)
+    d, ds = 1 - k2 + s, k * (2 * k2 - 1) / s
+    dd = ds - 2 * k
+    return ds / s + 2 * dd / d - 2 * (dd + k) / (2 * d + k2)
+
+
 def solve_periodic_r2(k: float, validate: bool = True) -> WaveParams:
     """Quotient-family parameters at modulus k, in closed form.
 

@@ -4,10 +4,11 @@ import pytest
 from skwave import elliptic as el
 from skwave import functionals as fn
 from skwave import waves as wv
-from skwave.errors import DomainError, UsageError
+from skwave.errors import DomainError, ExistenceError, UsageError
 from skwave.kernel import quadrature, torus_grid
 
-from oracles import quadratic_form_LRe, state_derivative
+from oracles import (quadratic_form_LRe, state_derivative, vk_slope_finite_difference,
+                     vk_slope_mp)
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +71,7 @@ def test_mass_closed_form_solitary_r1():
 ])
 def test_mass_closed_form_vs_quadrature(family, r, vals):
     for x in vals:
-        p = fn._family_solver(family, r)(x)
+        p = wv.solve_family(family, r, x, validate=False)
         prof = wv.sample_profile(p, wv.default_grid(p))
         quad_val = quadrature(prof.grid, prof.phi ** 2)
         assert abs(fn.mass_closed_form(p) - quad_val) < 1e-7 * quad_val
@@ -159,20 +160,40 @@ def test_vk_slope_signs():
 @pytest.mark.parametrize("k", [0.01, 0.02, 0.05, 0.08, 0.1])
 def test_vk_slope_dnq_small_k(k):
     # domega/dk vanishes like k^3, so 1e-11 relative noise in alpha(k),
-    # kappa(k) or the amplitude is enough to flag the chain-rule slope
-    # or flip its sign
+    # kappa(k) or the amplitude is enough to flag the slope or flip its sign
     from skwave.report import SLOPE_PLUS, slope_sign_of
 
     res = fn.vk_slope(wv.PERIODIC_DNQ, 2, k)
     ref = fn.vk_slope(wv.PERIODIC_DNQ, 2, 0.15).slope
     assert not res.flagged
     assert slope_sign_of(res) == SLOPE_PLUS
-    # the slope is nearly flat in k; at k = 0.01 alone the result's own
-    # Richardson discrepancy (about 2.4e-3) is the wider bound
-    tol = 1e-3 * abs(ref)
-    if k == 0.01:
-        tol = max(tol, res.richardson_discrepancy)
-    assert abs(res.slope - ref) <= tol
+    # the slope is nearly flat in k
+    assert abs(res.slope - ref) <= 1e-3 * abs(ref)
+
+
+@pytest.mark.parametrize("family, r, at", [
+    *((wv.SOLITARY, r, w) for r, w in ((1, 1.0), (2, 0.5), (3, 0.4), (4, 0.3))),
+    *((wv.PERIODIC_DN, 1, k) for k in (1e-3, 3e-3, 0.01, 0.1, 0.5, 0.97)),
+    *((wv.PERIODIC_DNQ, 2, k) for k in (1e-3, 3e-3, 0.01, 0.1, 0.5, 0.97, 0.999)),
+])
+def test_vk_slope_matches_mpmath(family, r, at):
+    # the closed form is within its stated bound of 50 digits, down to
+    # k = 1e-3 where omega'(k) ~ k^3 has lost six digits to cancellation
+    res = fn.vk_slope(family, r, at)
+    assert res.method == "closed_form" and not res.flagged
+    assert abs(res.slope - vk_slope_mp(family, r, at)) <= res.richardson_discrepancy
+
+
+@pytest.mark.parametrize("family, r, at", [
+    *((wv.SOLITARY, r, w) for r, w in ((1, 1.0), (2, 0.5), (4, 0.3))),
+    *((family, r, k) for family, r in ((wv.PERIODIC_DN, 1), (wv.PERIODIC_DNQ, 2))
+      for k in (0.05, 0.2, 0.5, 0.8, 0.95)),
+])
+def test_vk_slope_matches_finite_difference_oracle(family, r, at):
+    # the oracle's error is its truncation, which the Richardson
+    # discrepancy bounds, plus the roundoff of its differences
+    slope, discrepancy, roundoff = vk_slope_finite_difference(family, r, at)
+    assert abs(fn.vk_slope(family, r, at).slope - slope) <= discrepancy + roundoff
 
 
 def test_vk_slope_r1_implicit_differentiation_oracle():
@@ -194,7 +215,7 @@ def test_vk_slope_periodic_chain_rule_parts():
     assert (pp.omega - pm.omega) > 0  # domega/dk > 0
     res = fn.vk_slope("periodic_dn", 1, 0.5)
     assert res.slope > 0
-    assert res.method == "chain_rule_k"
+    assert res.method == "closed_form"
 
 
 def test_vk_slope_result_invariants():
@@ -204,7 +225,11 @@ def test_vk_slope_result_invariants():
 
 
 def test_vk_slope_threshold_guard():
+    # no step straddles the threshold: just above it the slope is exact,
+    # and below it the family does not exist
     thr = wv.solitary_threshold(1)
-    with pytest.raises(DomainError):
-        fn.vk_slope("solitary", 1, thr + 1e-9, step=1e-6)
+    res = fn.vk_slope("solitary", 1, thr + 1e-9)
+    assert res.slope > 0 and not res.flagged
+    with pytest.raises(ExistenceError):
+        fn.vk_slope("solitary", 1, thr - 1e-9)
 

@@ -405,6 +405,8 @@ SPLIT_CASES = [
     # a tolerance above the continuum edge: the far part's Cholesky
     # stops after a few dozen rows, and the core is eigensolved
     ("solitary", 4, 0.3, 2048, (1.0,)),
+    # kd = 34: LAPACK's blocked dpbtrf (block size 32) factors the far part
+    ("periodic_dn_quotient", 2, 0.95, 512, (None,)),
 ]
 
 
