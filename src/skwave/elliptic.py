@@ -45,6 +45,15 @@ def _agm_chain(k: float) -> tuple[list[float], list[float], list[float]]:
     return a, b, c
 
 
+def _K_and_t(k: float) -> tuple[float, float]:
+    """(K, t) with t = sum_(n>=1) 2^n c_n^2 / k^2 on the AGM chain, so that
+    D = (K - E)/k^2 = K (1 + t)/2 (DLMF 19.8.5) does not cancel at small
+    k: K' = k (K - D)/k'^2 and E' = -k D."""
+    a, _, c = _agm_chain(k)
+    return (math.pi / (2 * a[-1]),
+            sum(2 ** n * (cn / k) ** 2 for n, cn in enumerate(c[1:], 1)))
+
+
 def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind."""
     _check_modulus(k)

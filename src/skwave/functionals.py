@@ -5,7 +5,8 @@ A raw torus state's int |u_x|^2 is ``kernel.parseval``, Nyquist mode
 included, so its energy is the one the time stepper conserves.
 
 The slope d/domega int phi^2, whose sign decides orbital stability with
-the linearization's counts, is the derivative of the family's closed forms.
+the linearization's counts, is the derivative of the family's closed forms
+(on the dn quotient, of integrals from its one quadrature ``waves._dnq_rule``).
 """
 
 from __future__ import annotations
@@ -163,29 +164,6 @@ def lre_phi_identity(p: wv.Profile) -> float:
 # Vakhitov-Kolokolov slope
 # ----------------------------------------------------------------------
 
-def _amplitude_rule(k: float, alpha: float, dal: float) -> np.ndarray:
-    """(I, I'/k, J'/k), I = int psi^2 du and J = int psi_u^2 du of the dn
-    quotient over u in [0, 2K], by rectangle rules in the amplitude phi in
-    [0, pi] (sn = sin phi, du = dphi/dn), explicit in k (``dal`` = alpha'/k).
-    The nodes (about 1/k' needed) double until no row moves by 1e-14."""
-    def rows(phi):
-        S, C = np.sin(phi) ** 2, np.cos(phi) ** 2
-        g, dn2, am = 1 - alpha * S, (1 - k) * (1 + k) + k * k * C, alpha - k * k
-        dn = np.sqrt(dn2)
-        dJ = (am * S * C / (g ** 3 * dn)
-              * (2 * dal - 4 + am * S * (3 * dal / g + 1 / dn2)))
-        return np.array([dn / g, S * (dn * dal / g - 1 / dn) / g, dJ]).sum(axis=1)
-
-    n, total = 8, rows(np.arange(8) * (np.pi / 8))
-    while n < 2 ** 20:
-        finer = total + rows((np.arange(n) + 0.5) * (np.pi / n))
-        n *= 2
-        if np.all(np.abs(finer - 2 * total) <= 1e-14 * np.abs(finer)):
-            return finer * (np.pi / n)
-        total = finer
-    raise DomainError(f"the amplitude rule does not settle at k = {k}")
-
-
 def vk_slope(family: str, r: int, at: float) -> VkSlopeResult:
     """d/domega int phi^2 from the family's closed forms, with its stated
     bound as ``richardson_discrepancy``; ``flagged`` where that exceeds
@@ -201,8 +179,8 @@ def vk_slope(family: str, r: int, at: float) -> VkSlopeResult:
     k (K - D)/k'^2 and E' = -k D, with D = (K - E)/k^2 = K (1 + t)/2 from
     the AGM chain.  dn: omega = 3 pi (2 - k^2) K^2 / den and int phi^2 =
     12 pi^2 K E / den, den = 3 pi^3 / c.  dn quotient: omega = kappa A^2
-    and int phi^2 = A I / b, with A the root of mu A^2 - b^4 J A - b^2,
-    J = (c - 1)/(a^2 b^2), and I, J' from ``_amplitude_rule``.  Raises
+    and int phi^2 = A I / b, with A the root of mu A^2 - b^3 J A - b^2,
+    and I, J and their k-derivatives from ``waves._dnq_rule``.  Raises
     DomainError where a derivative evaluates to 0 (k^2 < eps).
     """
     params = wv.solve_family(family, r, at, validate=False)
@@ -215,26 +193,23 @@ def vk_slope(family: str, r: int, at: float) -> VkSlopeResult:
         slope, bound = terms[0] - terms[1], _SLOPE_EPS * sum(terms)
     else:
         k, k2, kp2 = at, at * at, (1 - at) * (1 + at)
-        agm, _, c = el._agm_chain(k)
-        t = sum(2 ** n * (cn / k) ** 2 for n, cn in enumerate(c[1:], 1))
+        K, t = el._K_and_t(k)
         d = (1 + t) / 2                          # D / K
         g_k = (1 - d) / kp2                      # K' / (k K)
         if family == wv.PERIODIC_DN:
             e = 1 - k2 * d                       # E / K
-            g_den = ((math.pi / (2 * agm[-1])) ** 4 * params.c / (3 * math.pi ** 3)
+            g_den = (K ** 4 * params.c / (3 * math.pi ** 3)
                      * (8 * e - 16 + 32 * (1 - d)
                         - 4 * (2 - k2) * (3 * e * (1 - d) / kp2 - d)))   # den'/(k den)
             weight, dm = 4 * math.pi * e / (2 - k2), g_k - d / e - g_den
             dw = 2 * g_k - 2 / (2 - k2) - g_den
         else:
-            s = math.sqrt(k2 * k2 - k2 + 1)
-            ds, mu, b = (2 * k2 - 1) / s, (1 - 2 * k2 + 2 * s) / 3, params.b  # s'/k
-            dal = (k2 * (ds - 2) / (1 - k2 + s) - 2) / (1 - k2 + s)      # alpha'/k
-            I, dI, dJ = _amplitude_rule(k, params.alpha, dal)
-            b4J = b * b * (params.c - 1) / params.a ** 2
-            A = (b4J + math.sqrt(b4J * b4J + 4 * mu * b * b)) / (2 * mu)
-            dA = (((3 * g_k * b4J + b ** 3 * dJ) * A + 2 * b * b * g_k   # A'/k
-                   - (2 * ds - 4) / 3 * A * A) / (2 * mu * A - b4J))
+            b = params.b
+            ds = (2 * k2 - 1) / math.sqrt(k2 * k2 - k2 + 1)              # s'/k
+            I, J, dI, dJ = wv._dnq_rule(k, params.alpha, b)
+            mu, b3J, A = wv._dnq_amplitude(k, b, J)
+            dA = (((3 * g_k * b3J + b ** 3 * dJ) * A + 2 * b * b * g_k   # A'/k
+                   - (2 * ds - 4) / 3 * A * A) / (2 * mu * A - b3J))
             weight, dm = A * I / (b * params.omega), dA / A + dI / I - g_k
             dw = wv._dnq_kappa_log_derivative(k) / k + 2 * dA / A
         if dw == 0 or dm == 0:

@@ -586,8 +586,7 @@ def floquet_theta(p: wv.Profile) -> FloquetResult:
         raise DegenerateProfileError("phi''(0) vanishes, theta is undefined")
     params = p.params
     k, k2 = params.k, params.k ** 2
-    agm, _, c = el._agm_chain(k)
-    t = sum(2 ** n * (cn / k) ** 2 for n, cn in enumerate(c[1:], 1))
+    K, t = el._K_and_t(k)
     kp2 = (1 - k) * (1 + k)
     if params.family == wv.PERIODIC_DN:
         g_a, H, psi_dd0 = k / (2 - k2), k ** 3 / (kp2 * (2 - k2)), -k2
@@ -595,7 +594,7 @@ def floquet_theta(p: wv.Profile) -> FloquetResult:
         s = math.sqrt(k2 * k2 - k2 + 1)
         g_a = -wv._dnq_kappa_log_derivative(k) / 4
         H, psi_dd0 = k ** 3 * (2 - k2) / (kp2 * s * s), params.alpha - k2
-    theta = (math.pi / (2 * agm[-1]) * (H - k * t / kp2)
+    theta = (K * (H - k * t / kp2)
              / (g_a * params.a ** 2 * params.b ** 3 * psi_dd0))
     ybar_end = (-1.0 / phi_dd0, theta * phi_dd0)
     return FloquetResult(ybar_end[1] / phi_dd0, params.omega, ybar_end, phi_dd0)

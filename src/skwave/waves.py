@@ -25,8 +25,8 @@ gives b with real radicals.  That regime boundary is
 
 The dnoidal parameters are closed forms in K(k) and E(k).  The dn quotient
 has b = K(k)/pi and alpha, kappa from k; its squared amplitude is the
-positive root of a quadratic whose one integral coefficient, int psi'^2
-over the period, is a rectangle rule at roundoff.
+positive root of a quadratic in int psi_u^2 over the period, which
+``_dnq_rule``, the family's one quadrature, gives with the slope's integrals.
 """
 
 from __future__ import annotations
@@ -235,37 +235,52 @@ def _dnq_kappa_log_derivative(k: float) -> float:
     return ds / s + 2 * dd / d - 2 * (dd + k) / (2 * d + k2)
 
 
+def _dnq_rule(k: float, alpha: float, b: float) -> tuple:
+    """(I, J, I'/k, J'/k): I = int psi^2 du and J = int psi_u^2 du of the
+    quotient shape psi = dn/sqrt(g), g = 1 - alpha sn^2, over u in [0, 2K],
+    and their k-derivatives at fixed amplitude phi = am u (sn = sin phi,
+    du = dphi/dn), written back in u.  Periodic trapezoidal rules on analytic
+    integrands, at roundoff from one ``jacobi`` sample at u_j = 2K j/512."""
+    h, k2 = 2 * math.pi * b / DEFAULT_N_TORUS, k * k
+    dal = -2 - (2 * k2 - 1) / math.sqrt(k2 * k2 - k2 + 1)     # alpha'/k
+    sn, cn, dn = el.jacobi(h * np.arange(DEFAULT_N_TORUS), k)
+    S, dn2, am = sn * sn, dn * dn, alpha - k2
+    ig = 1 / (1 - alpha * S)
+    q = S * cn * cn * ig ** 3
+    return (h * np.dot(dn2, ig), h * am * am * q.sum(),
+            h * np.dot(S * ig, dal * dn2 * ig - 1),
+            h * am * np.dot(q, 2 * dal - 4 + am * S * (3 * dal * ig + 1 / dn2)))
+
+
+def _dnq_amplitude(k: float, b: float, J: float) -> tuple[float, float, float]:
+    """(mu, b^3 J, A), A = a^2 the positive root of mu A^2 - b^3 J A - b^2."""
+    mu = (1 - 2 * k * k + 2 * math.sqrt(k ** 4 - k * k + 1)) / 3
+    b3J = b ** 3 * J
+    return mu, b3J, (b3J + math.sqrt(b3J * b3J + 4 * mu * b * b)) / (2 * mu)
+
+
 def solve_periodic_r2(k: float, validate: bool = True) -> WaveParams:
     """Quotient-family parameters at modulus k, in closed form.
 
     b = K(k)/pi, alpha and omega = kappa a^4 are closed forms.  With
     phi = a psi(b x) the stationary equation needs c b^2 = mu a^4, and the
-    Kirchhoff constant is c = 1 + a^2 b^2 J with J = int_0^2pi psi'(b x)^2
-    dx, so A = a^2 is the positive root of
+    Kirchhoff constant is c = 1 + a^2 b J with J = int_0^2K psi_u^2 du
+    from ``_dnq_rule``, so A = a^2 is the positive root of
 
-        mu A^2 - b^4 J A - b^2 = 0,
+        mu A^2 - b^3 J A - b^2 = 0,
 
     where -mu psi'' + kappa psi - psi^5 = 0 for the quotient shape
     psi = dn / sqrt(1 - alpha sn^2), with mu = (1 - 2k^2 +
     2 sqrt(k^4 - k^2 + 1))/3: that is (kappa - 1)/(alpha - k^2) without
-    its cancellation at small k.  J is the rectangle rule on the default
-    torus grid, already at roundoff for the smooth periodic integrand.
+    its cancellation at small k.
     """
     if not 0 < k < 1:
         raise DomainError(f"modulus must lie in (0, 1), got {k}")
-    alpha = dnq_alpha(k)
-    mu = (1 - 2 * k * k + 2 * math.sqrt(k ** 4 - k * k + 1)) / 3
-    b = el.complete_K(k) / math.pi
-    grid = torus_grid(DEFAULT_N_TORUS)
-    sn, cn, _ = el.jacobi(b * grid.nodes, k)
-    J = quadrature(grid, ((alpha - k * k) * sn * cn
-                          * (1 - alpha * sn ** 2) ** -1.5) ** 2)
-    b4J = b ** 4 * J
-    A = (b4J + math.sqrt(b4J * b4J + 4 * mu * b * b)) / (2 * mu)
-    a = math.sqrt(A)
-    c = 1 + A * b * b * J
-    omega = dnq_omega_coefficient(k) * A * A
-    params = WaveParams(PERIODIC_DNQ, 2, omega, a, b, c, k=k, alpha=alpha)
+    alpha, b = dnq_alpha(k), el.complete_K(k) / math.pi
+    J = _dnq_rule(k, alpha, b)[1]
+    A = _dnq_amplitude(k, b, J)[2]
+    params = WaveParams(PERIODIC_DNQ, 2, dnq_omega_coefficient(k) * A * A,
+                        math.sqrt(A), b, 1 + A * b * J, k=k, alpha=alpha)
     if validate:
         _validate_profile(sample_profile(params, default_grid(params)))
     return params

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,14 +176,40 @@ def test_vk_slope_dnq_small_k(k):
 @pytest.mark.parametrize("family, r, at", [
     *((wv.SOLITARY, r, w) for r, w in ((1, 1.0), (2, 0.5), (3, 0.4), (4, 0.3))),
     *((wv.PERIODIC_DN, 1, k) for k in (1e-3, 3e-3, 0.01, 0.1, 0.5, 0.97)),
-    *((wv.PERIODIC_DNQ, 2, k) for k in (1e-3, 3e-3, 0.01, 0.1, 0.5, 0.97, 0.999)),
+    *((wv.PERIODIC_DNQ, 2, k)
+      for k in (1e-3, 3e-3, 0.01, 0.1, 0.5, 0.97, 0.999, 1 - 1e-8, 1 - 1e-9)),
 ])
 def test_vk_slope_matches_mpmath(family, r, at):
     # the closed form is within its stated bound of 50 digits, down to
-    # k = 1e-3 where omega'(k) ~ k^3 has lost six digits to cancellation
+    # k = 1e-3 where omega'(k) ~ k^3 has lost six digits to cancellation,
+    # and up to k = 1 - 1e-9 where the dn quotient's period 2K is ~ 11
     res = fn.vk_slope(family, r, at)
     assert res.method == "closed_form" and not res.flagged
     assert abs(res.slope - vk_slope_mp(family, r, at)) <= res.richardson_discrepancy
+
+
+def test_vk_slope_dnq_memory_near_k_one():
+    # the dn quotient's integrals are one fixed-size rule in u at every k;
+    # a rule in the Jacobi amplitude would need ~1/k' nodes here
+    tracemalloc.start()
+    try:
+        fn.vk_slope(wv.PERIODIC_DNQ, 2, 1 - 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.1, 0.5, 0.97, 1 - 1e-8])
+def test_dnq_rule_matches_closed_forms(k):
+    # int phi^2 = A I / b against the Pi closed form, and the solve's
+    # Kirchhoff constant c = 1 + A b J
+    p = wv.solve_periodic_r2(k, validate=False)
+    I, J, _, _ = wv._dnq_rule(k, p.alpha, p.b)
+    A = p.a ** 2
+    mass = fn.mass_closed_form(p)
+    assert abs(A * I / p.b - mass) <= 1e-14 * mass
+    assert abs(1 + A * p.b * J - p.c) <= 1e-14 * p.c
 
 
 @pytest.mark.parametrize("family, r, at", [
