@@ -14,6 +14,7 @@ from skwave import functionals as fn
 from skwave import spectral as sp
 from skwave import waves as wv
 from skwave.errors import DomainError, UsageError
+from skwave.evolution import EvolutionState
 from skwave.spectral import assemble, floquet_theta, spectrum
 from skwave.kernel import parseval, quadrature, wavenumbers
 
@@ -55,6 +56,48 @@ def kirchhoff_coefficient(u: np.ndarray, grid) -> float:
     """1 + int |u_x|^2 on a torus grid by the program's Parseval sum, as
     ``evolution.step_strang`` takes it."""
     return 1.0 + parseval(grid, grid.m2, np.fft.fft(u))
+
+
+def _phase_allocating(theta: np.ndarray) -> np.ndarray:
+    z = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    return z
+
+
+def _half_kick_allocating(u: np.ndarray, r: int, dt: float) -> np.ndarray:
+    return _phase_allocating(0.5 * dt * (u.real ** 2 + u.imag ** 2) ** r)
+
+
+def step_strang_allocating(state: EvolutionState, dt: float) -> EvolutionState:
+    """``evolution.step_strang`` as it was before its transforms and
+    half-kick worked in place: a fresh array for the kicked state, the
+    transform, the inverse transform and each term of the half-kick
+    phase.  The in-place step must match it bit for bit."""
+    if dt <= 0:
+        raise DomainError("dt must be positive")
+    grid, r = state.grid, state.r
+    m2 = grid.m2
+    cached = state.half_kick
+    if cached is not None and cached[0] is state.u and cached[1] == dt:
+        kick = cached[2]
+    else:
+        kick = _half_kick_allocating(state.u, r, dt)
+    uh = np.fft.fft(state.u * kick)
+    c = 1.0 + parseval(grid, m2, uh)
+    # m^2 is even in m and m[-j] = -m[j] exactly, so the propagator over
+    # the n/2 + 1 distinct values, mirrored, is the full one bit for bit
+    h = grid.n // 2 + 1
+    prop = _phase_allocating((-c * dt) * m2[:h])
+    uh[:h] *= prop
+    uh[h:] *= prop[h - 2:0:-1]
+    u = np.fft.ifft(uh)
+    kick = _half_kick_allocating(u, r, dt)
+    u *= kick
+    u.flags.writeable = False
+    new = EvolutionState(u, state.t + dt, r, grid)
+    new.half_kick = (u, dt, kick)
+    return new
 
 
 def read_profile_header(path) -> dict:

@@ -9,7 +9,7 @@ from skwave import waves as wv
 from skwave.errors import DomainError, UsageError
 from skwave.kernel import quadrature, torus_grid, wavenumbers
 
-from oracles import kirchhoff_coefficient
+from oracles import kirchhoff_coefficient, step_strang_allocating
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +107,14 @@ def test_zero_initial_data():
     g = torus_grid(64)
     res = ev.evolve(np.zeros(64, complex), g, 1, 0.5, 1e-2)
     assert np.all(res.state.u == 0)
+
+
+@pytest.mark.parametrize("log_every", [0, -3])
+def test_evolve_rejects_log_every_below_one(log_every):
+    # 0 would divide by zero; -3 would record steps 0, 3, 6, 9 and the last
+    g = torus_grid(64)
+    with pytest.raises(DomainError):
+        ev.evolve(np.zeros(64, complex), g, 1, 0.1, 1e-2, log_every=log_every)
 
 
 def test_evolve_rejects_fractional_step_count():
@@ -265,6 +273,26 @@ def test_stepped_state_is_read_only(half_kicks):
     assert np.array_equal(new.u, ref.u)
 
 
+@pytest.mark.filterwarnings("ignore:r = 4 evolution")
+@pytest.mark.parametrize("family, r, at, even", [
+    ("periodic_dn", 1, 0.5, False), ("solitary", 2, 0.5, False),
+    ("solitary", 4, 0.3, True)])
+def test_in_place_step_matches_allocating_step(monkeypatch, family, r, at, even):
+    # the c9 runs to T = 2 (2000 steps), with the in-place step and with
+    # the allocating step it replaced: every bit of the final state and
+    # of every record is the same
+    def run():
+        return ev.stability_experiment(family, r, at, 1e-2, 2.0, even=even)
+
+    new = run()
+    monkeypatch.setattr(ev, "step_strang", step_strang_allocating)
+    old = run()
+    assert np.array_equal(new.evolution.state.u, old.evolution.state.u)
+    assert new.evolution.monitors == old.evolution.monitors
+    assert new.evolution.energy_drift == old.evolution.energy_drift
+    assert new.growth_ratio == old.growth_ratio
+
+
 def test_energy_drift_perturbed_solitary():
     # G = int |u_x|^2 moves along a perturbed run, so only the true
     # Hamiltonian G/2 + G^2/4 - ... is flat (a G^2/2 term drifts by 0.49)
@@ -393,28 +421,41 @@ def test_blow_up_flagged():
     assert res.blow_up <= 0.1
 
 
-def test_blow_up_detected_between_records(monkeypatch):
-    # the finiteness check runs every step, not on the logging cadence
+def _poison_step_7(monkeypatch, value):
+    """Run 100 steps with ``value`` written into the state of step 7."""
     g = torus_grid(64)
-    dt = 1e-2
     step = ev.step_strang
     calls = []
 
-    def nan_at_step_7(state, dt):
+    def poison_at_step_7(state, dt):
         calls.append(1)
         new = step(state, dt)
         if len(calls) == 7:
             # a stepped u is read-only: hand back a poisoned copy
             u = new.u.copy()
-            u[3] = np.nan
+            u[3] = value
             new = ev.EvolutionState(u, new.t, new.r, new.grid)
         return new
 
-    monkeypatch.setattr(ev, "step_strang", nan_at_step_7)
-    res = ev.evolve(0.5 * np.exp(1j * g.nodes), g, 1, 1.0, dt, log_every=50)
-    assert abs(res.blow_up - 7 * dt) < 1e-12
+    monkeypatch.setattr(ev, "step_strang", poison_at_step_7)
+    return ev.evolve(0.5 * np.exp(1j * g.nodes), g, 1, 1.0, 1e-2,
+                     log_every=50), calls
+
+
+def test_blow_up_detected_between_records(monkeypatch):
+    # the finiteness check runs every step, not on the logging cadence
+    res, calls = _poison_step_7(monkeypatch, np.nan)
+    assert abs(res.blow_up - 7e-2) < 1e-12
     assert len(calls) == 7
     assert res.state.t == res.blow_up
+    assert res.monitors.steps == [0]
+
+
+def test_blow_up_inf_detected_between_records(monkeypatch):
+    # the check sums the state: one inf entry makes the sum non-finite
+    res, calls = _poison_step_7(monkeypatch, np.inf)
+    assert abs(res.blow_up - 7e-2) < 1e-12
+    assert len(calls) == 7
     assert res.monitors.steps == [0]
 
 

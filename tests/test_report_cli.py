@@ -553,15 +553,17 @@ def test_cli_figures(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 def test_import_skips_optimize():
-    # the package needs no root finder, quadrature or special function
-    # from scipy, and a fresh import must not pay for loading them (tens
-    # of ms for scipy.special alone); only a new process sees this, since
-    # any test module may already have loaded them here
+    # the package needs no root finder, quadrature, special function or
+    # FFT from scipy, and a fresh import must not pay for loading them
+    # (tens of ms for scipy.special alone, about 0.1 s for scipy.fft,
+    # whose transforms numpy gives in place too); only a new process sees
+    # this, since any test module may already have loaded them here
     src = os.path.dirname(os.path.dirname(skwave.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, skwave; print([m for m in sys.modules if m.startswith("
-            "('scipy.special', 'scipy.optimize', 'scipy.integrate'))])")
+            "('scipy.special', 'scipy.optimize', 'scipy.integrate', "
+            "'scipy.fft'))])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
