@@ -24,6 +24,14 @@ into one complex array, which is cheaper than a complex exp.  The
 forward and inverse transforms run in place on the kicked state's
 array, and the half-kick's exponent is built in place.
 
+Every transform here, the step's, the records' and the orbital
+distance's, is ``kernel.dft_into``/``idft_into``: numpy's pocketfft
+kernels called directly, bit for bit ``np.fft.fft``/``ifft`` without
+their per-call wrapper, which was the largest Python overhead left in
+a step.  There is no fallback to the public wrappers: a second path
+would be one the trajectories never run, and the kernel tests pin the
+private call convention so that a numpy changing it fails loudly.
+
 Monitoring runs on the logging cadence, not every step: mass, energy,
 the Kirchhoff coefficient, the orbital distance and the tail level are
 recorded at steps 0, log_every, 2*log_every, ... and at the last step.
@@ -51,7 +59,8 @@ import numpy as np
 from . import waves as wv
 from .errors import DomainError, UsageError
 from .functionals import kirchhoff_energy
-from .kernel import Grid, parseval, quadrature, torus_grid
+from .kernel import (Grid, dft_into, idft_into, parseval, quadrature,
+                     torus_grid)
 
 
 @dataclass
@@ -113,8 +122,8 @@ def step_strang(state: EvolutionState, dt: float) -> EvolutionState:
     The leading half-kick reuses ``state.half_kick`` when it belongs to
     this u and dt; the trailing one is kept on the returned state.
     """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
+    if not dt > 0:
+        raise DomainError(f"dt must be positive, got {dt}")
     grid, r = state.grid, state.r
     m2 = grid.m2
     cached = state.half_kick
@@ -123,7 +132,7 @@ def step_strang(state: EvolutionState, dt: float) -> EvolutionState:
     else:
         kick = _half_kick(state.u, r, dt)
     uh = state.u * kick
-    np.fft.fft(uh, out=uh)
+    dft_into(uh, uh)
     c = 1.0 + parseval(grid, m2, uh)
     # m^2 is even in m and m[-j] = -m[j] exactly, so the propagator over
     # the n/2 + 1 distinct values, mirrored, is the full one bit for bit
@@ -131,7 +140,7 @@ def step_strang(state: EvolutionState, dt: float) -> EvolutionState:
     prop = _phase((-c * dt) * m2[:h])
     uh[:h] *= prop
     uh[h:] *= prop[h - 2:0:-1]
-    u = np.fft.ifft(uh, out=uh)
+    u = idft_into(uh, uh)
     kick = _half_kick(u, r, dt)
     u *= kick
     u.flags.writeable = False
@@ -162,7 +171,8 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
     """Repeated Strang stepping with conservation monitoring on the
     logging cadence.
 
-    T must be a whole number of steps dt, so the run ends at T exactly.
+    T and dt must be finite with dt > 0, and T a whole number of steps
+    dt, so the run ends at T exactly.
     Every ``log_every`` >= 1 steps (default n_steps // 200, at least 1) and
     at the last step one record is taken: time, mass, energy and the
     Kirchhoff coefficient, plus the orbital distance to
@@ -181,6 +191,8 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
             "r = 4 evolution: global existence requires small initial mass "
             "(no quantitative bound); non-finite states are flagged, not "
             "prevented", stacklevel=2)
+    if not (math.isfinite(T) and math.isfinite(dt) and dt > 0):
+        raise DomainError(f"T = {T} and dt = {dt} must be finite, dt > 0")
     n_steps = round(T / dt)
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * T:
         raise DomainError(
@@ -195,7 +207,7 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
     def record(s: EvolutionState, step: int) -> None:
         # one transform serves the gradient norm and the Kirchhoff
         # coefficient; everything else is pointwise
-        grad = parseval(grid, grid.m2, np.fft.fft(s.u))
+        grad = parseval(grid, grid.m2, dft_into(s.u, np.empty_like(s.u)))
         mod2 = s.u.real ** 2 + s.u.imag ** 2
         mon.steps.append(step)
         mon.t.append(s.t)
@@ -257,7 +269,8 @@ class OrbitalDistanceResult:
 
 def h1_norm_sq(grid: Grid, v: np.ndarray) -> float:
     """Spectral H^1 norm squared, sum (1 + m^2) |v_hat|^2 weighted."""
-    return parseval(grid, 1 + grid.m2, np.fft.fft(v))
+    v = np.asarray(v)
+    return parseval(grid, 1 + grid.m2, dft_into(v, np.empty(v.shape, complex)))
 
 
 def orbital_distance(u: np.ndarray, phi_profile: wv.Profile,
@@ -279,13 +292,14 @@ def orbital_distance(u: np.ndarray, phi_profile: wv.Profile,
         raise UsageError("state and reference wave must share one grid")
     scale = grid.parseval_scale
     dual, np_ = phi_profile.h1_dual
-    uh = np.fft.fft(u)
+    uh = dft_into(u, np.empty_like(u))
     nu = parseval(grid, 1.0 + grid.m2, uh)
     if rotation_only:
         inner = scale * complex(np.sum(uh * dual))
         best, theta, shift = abs(inner), math.atan2(inner.imag, inner.real), 0.0
     else:
-        corr = np.fft.ifft(uh * dual) * grid.n * scale
+        corr = uh * dual
+        corr = idft_into(corr, corr) * grid.n * scale
         j = int(np.argmax(np.abs(corr)))
         best = float(np.abs(corr[j]))
         theta = float(np.angle(corr[j]))
@@ -365,6 +379,8 @@ def stability_experiment(family: str, r: int, at: float, epsilon: float,
     symmetry survives) the odd imaginary part is dropped and the
     distance is minimized over rotations only.
     """
+    if not math.isfinite(epsilon):
+        raise DomainError(f"epsilon must be finite, got {epsilon}")
     params = wv.solve_family(family, r, at)
     grid = experiment_grid(params, n)
     prof = periodized_profile(params, grid)

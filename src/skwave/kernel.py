@@ -8,6 +8,15 @@ DFT convention
 ``dft(v)[m] = sum_j v[j] * exp(-2i*pi*m*j/n)`` (plain sum, no scaling)
 and ``idft`` carries the ``1/n`` factor, so ``idft(dft(v)) == v``.
 Parseval reads ``sum |v|^2 = (1/n) sum |dft(v)|^2``.
+
+``dft_into``/``idft_into`` are the same pair written into a given
+array, for the time stepper's hot loop: they call numpy's own pocketfft
+gufuncs with the arguments ``np.fft.fft``/``np.fft.ifft`` pass them, so
+the output is bit for bit the public one without that wrapper's
+per-call argument handling.  There is no fallback to the public
+wrappers: numpy >= 2.0 is required and ships these kernels, and the
+test suite pins their call signature, so a numpy that changes the
+private convention fails the tests instead of taking an untested path.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import DimensionError, DomainError, UsageError
 
@@ -162,3 +172,17 @@ def idft(values: np.ndarray) -> np.ndarray:
     if values.shape[0] % 2:
         raise DimensionError("idft requires an even number of samples")
     return np.fft.ifft(values)
+
+
+def dft_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.fft.fft(values, out=out)`` for 1-D ``values`` and a complex
+    ``out`` of the same length, which may be ``values`` itself; returns
+    ``out``.  The gufunc cannot size its own output, so ``out`` is
+    required."""
+    return _pocketfft.fft(values, 1.0, out=out)
+
+
+def idft_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.fft.ifft(values, out=out)`` likewise; the factor 1/n is the
+    one ``np.fft.ifft`` takes, bit for bit."""
+    return _pocketfft.ifft(values, 1 / values.shape[-1], out=out)

@@ -117,6 +117,26 @@ def test_evolve_rejects_log_every_below_one(log_every):
         ev.evolve(np.zeros(64, complex), g, 1, 0.1, 1e-2, log_every=log_every)
 
 
+@pytest.mark.parametrize("T, dt", [
+    (np.nan, 1e-2), (np.inf, 1e-2), (1.0, np.nan), (1.0, np.inf),
+    (1.0, 0.0)])
+def test_evolve_rejects_nonfinite_or_zero_step(T, dt):
+    # nan and zero made round(T / dt) raise ValueError, ZeroDivisionError
+    # or OverflowError instead of a DomainError
+    g = torus_grid(64)
+    with pytest.raises(DomainError):
+        ev.evolve(np.zeros(64, complex), g, 1, T, dt)
+
+
+@pytest.mark.parametrize("dt", [np.nan, 0.0, -1e-2])
+def test_step_rejects_nonpositive_or_nan_dt(dt):
+    # a nan dt passed a `dt <= 0` guard and returned an all-nan state
+    g = torus_grid(64)
+    st = ev.EvolutionState(0.5 * np.exp(1j * g.nodes), 0.0, 1, g)
+    with pytest.raises(DomainError):
+        ev.step_strang(st, dt)
+
+
 def test_evolve_rejects_fractional_step_count():
     # 1.0 / 0.3 steps would silently end the run at t = 0.9
     g = torus_grid(64)
@@ -158,17 +178,17 @@ def test_cadence_hides_no_energy_drift(dn_wave, dt):
 
 
 def test_monitors_follow_cadence(monkeypatch):
-    # one transform per step plus one per record; per-step monitoring
-    # would take two per step
+    # one forward transform per step plus one per record; per-step
+    # monitoring would take two per step
     g = torus_grid(64)
     calls = []
-    fft = np.fft.fft
+    dft_into = ev.dft_into
 
-    def counting_fft(*args, **kwargs):
+    def counting_dft_into(*args):
         calls.append(1)
-        return fft(*args, **kwargs)
+        return dft_into(*args)
 
-    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    monkeypatch.setattr(ev, "dft_into", counting_dft_into)
     n_steps, log_every = 100, 10
     res = ev.evolve(0.5 * np.exp(1j * g.nodes), g, 1, n_steps * 1e-2, 1e-2,
                     log_every=log_every)
@@ -379,6 +399,13 @@ def test_experiment_grid_for_solitary():
 def test_experiment_epsilon_guard():
     with pytest.raises(DomainError):
         ev.stability_experiment("periodic_dn", 1, 0.5, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+def test_experiment_rejects_nonfinite_epsilon(epsilon):
+    # nan passed the 5% check and came back as growth_ratio inf
+    with pytest.raises(DomainError, match="epsilon"):
+        ev.stability_experiment("periodic_dn", 1, 0.5, epsilon, 1.0)
 
 
 def test_short_stable_experiment():

@@ -187,3 +187,34 @@ def test_dft_roundtrip_and_parseval(log2n):
     lhs = np.sum(np.abs(v) ** 2) * (2 * np.pi / n)
     rhs = np.sum(np.abs(vhat) ** 2) * (2 * np.pi / n ** 2)
     assert abs(lhs - rhs) < 1e-12 * lhs
+
+
+_PAIRS = [(kernel.dft_into, np.fft.fft), (kernel.idft_into, np.fft.ifft)]
+
+
+@pytest.mark.parametrize("n", [16, 96, 512, 1000, 2048])
+@pytest.mark.parametrize("into, public", _PAIRS, ids=["dft", "idft"])
+def test_transform_into_matches_public_fft_bitwise(n, into, public):
+    # in place, into a fresh array, from a read-only and from a real
+    # input: every bit is np.fft's, so no trajectory moves
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = public(v)
+    fresh = np.empty(n, dtype=complex)
+    assert into(v, fresh) is fresh and np.array_equal(fresh, ref)
+    w = v.copy()
+    assert into(w, w) is w and np.array_equal(w, ref)
+    frozen = v.copy()
+    frozen.flags.writeable = False
+    assert np.array_equal(into(frozen, np.empty(n, dtype=complex)), ref)
+    real = v.real.copy()
+    assert np.array_equal(into(real, np.empty(n, dtype=complex)),
+                          public(real))
+
+
+def test_pocketfft_call_convention_pinned():
+    # dft_into/idft_into call numpy's private pocketfft gufuncs; a numpy
+    # that changes their signature must fail here, not move numbers
+    from numpy.fft import _pocketfft_umath
+    assert _pocketfft_umath.fft.signature == "(n),()->(m)"
+    assert _pocketfft_umath.ifft.signature == "(m),()->(n)"

@@ -469,6 +469,20 @@ def test_cli_domain_error_exit(capsys, tmp_path):
     assert "omega" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--T", "nan"), ("--T", "inf"), ("--dt", "nan"), ("--epsilon", "nan")])
+def test_cli_evolve_nonfinite_exit(capsys, tmp_path, flag, value):
+    # a non-finite time, step or amplitude is a usage error (exit 2),
+    # not a traceback or a run reported as a blow-up
+    args = {"--epsilon": "0.01", "--T": "0.1", "--dt": "0.01", flag: value}
+    ret = cli.main(["evolve", "--family", "dn", "--r", "1", "--k", "0.5",
+                    "--n", "64", "--out", str(tmp_path / "run"),
+                    *[x for kv in args.items() for x in kv]])
+    assert ret == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_family_exponent_mismatch(capsys, tmp_path):
     ret = cli.main(["profile", "--family", "dn", "--r", "2", "--k", "0.5",
                     "--out", str(tmp_path / "x.csv")])
