@@ -10,7 +10,7 @@ spectrum starting at omega/c.
 import numpy as np
 
 from skwave import assemble, block_summary, spectrum, symmetric_eigen
-from skwave.spectral import spectrum_confirmed
+from skwave.spectral import lowest, spectrum_confirmed
 from skwave.waves import default_grid, sample_profile, solve_family
 
 CASES = [
@@ -24,13 +24,14 @@ CASES = [
 for family, r, at in CASES:
     params = solve_family(family, r, at)
     prof = sample_profile(params, default_grid(params))
-    s_re = spectrum(assemble("L_Re", prof))
+    op_re = assemble("L_Re", prof)
+    s_re = spectrum(op_re)
     s_im = spectrum(assemble("L_Im", prof))
     block = block_summary(s_re, s_im)
     edge = f" ess_edge={s_re.ess_edge:.4f}" if s_re.ess_edge else ""
     print(f"{family} r={r} at {at}:")
     print(f"  L_Re: n_neg={s_re.n_neg} kernel={s_re.z_kernel} "
-          f"lowest={np.round(s_re.lowest[:3], 6)}{edge}")
+          f"lowest={np.round(lowest(op_re)[:3], 6)}{edge}")
     print(f"  L_Im: n_neg={s_im.n_neg} kernel={s_im.z_kernel}")
     print(f"  block: n_neg={block.n_neg} kernel={block.z_kernel} "
           "(the counting input of the stability argument)")

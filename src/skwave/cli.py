@@ -60,7 +60,7 @@ def cmd_profile(args) -> int:
 
 def cmd_spectrum(args) -> int:
     family, r, at = _family_point(args)
-    rep = rp.spectrum_report(family, r, at, args.n, args.tol_kernel)
+    rep = rp.spectrum_report(family, r, at, args.n)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(rep, fh, indent=2)
@@ -73,8 +73,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_theta(args) -> int:
     family, r, at = _family_point(args)
-    if family == wv.SOLITARY:
-        raise UsageError("theta is defined for the periodic families")
     prof = rp._profile(family, r, at, args.n)
     res = sp.floquet_theta(prof)
     _print_json({"family": args.family, "r": r, "k": at,
@@ -96,7 +94,7 @@ def cmd_vk_slope(args) -> int:
 
 def cmd_verdict(args) -> int:
     family, r, at = _family_point(args)
-    v = rp.verdict(family, r, at, args.n, args.tol_kernel)
+    v = rp.verdict(family, r, at, args.n)
     _print_json(v.to_dict())
     return 3 if v.verdict == rp.INCONCLUSIVE else 0
 
@@ -149,7 +147,6 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalue counts of the linearization")
     _add_selectors(p)
-    p.add_argument("--tol-kernel", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
 
@@ -163,7 +160,6 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
 
     p = sub.add_parser("verdict", help="orbital stability verdict")
     _add_selectors(p)
-    p.add_argument("--tol-kernel", type=float, default=None)
     p.set_defaults(func=cmd_verdict)
 
     p = sub.add_parser("evolve", help="perturb, evolve, and track the orbit distance")

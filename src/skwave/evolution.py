@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from . import waves as wv
-from .errors import DomainError, UsageError
+from .errors import DimensionError, DomainError, UsageError
 from .functionals import kirchhoff_energy
 from .kernel import (Grid, dft_into, idft_into, parseval, quadrature,
                      torus_grid)
@@ -171,8 +171,9 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
     """Repeated Strang stepping with conservation monitoring on the
     logging cadence.
 
-    T and dt must be finite with dt > 0, and T a whole number of steps
-    dt, so the run ends at T exactly.
+    ``u0`` holds one value per node of ``grid``.  T and dt must be
+    finite with dt > 0, and T a whole number of steps dt, so the run
+    ends at T exactly.
     Every ``log_every`` >= 1 steps (default n_steps // 200, at least 1) and
     at the last step one record is taken: time, mass, energy and the
     Kirchhoff coefficient, plus the orbital distance to
@@ -201,7 +202,10 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
         log_every = max(1, n_steps // 200)
     if log_every < 1:
         raise DomainError(f"log_every must be >= 1, got {log_every}")
-    state = EvolutionState(np.asarray(u0, dtype=complex), 0.0, r, grid)
+    u0 = np.asarray(u0, dtype=complex)
+    if u0.shape != (grid.n,):
+        raise DimensionError(f"u0 of shape {u0.shape} on a grid of {grid.n} nodes")
+    state = EvolutionState(u0, 0.0, r, grid)
     mon = Monitors()
 
     def record(s: EvolutionState, step: int) -> None:

@@ -95,10 +95,10 @@ def _profile(family: str, r: int, at: float, n: Optional[int]) -> wv.Profile:
     return prof
 
 
-def _block(ops, count, tol_kernel: Optional[float]):
+def _block(ops, count):
     """Count the assembled (L_Re, L_Im) with ``count`` (``sp.spectrum``
     or ``sp.spectrum_even``); returns (s_re, s_im, block summary)."""
-    s_re, s_im = (count(op, tol_kernel) for op in ops)
+    s_re, s_im = (count(op) for op in ops)
     return s_re, s_im, sp.block_summary(s_re, s_im)
 
 
@@ -114,8 +114,7 @@ def _operator_evidence(s: sp.SpectrumSummary) -> dict:
             "schur_growth": (s.even.growth, s.odd.growth)}
 
 
-def verdict(family: str, r: int, at: float, n: Optional[int] = None,
-            tol_kernel: Optional[float] = None) -> StabilityVerdict:
+def verdict(family: str, r: int, at: float, n: Optional[int] = None) -> StabilityVerdict:
     """Run the full pipeline at one family point.
 
     A numerical or domain failure in any stage produces an inconclusive
@@ -133,7 +132,7 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
         stage = "spectrum"
         # assembled once: the even pass reads the even blocks counted here
         ops = [sp.assemble(kind, prof) for kind in sp.OPERATOR_KINDS]
-        s_re, s_im, block = _block(ops, sp.spectrum, tol_kernel)
+        s_re, s_im, block = _block(ops, sp.spectrum)
         evidence["L_Re"] = _operator_evidence(s_re)
         evidence["L_Im"] = _operator_evidence(s_im)
         # a kernel tolerance at or above the continuum edge counts the
@@ -161,7 +160,7 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
         even_counts = None
         if sign == SLOPE_MINUS:
             stage = "even_restriction"
-            even = _block(ops, sp.spectrum_even, tol_kernel)[2]
+            even = _block(ops, sp.spectrum_even)[2]
             even_counts = (even.n_neg, even.z_kernel)
             evidence["even_block"] = {"n_neg": even.n_neg,
                                       "z_kernel": even.z_kernel}
@@ -178,15 +177,15 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None,
                             sign, theta, call, evidence)
 
 
-def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None,
-                    tol_kernel: Optional[float] = None) -> dict:
+def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None) -> dict:
     """Machine-readable spectrum summary of the block operator; each
     ``lowest`` comes with ``lowest_width``, the bisection width that
     bounds its error.  Where phi''(0) vanishes (periodic k <= 1e-7)
     theta is None and ``theta_error`` says why; the counts stand."""
     prof = _profile(family, r, at, n)
     ops = [sp.assemble(kind, prof) for kind in sp.OPERATOR_KINDS]
-    s_re, s_im, block = _block(ops, sp.spectrum, tol_kernel)
+    s_re, s_im, block = _block(ops, sp.spectrum)
+    lowest = [sp.lowest(op) for op in ops]
     theta = theta_error = None
     if family != wv.SOLITARY:
         try:
@@ -196,11 +195,12 @@ def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None,
     return {
         "family": family, "r": r, "parameter": at,
         "n_neg": block.n_neg, "z_kernel": block.z_kernel,
-        "lowest": list(block.lowest), "lowest_width": block.lowest_width,
+        "lowest": sorted(lowest[0] + lowest[1])[:5],
+        "lowest_width": block.lowest_width,
         "ess_edge": block.ess_edge, "theta": theta, "theta_error": theta_error,
-        **{kind: {**_operator_evidence(s), "lowest": list(s.lowest),
+        **{kind: {**_operator_evidence(s), "lowest": list(low),
                   "lowest_width": s.lowest_width}
-           for kind, s in zip(sp.OPERATOR_KINDS, (s_re, s_im))},
+           for kind, s, low in zip(sp.OPERATOR_KINDS, (s_re, s_im), lowest)},
     }
 
 

@@ -55,8 +55,8 @@ which is formed on the core from the factors reduced by the same
 elimination.  A count costs O(m kd^2) plus the core's eigensolve, and
 the Schur growth of the elimination is its witness.  No dense n x n
 matrix is formed, and the even-subspace counts are the even block's own.
-``lowest`` is bisected on the secular count #(a < s) + n_neg(S) - 1, a
-the six lowest eigenvalues of A_e and S formed over the whole block by
+``lowest(op)`` is bisected on the secular count #(a < s) + n_neg(S) - 1,
+a the six lowest eigenvalues of A_e and S formed over the whole block by
 one banded solve: no Cholesky split, no Schur growth (Golub, 1973).
 
 The kernel is not guessed: the theory proves L_Re phi' = 0 and
@@ -64,7 +64,9 @@ L_Im phi = 0, so the discretized kernel is counted within the residual
 rho = ||M v|| / ||v|| of that vector v, in the operator's orthonormal
 coordinates.  Eigenvalues below -rho count as negative and those in
 [-rho, rho] as kernel.  A genuine eigenvalue within rho raises the
-kernel count, and the verdict turns inconclusive.
+kernel count, and the verdict turns inconclusive.  Each operator is
+counted once, at its own rho, on the first read of its ``summary``;
+``spectrum`` and ``spectrum_even`` both return from that one count.
 
 The kernel position of the periodic Hill operator is certified by the
 Floquet constant theta: the second fundamental solution satisfies
@@ -80,7 +82,7 @@ so that nothing cancels at small k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -111,15 +113,18 @@ class OperatorMatrix:
     U = [phi'', w phi''] for L_Re and is None for L_Im, both in the
     parity coordinates of ``_to_parity``: the even block's columns, then
     the odd block's, each far end first.
-    ``counts`` keeps each summary ``spectrum`` made, by the tolerance it
-    was asked for, so that ``spectrum_even`` reads the even block counted.
     """
 
     kind: str
     profile: wv.Profile
     band: np.ndarray
     factors: Optional[np.ndarray] = None
-    counts: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def summary(self) -> SpectrumSummary:
+        """The operator's counts at the residual rho of its proven kernel
+        vector, made on first read."""
+        return _count(self, _kernel_residual(self))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The operator applied to the grid vector ``v``."""
@@ -143,37 +148,33 @@ def _product(op: OperatorMatrix, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Eigenvalue statistics of a discretized self-adjoint operator.
+    """Eigenvalue counts of a discretized self-adjoint operator, made
+    once per operator at its own tolerance.
 
     Eigenvalues below -tol_kernel count as negative, those within
-    tol_kernel of zero as numerical kernel; by default tol_kernel is the
-    residual rho of the proven kernel vector.  ``ess_edge`` = omega/c is
-    the bottom of the continuous spectrum (line topology only).
-    ``lowest``, the five lowest eigenvalues, is computed on first read
-    by ``find_lowest``: the counts do not need it.  ``lowest_width``,
-    LOWEST_WIDTH max|band|, is the bisection width that bounds its
-    error; digits below it are roundoff.  A summary of a whole operator
-    carries those of its even and odd reflection-parity blocks, counted
-    at the same tolerance.  A block's summary carries the witnesses of
-    its split counts (``_inertia``) at +tol and -tol, the larger of the
-    two, or those at +tol alone where that count settles the block: the
-    core rows eigensolved and the Schur growth.
+    tol_kernel of zero as numerical kernel; tol_kernel is the residual
+    rho of the operator's proven kernel vector.  ``ess_edge`` = omega/c
+    is the bottom of the continuous spectrum (line topology only).
+    ``lowest_width``, LOWEST_WIDTH max|band|, is the bisection width
+    that bounds the error of ``lowest(op)``, the five lowest
+    eigenvalues, which the counts do not need; digits below it are
+    roundoff.  A summary of a whole operator carries those of its even
+    and odd reflection-parity blocks, counted at the same tolerance.  A
+    block's summary carries the witnesses of its split counts
+    (``_inertia``) at +tol and -tol, the larger of the two, or those at
+    +tol alone where that count settles the block: the core rows
+    eigensolved and the Schur growth.
     """
 
     n_neg: int
     z_kernel: int
     ess_edge: Optional[float]
     tol_kernel: float
-    find_lowest: Callable[[], tuple] = field(repr=False, compare=False)
     lowest_width: float
     core_rows: Optional[int] = None
     growth: Optional[float] = None
     even: Optional[SpectrumSummary] = None
     odd: Optional[SpectrumSummary] = None
-
-    @cached_property
-    def lowest(self) -> tuple:
-        return self.find_lowest()
 
 
 @dataclass(frozen=True)
@@ -469,18 +470,16 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
     return tuple(lowest)
 
 
-def _count(op: OperatorMatrix, tol_kernel: Optional[float]) -> SpectrumSummary:
-    """Counts of ``op`` and of its even and odd blocks, made once per
-    operator and tolerance: one split count (``_inertia``) per block at
-    +tol, then one at -tol unless the first found every eigenvalue above
-    +tol; n_below is nondecreasing in the shift, so n_neg = 0 then (of
-    the four blocks, L_Im's odd one).  The operator's counts are the two
-    blocks' added, as for any direct sum.  A block's ``core_rows`` and
-    ``growth`` are the larger of its counts'.
+def _count(op: OperatorMatrix, tol: float) -> SpectrumSummary:
+    """Counts of ``op`` and of its even and odd blocks at the shifts
+    +-``tol``: one split count (``_inertia``) per block at +tol, then one
+    at -tol unless the first found every eigenvalue above +tol; n_below
+    is nondecreasing in the shift, so n_neg = 0 then (of the four blocks,
+    L_Im's odd one).  The operator's counts are the two blocks' added,
+    as for any direct sum.  A block's ``core_rows`` and ``growth`` are
+    the larger of its counts'.  Nothing is cached here: ``op.summary``
+    keeps the count at the operator's own residual.
     """
-    if tol_kernel in op.counts:
-        return op.counts[tol_kernel]
-    tol = _kernel_residual(op) if tol_kernel is None else tol_kernel
     params = op.profile.params
     ess = params.omega / params.c if op.profile.grid.topology == "line" else None
 
@@ -489,24 +488,22 @@ def _count(op: OperatorMatrix, tol_kernel: Optional[float]) -> SpectrumSummary:
         n_neg, core_lo, g_lo = 0, core_hi, g_hi
         if above < band.shape[1]:
             n_neg, _, core_lo, g_lo = _inertia(band, factors, -tol)
-        width = LOWEST_WIDTH * float(np.max(np.abs(band)))
         return SpectrumSummary(n_neg, band.shape[1] - above - n_neg, ess, tol,
-                               lambda: _lowest(band, factors, width), width,
+                               LOWEST_WIDTH * float(np.max(np.abs(band))),
                                max(core_lo, core_hi), max(g_lo, g_hi))
 
     even, odd = (summary(*block) for block in _parity_blocks(op))
-    op.counts[tol_kernel] = replace(block_summary(even, odd), even=even, odd=odd)
-    return op.counts[tol_kernel]
+    return replace(block_summary(even, odd), even=even, odd=odd)
 
 
-def spectrum(op: OperatorMatrix, tol_kernel: float = None) -> SpectrumSummary:
-    """Negative and kernel counts of ``op``, with those of its even and
-    odd blocks as ``even`` and ``odd``; the default ``tol_kernel`` is the
-    residual rho of the operator's proven kernel vector."""
-    return _count(op, tol_kernel)
+def spectrum(op: OperatorMatrix) -> SpectrumSummary:
+    """Negative and kernel counts of ``op`` at the residual rho of its
+    proven kernel vector, with those of its even and odd blocks as
+    ``even`` and ``odd``."""
+    return op.summary
 
 
-def spectrum_even(op: OperatorMatrix, tol_kernel: float = None) -> SpectrumSummary:
+def spectrum_even(op: OperatorMatrix) -> SpectrumSummary:
     """Spectrum of the operator restricted to even functions: the even
     block of ``spectrum``, counted at the full operator's tolerance, and
     read without a solve where ``spectrum`` has counted ``op`` before.
@@ -515,23 +512,29 @@ def spectrum_even(op: OperatorMatrix, tol_kernel: float = None) -> SpectrumSumma
     translation symmetry (and with it the phi' kernel direction, which
     is odd) is dropped.
     """
-    return _count(op, tol_kernel).even
+    return op.summary.even
+
+
+def lowest(op: OperatorMatrix) -> tuple:
+    """The five lowest eigenvalues of ``op``: those of its even and odd
+    blocks merged, each bisected to its block's ``lowest_width``."""
+    s = op.summary
+    even, odd = (_lowest(band, factors, block.lowest_width)
+                 for (band, factors), block in zip(_parity_blocks(op), (s.even, s.odd)))
+    return tuple(sorted(even + odd)[:5])
 
 
 def spectrum_confirmed(kind: str, params: wv.WaveParams,
-                       n: Optional[int] = None,
-                       tol_kernel: Optional[float] = None
+                       n: Optional[int] = None
                        ) -> tuple[SpectrumSummary, SpectrumSummary]:
     """Spectrum with a resolution-doubling confirmation pass.
 
-    Each pass counts at ``tol_kernel`` if given, else at its own
-    residual rho: the truncation error on the line, roundoff on the
-    torus.
+    Each pass counts at its own residual rho: the truncation error on
+    the line, roundoff on the torus.
     """
     prof = wv.sample_profile(params, wv.default_grid(params, n))
     prof2 = wv.sample_profile(params, wv.default_grid(params, 2 * prof.grid.n))
-    return (spectrum(assemble(kind, prof), tol_kernel),
-            spectrum(assemble(kind, prof2), tol_kernel))
+    return spectrum(assemble(kind, prof)), spectrum(assemble(kind, prof2))
 
 
 def block_summary(s_re: SpectrumSummary, s_im: SpectrumSummary) -> SpectrumSummary:
@@ -541,7 +544,6 @@ def block_summary(s_re: SpectrumSummary, s_im: SpectrumSummary) -> SpectrumSumma
     return SpectrumSummary(s_re.n_neg + s_im.n_neg,
                            s_re.z_kernel + s_im.z_kernel,
                            ess, max(s_re.tol_kernel, s_im.tol_kernel),
-                           lambda: tuple(sorted(s_re.lowest + s_im.lowest)[:5]),
                            max(s_re.lowest_width, s_im.lowest_width))
 
 
@@ -596,5 +598,5 @@ def floquet_theta(p: wv.Profile) -> FloquetResult:
         H, psi_dd0 = k ** 3 * (2 - k2) / (kp2 * s * s), params.alpha - k2
     theta = (K * (H - k * t / kp2)
              / (g_a * params.a ** 2 * params.b ** 3 * psi_dd0))
-    ybar_end = (-1.0 / phi_dd0, theta * phi_dd0)
-    return FloquetResult(ybar_end[1] / phi_dd0, params.omega, ybar_end, phi_dd0)
+    return FloquetResult(theta, params.omega, (-1.0 / phi_dd0, theta * phi_dd0),
+                         phi_dd0)

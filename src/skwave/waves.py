@@ -354,8 +354,8 @@ def tail_half_length(params: WaveParams) -> float:
 
 def default_grid(params: WaveParams, n: Optional[int] = None) -> Grid:
     if params.family == SOLITARY:
-        return line_grid(tail_half_length(params), n or DEFAULT_N_LINE)
-    return torus_grid(n or DEFAULT_N_TORUS)
+        return line_grid(tail_half_length(params), DEFAULT_N_LINE if n is None else n)
+    return torus_grid(DEFAULT_N_TORUS if n is None else n)
 
 
 def sample_profile(params: WaveParams, grid: Grid) -> Profile:

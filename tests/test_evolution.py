@@ -6,7 +6,7 @@ import pytest
 from skwave import evolution as ev
 from skwave import functionals as fn
 from skwave import waves as wv
-from skwave.errors import DomainError, UsageError
+from skwave.errors import DimensionError, DomainError, UsageError
 from skwave.kernel import quadrature, torus_grid, wavenumbers
 
 from oracles import kirchhoff_coefficient, step_strang_allocating
@@ -135,6 +135,15 @@ def test_step_rejects_nonpositive_or_nan_dt(dt):
     st = ev.EvolutionState(0.5 * np.exp(1j * g.nodes), 0.0, 1, g)
     with pytest.raises(DomainError):
         ev.step_strang(st, dt)
+
+
+@pytest.mark.parametrize("shape", [(62,), (1,), (64, 1)])
+def test_evolve_rejects_misshaped_state(shape):
+    # a short state raised a bare ValueError from parseval, an (n, 1)
+    # one a TypeError
+    g = torus_grid(64)
+    with pytest.raises(DimensionError):
+        ev.evolve(np.zeros(shape, complex), g, 1, 0.1, 1e-2)
 
 
 def test_evolve_rejects_fractional_step_count():

@@ -268,8 +268,8 @@ def test_periodic_verdict_stable_on_fine_grids_and_small_modulus(family, r, k, n
 
 
 def test_kernel_tolerance_reported_as_evidence():
-    # each operator's evidence carries the tolerance it was counted at:
-    # its kernel residual by default, the caller's value when given
+    # each operator's evidence carries the tolerance it was counted at,
+    # its kernel residual
     prof = wv.sample_profile(wv.solve_periodic_r1(0.5), wv.torus_grid(256))
     v = rp.verdict("periodic_dn", 1, 0.5, n=256)
     rep = rp.spectrum_report("periodic_dn", 1, 0.5, n=256)
@@ -277,8 +277,6 @@ def test_kernel_tolerance_reported_as_evidence():
         tol = rp.sp.spectrum(rp.sp.assemble(kind, prof)).tol_kernel
         assert 0 < tol < 1e-8
         assert v.evidence[kind]["tol_kernel"] == rep[kind]["tol_kernel"] == tol
-    v = rp.verdict("periodic_dn", 1, 0.5, n=256, tol_kernel=1e-6)
-    assert v.evidence["L_Re"]["tol_kernel"] == v.evidence["L_Im"]["tol_kernel"] == 1e-6
 
 
 @pytest.mark.parametrize("r", [4, 5])
@@ -481,6 +479,34 @@ def test_cli_evolve_nonfinite_exit(capsys, tmp_path, flag, value):
     assert ret == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("family, r, at", [
+    ("solitary", 1, 1.0), ("periodic_dn", 1, 0.5)])
+def test_zero_grid_size_is_rejected(family, r, at):
+    # n = 0 meant the default grid (1024 or 512 nodes)
+    v = rp.verdict(family, r, at, n=0)
+    assert v.verdict == rp.INCONCLUSIVE
+    assert v.evidence["failed_stage"] == "construct"
+    assert v.evidence["error"] == "DomainError: grid size must be even and >= 16, got 0"
+
+
+def test_cli_zero_grid_size_exit(capsys, tmp_path):
+    ret = cli.main(["profile", "--family", "dn", "--r", "1", "--k", "0.5",
+                    "--n", "0", "--out", str(tmp_path / "x.csv")])
+    assert ret == 2
+    assert "grid size" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verdict"])
+def test_cli_has_no_kernel_tolerance_flag(capsys, command):
+    # each operator is counted at its own kernel residual only
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--family", "dn", "--r", "1", "--k", "0.5",
+                  "--tol-kernel", "1e-6"])
+    assert exc.value.code == 2
+    assert "--tol-kernel" in capsys.readouterr().err
 
 
 def test_cli_family_exponent_mismatch(capsys, tmp_path):

@@ -256,15 +256,29 @@ def test_counts_dn(dn_profile):
     assert s_re.ess_edge is None
 
 
+def test_each_operator_counted_once(dn_profile):
+    # the counts at the operator's own residual are made on first read
+    # and kept on the operator; spectrum_even reads their even block,
+    # and lowest() bisects without a further count
+    op = sp.assemble("L_Re", dn_profile)
+    s = sp.spectrum(op)
+    assert sp.spectrum(op) is s and sp.spectrum_even(op) is s.even
+    assert s.tol_kernel == sp._kernel_residual(op)
+    assert sp._count(op, s.tol_kernel) == s
+    assert not any(callable(v) for v in vars(s).values())
+    assert len(sp.lowest(op)) == 5
+
+
 def test_counts_solitary(solitary_r1_profile):
-    s_re = sp.spectrum(sp.assemble("L_Re", solitary_r1_profile))
+    op_re = sp.assemble("L_Re", solitary_r1_profile)
+    s_re = sp.spectrum(op_re)
     s_im = sp.spectrum(sp.assemble("L_Im", solitary_r1_profile))
     assert (s_re.n_neg, s_re.z_kernel) == (1, 1)
     assert (s_im.n_neg, s_im.z_kernel) == (0, 1)
     w, c = solitary_r1_profile.params.omega, solitary_r1_profile.params.c
     assert s_re.ess_edge == pytest.approx(w / c)
     # third eigenvalue strictly positive (zero is simple)
-    assert s_re.lowest[2] > s_re.tol_kernel
+    assert sp.lowest(op_re)[2] > s_re.tol_kernel
 
 
 def test_discrete_spectrum_stable_under_doubling():
@@ -285,9 +299,8 @@ def test_discrete_spectrum_stable_under_doubling():
 def test_spectrum_confirmation_counts_at_own_residual():
     # each pass counts at the residual of phi' on its own grid, which
     # keeps the genuine third eigenvalue (0.031 at k = 0.5) out of the
-    # kernel; an explicit tolerance overrides it in both passes.  rho is
-    # taken in trig coordinates; the nodal residual agrees with it to
-    # roundoff (observed: 4e-16 relative)
+    # kernel.  rho is taken in trig coordinates; the nodal residual
+    # agrees with it to roundoff (observed: 4e-16 relative)
     params = wv.solve_periodic_r1(0.5)
     passes = sp.spectrum_confirmed("L_Re", params)
     for s, n in zip(passes, (512, 1024)):
@@ -297,8 +310,6 @@ def test_spectrum_confirmation_counts_at_own_residual():
         nodal = np.linalg.norm(op.apply(prof.dphi)) / np.linalg.norm(prof.dphi)
         assert abs(s.tol_kernel - nodal) <= 1e-12 * nodal
         assert (s.n_neg, s.z_kernel) == (1, 1)
-    assert [s.tol_kernel for s in sp.spectrum_confirmed("L_Re", params, None, 1e-8)] \
-        == [1e-8, 1e-8]
 
 
 def test_ground_state_positivity(dn_profile, solitary_r1_profile):
@@ -348,14 +359,15 @@ def check_counts_against_dense_oracle(prof: wv.Profile, entry_tol: float) -> Non
         rho = np.linalg.norm(M @ v) / np.linalg.norm(v)
         assert abs(s.tol_kernel - rho) <= floor
         assert np.min(np.abs(w)) <= s.tol_kernel + floor
-        assert np.max(np.abs(np.array(s.lowest) - w[:5])) <= 1e-12 * norm
+        assert np.max(np.abs(np.array(sp.lowest(op)) - w[:5])) <= 1e-12 * norm
         absw = np.sort(np.abs(w))[:8]
         gaps = (absw[:-1] + absw[1:]) / 2
         shifts = [s.tol_kernel] + [t for t, lo, hi in zip(gaps, absw, absw[1:])
                                    if hi - lo > 1e-6 * norm]
         assert len(shifts) >= 4
         for tol in shifts:
-            full, even = sp.spectrum(op, tol), sp.spectrum_even(op, tol)
+            full = sp._count(op, tol)
+            even = full.even
             # a residual tolerance below the oracle's floor is read at it
             t = max(tol, floor)
             assert (full.n_neg, full.z_kernel) == _dense_counts(w, t), (kind, tol)
@@ -421,7 +433,7 @@ def test_split_counts_match_dense_blocks(family, r, at, n, tols):
         blocks = sp._parity_blocks(op)
         eigs = [np.linalg.eigvalsh(dense_block(*block)) for block in blocks]
         for tol in tols:
-            s = sp.spectrum(op, tol)
+            s = sp.spectrum(op) if tol is None else sp._count(op, tol)
             for summ, w, (band, _) in zip((s.even, s.odd), eigs, blocks):
                 # a tolerance below the dense solver's resolution is read at it
                 t = max(summ.tol_kernel, 1e-12 * np.max(np.abs(band)))
@@ -443,7 +455,7 @@ def test_split_count_core_matches_eig_banded_oracle(family, r, at, n, tols):
     for kind in sp.OPERATOR_KINDS:
         op = sp.assemble(kind, prof)
         for tol in tols:
-            s = sp.spectrum(op, tol)
+            s = sp.spectrum(op) if tol is None else sp._count(op, tol)
             for summ, block in zip((s.even, s.odd), sp._parity_blocks(op)):
                 shifts = (-s.tol_kernel, s.tol_kernel)
                 lo, hi = (sp._inertia(*block, t) for t in shifts)
@@ -647,6 +659,25 @@ def test_theta_degenerate_profile(dn_profile):
         sp.floquet_theta(prof)
 
 
+@pytest.mark.parametrize("family, r", [(wv.PERIODIC_DN, 1), (wv.PERIODIC_DNQ, 2)])
+def test_theta_does_not_pass_through_phi_dd0(monkeypatch, family, r):
+    # theta is the closed form itself: phi''(0) only scales ybar, so a
+    # phi''(0) off by a factor that is no power of two leaves theta
+    # bitwise unchanged; theta phi''(0) / phi''(0) moved it by an ulp
+    # (dnq k = 0.5 at the factors 1.1 and 1.2)
+    params = wv.solve_family(family, r, 0.5)
+    prof = wv.sample_profile(params, wv.torus_grid(64))
+    res = sp.floquet_theta(prof)
+    assert res.ybar_end == (-1.0 / res.phi_dd0, res.theta * res.phi_dd0)
+    values = wv.profile_values
+    for scale in np.linspace(1.1, 1.9, 9):
+        monkeypatch.setattr(wv, "profile_values",
+                            lambda p, x, s=scale: tuple(np.asarray(values(p, x)) * s))
+        scaled = sp.floquet_theta(prof)
+        assert scaled.theta == res.theta, scale
+        assert scaled.ybar_end[1] == res.theta * scaled.phi_dd0
+
+
 def test_theta_rejects_line_profile(solitary_r1_profile):
     with pytest.raises(UsageError):
         sp.floquet_theta(solitary_r1_profile)
@@ -714,7 +745,8 @@ def test_spectrum_even_matches_basis_oracle(dn_profile, solitary_r4_profile):
             tol = s.tol_kernel
             assert abs(tol - rho) <= slack * norm
             assert np.min(np.abs(np.linalg.eigvalsh(M))) <= tol + slack * norm
-            assert np.max(np.abs(np.array(s.lowest) - w[:5])) <= 1e-12 * norm
+            low = sp._lowest(*sp._parity_blocks(op)[0], s.lowest_width)
+            assert np.max(np.abs(np.array(low) - w[:5])) <= 1e-12 * norm
             assert (s.n_neg, s.z_kernel) == (int(np.sum(w < -tol)),
                                              int(np.sum(np.abs(w) <= tol)))
 
@@ -728,9 +760,11 @@ def test_spectrum_odd_matches_basis_oracle(dn_profile, solitary_r4_profile):
             M = assemble_dense_oracle(kind, prof)
             norm = float(np.max(np.abs(M)))
             w = np.linalg.eigvalsh(B.T @ M @ B)
-            s = sp.spectrum(sp.assemble(kind, prof)).odd
+            op = sp.assemble(kind, prof)
+            s = sp.spectrum(op).odd
             tol = s.tol_kernel
-            assert np.max(np.abs(np.array(s.lowest) - w[:5])) <= 1e-12 * norm
+            low = sp._lowest(*sp._parity_blocks(op)[1], s.lowest_width)
+            assert np.max(np.abs(np.array(low) - w[:5])) <= 1e-12 * norm
             assert (s.n_neg, s.z_kernel) == (int(np.sum(w < -tol)),
                                              int(np.sum(np.abs(w) <= tol)))
 
