@@ -1,8 +1,20 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 domain/existence error or degenerate profile,
-3 inconclusive verdict, 4 numerical failure.  A JSON config file passed
-with --config supplies defaults for any flag; explicit flags override it.
+Exit codes:
+  0  success;
+  2  usage, domain or existence error, degenerate profile, a --config
+     file that cannot be read or is not a JSON object of known flags,
+     or an --out path that cannot be written;
+  3  inconclusive verdict;
+  4  numerical failure: a non-finite evolved state or a failed LAPACK
+     call.
+
+A JSON config file passed with --config holds flag names and values.
+Each value replaces the chosen subcommand's default for that flag, and
+explicit flags override it; required flags must still be given.  A key
+that no subcommand takes is an error, and one that only other
+subcommands take is ignored, so one file can serve several subcommands.
+All JSON is strict: a non-finite number is an error, not ``NaN``.
 """
 
 from __future__ import annotations
@@ -20,7 +32,6 @@ from . import report as rp
 from . import spectral as sp
 from . import waves as wv
 from .errors import (
-    BlowUpError,
     DegenerateProfileError,
     DimensionError,
     DomainError,
@@ -45,9 +56,11 @@ def _family_point(args) -> tuple[str, int, float]:
     return family, args.r, args.k
 
 
-def _print_json(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _print_json(obj, fh=None) -> None:
+    """The one JSON writer: stdout, ``spectrum --out`` and manifest.json."""
+    fh = sys.stdout if fh is None else fh
+    json.dump(obj, fh, indent=2, allow_nan=False)
+    fh.write("\n")
 
 
 def cmd_profile(args) -> int:
@@ -63,8 +76,7 @@ def cmd_spectrum(args) -> int:
     rep = rp.spectrum_report(family, r, at, args.n)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(rep, fh, indent=2)
-            fh.write("\n")
+            _print_json(rep, fh)
         print(f"wrote {args.out}")
     else:
         _print_json(rep)
@@ -106,10 +118,14 @@ def cmd_evolve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ev.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
                             res.evolution)
-    ev.write_manifest_json(os.path.join(args.out, "manifest.json"), res)
-    _print_json(res.manifest())
+    manifest = res.manifest()
+    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
+        _print_json(manifest, fh)
+    _print_json(manifest)
     if res.blow_up is not None:
-        raise BlowUpError(res.blow_up)
+        print(f"numerical failure: state became non-finite at t = {res.blow_up:.6g}",
+              file=sys.stderr)
+        return 4
     return 0
 
 
@@ -129,15 +145,14 @@ def _add_selectors(p: argparse.ArgumentParser, theta_only: bool = False) -> None
     p.add_argument("--n", type=int, default=None, help="grid size")
 
 
-def _build_parser(defaults: dict) -> argparse.ArgumentParser:
-    """The waves parser; ``defaults`` replace the built-in defaults of the
-    subcommand flags, and explicit flags still win."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The waves parser and its subcommand parsers by name."""
     top = argparse.ArgumentParser(
         prog="waves",
         description="standing waves of the 1D Schrodinger-Kirchhoff "
                     "equation: profiles, spectra, slopes, verdicts, evolution")
     top.add_argument("--config", default=None,
-                     help="JSON file with default values for any flag")
+                     help="JSON file with default values for the subcommand's flags")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="sample a wave profile to CSV")
@@ -177,29 +192,41 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_figures)
 
-    for p in sub.choices.values():
-        p.set_defaults(**defaults)
-    return top
+    return top, sub.choices
+
+
+def _config_defaults(path: str, subparsers: dict, command: str) -> dict:
+    """The values of ``command``'s flags in the config file at ``path``."""
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
+    config = {k.replace("-", "_"): v for k, v in config.items()}
+    flags = {name: {a.dest for a in p._actions} - {"help"}
+             for name, p in subparsers.items()}
+    unknown = sorted(set(config).difference(*flags.values()))
+    if unknown:
+        raise UsageError(f"config {path}: no subcommand takes {', '.join(unknown)}")
+    return {k: v for k, v in config.items() if k in flags[command]}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser({}).parse_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            config = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
-        # the first parse tells which flags the chosen subcommand has;
-        # the second takes their defaults from the config, and config
-        # keys the subcommand lacks are dropped
-        known = {k: v for k, v in config.items()
-                 if k in vars(args) and k not in ("config", "command", "func")}
-        args = _build_parser(known).parse_args(argv)
+    top, subparsers = _build_parser()
+    args = top.parse_args(argv)
     try:
+        if args.config:
+            # the first parse names the subcommand; the second reads its
+            # flags' defaults from the config
+            subparsers[args.command].set_defaults(
+                **_config_defaults(args.config, subparsers, args.command))
+            args = top.parse_args(argv)
         return args.func(args)
-    except (DomainError, UsageError, DimensionError, DegenerateProfileError) as exc:
+    except (DomainError, UsageError, DimensionError, DegenerateProfileError,
+            OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BlowUpError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

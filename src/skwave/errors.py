@@ -19,11 +19,3 @@ class UsageError(ValueError):
 
 class DegenerateProfileError(ValueError):
     """Profile violates a nondegeneracy requirement (e.g. phi''(0) = 0)."""
-
-
-class BlowUpError(RuntimeError):
-    """Time evolution produced a non-finite state."""
-
-    def __init__(self, t, message=None):
-        self.t = t
-        super().__init__(message or f"state became non-finite at t = {t:.6g}")

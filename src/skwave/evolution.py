@@ -48,7 +48,6 @@ tail sits below 1e-12 of the peak; the wraparound level is monitored.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -316,17 +315,6 @@ def orbital_distance(u: np.ndarray, phi_profile: wv.Profile,
 # stability experiments
 # ----------------------------------------------------------------------
 
-def periodized_profile(params: wv.WaveParams, grid: Grid) -> wv.Profile:
-    """The closed form on the experiment torus.
-
-    A solitary wave needs a box wide enough that the tail at the edges
-    is negligible; ``experiment_grid`` guarantees < 1e-12.
-    """
-    if grid.topology != "torus":
-        raise UsageError("periodized profiles live on torus grids")
-    return wv.Profile(params, grid, *wv.profile_values(params, grid.nodes))
-
-
 def experiment_grid(params: wv.WaveParams, n: int = 512) -> Grid:
     """Torus for one experiment: the native 2*pi torus for periodic
     waves, a centered box of width max(8r/b, 50, twice the 1e-12 tail
@@ -349,7 +337,7 @@ class ExperimentResult:
     even: bool
     initial_distance: float
     max_distance: float
-    growth_ratio: float
+    growth_ratio: Optional[float]   # None at a zero initial distance
     blow_up: Optional[float]
     evolution: EvolutionResult
 
@@ -387,7 +375,7 @@ def stability_experiment(family: str, r: int, at: float, epsilon: float,
         raise DomainError(f"epsilon must be finite, got {epsilon}")
     params = wv.solve_family(family, r, at)
     grid = experiment_grid(params, n)
-    prof = periodized_profile(params, grid)
+    prof = wv.Profile(params, grid, *wv.profile_values(params, grid.nodes))
     norm_phi = math.sqrt(prof.h1_dual[1])
     if epsilon > 0.05 * norm_phi:
         raise DomainError(
@@ -401,7 +389,7 @@ def stability_experiment(family: str, r: int, at: float, epsilon: float,
                  distance_profile=prof, rotation_only=even)
     d0, dmax = res.monitors.distance[0], res.max_distance
     return ExperimentResult(family, r, at, epsilon, T, dt, n, even,
-                            d0, dmax, dmax / d0 if d0 > 0 else math.inf,
+                            d0, dmax, dmax / d0 if d0 > 0 else None,
                             res.blow_up, res)
 
 
@@ -419,9 +407,3 @@ def write_trajectory_csv(path, result: EvolutionResult) -> None:
         fh.write("t,mass,energy,kirchhoff_c,orbital_distance\n")
         for row in zip(mon.t, mon.mass, mon.energy, mon.kirchhoff, distance):
             fh.write("%.12g,%.17g,%.17g,%.17g,%.12g\n" % row)
-
-
-def write_manifest_json(path, experiment: ExperimentResult) -> None:
-    with open(path, "w") as fh:
-        json.dump(experiment.manifest(), fh, indent=2)
-        fh.write("\n")

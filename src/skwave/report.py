@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -53,12 +53,7 @@ class StabilityVerdict:
     evidence: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family, "r": self.r, "parameter": self.parameter,
-            "n_neg_L": self.n_neg_L, "z_kernel_L": self.z_kernel_L,
-            "slope_sign": self.slope_sign, "theta": self.theta,
-            "verdict": self.verdict, "evidence": self.evidence,
-        }
+        return asdict(self)
 
 
 def decide(n_neg_L: int, z_kernel_L: int, slope_sign: str,
@@ -95,13 +90,6 @@ def _profile(family: str, r: int, at: float, n: Optional[int]) -> wv.Profile:
     return prof
 
 
-def _block(ops, count):
-    """Count the assembled (L_Re, L_Im) with ``count`` (``sp.spectrum``
-    or ``sp.spectrum_even``); returns (s_re, s_im, block summary)."""
-    s_re, s_im = (count(op) for op in ops)
-    return s_re, s_im, sp.block_summary(s_re, s_im)
-
-
 def _operator_evidence(s: sp.SpectrumSummary) -> dict:
     """An operator's counts, its tolerance, and its parity blocks'
     (n_neg, z_kernel) pairs with the witnesses of their split counts:
@@ -132,7 +120,8 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None) -> Stabilit
         stage = "spectrum"
         # assembled once: the even pass reads the even blocks counted here
         ops = [sp.assemble(kind, prof) for kind in sp.OPERATOR_KINDS]
-        s_re, s_im, block = _block(ops, sp.spectrum)
+        s_re, s_im = (sp.spectrum(op) for op in ops)
+        block = sp.block_summary(s_re, s_im)
         evidence["L_Re"] = _operator_evidence(s_re)
         evidence["L_Im"] = _operator_evidence(s_im)
         # a kernel tolerance at or above the continuum edge counts the
@@ -160,7 +149,7 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None) -> Stabilit
         even_counts = None
         if sign == SLOPE_MINUS:
             stage = "even_restriction"
-            even = _block(ops, sp.spectrum_even)[2]
+            even = sp.block_summary(*(sp.spectrum_even(op) for op in ops))
             even_counts = (even.n_neg, even.z_kernel)
             evidence["even_block"] = {"n_neg": even.n_neg,
                                       "z_kernel": even.z_kernel}
@@ -184,7 +173,8 @@ def spectrum_report(family: str, r: int, at: float, n: Optional[int] = None) -> 
     theta is None and ``theta_error`` says why; the counts stand."""
     prof = _profile(family, r, at, n)
     ops = [sp.assemble(kind, prof) for kind in sp.OPERATOR_KINDS]
-    s_re, s_im, block = _block(ops, sp.spectrum)
+    s_re, s_im = (sp.spectrum(op) for op in ops)
+    block = sp.block_summary(s_re, s_im)
     lowest = [sp.lowest(op) for op in ops]
     theta = theta_error = None
     if family != wv.SOLITARY:

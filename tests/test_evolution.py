@@ -400,9 +400,9 @@ def test_experiment_grid_for_solitary():
     g = ev.experiment_grid(p, 512)
     assert g.topology == "torus"
     assert g.circumference >= 8 * p.r / p.b
-    prof = ev.periodized_profile(p, g)
-    assert np.max(prof.phi) / p.a > 1 - 1e-10
-    assert np.min(prof.phi) < 1e-11 * p.a
+    phi = wv.profile_values(p, g.nodes)[0]
+    assert np.max(phi) / p.a > 1 - 1e-10
+    assert np.min(phi) < 1e-11 * p.a
 
 
 def test_experiment_epsilon_guard():
@@ -436,10 +436,7 @@ def test_trajectory_export(tmp_path):
     assert rows.shape == (len(mon.t), 5) == (201, 5)
     assert np.allclose(rows[:, 0], 5e-3 * np.arange(201), rtol=0, atol=1e-12)
     assert np.allclose(rows[:, 4], mon.distance, rtol=1e-11, atol=0)
-    manifest_path = tmp_path / "manifest.json"
-    ev.write_manifest_json(manifest_path, res)
-    import json
-    man = json.loads(manifest_path.read_text())
+    man = res.manifest()
     assert man["family"] == "periodic_dn"
     assert man["initial_distance"] > 0
 

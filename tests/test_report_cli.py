@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import skwave
 from skwave import cli
+from skwave import evolution as ev
 from skwave import report as rp
 from skwave import waves as wv
 from skwave.errors import DomainError
@@ -557,7 +560,7 @@ def test_cli_config_defaults(tmp_path, capsys):
 
 def test_cli_evolve_n_from_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 64, "tol_kernel": 1.0}))
+    cfg.write_text(json.dumps({"n": 64}))
     ret = cli.main(["--config", str(cfg), "evolve", "--family", "dn",
                     "--r", "1", "--k", "0.5", "--epsilon", "0.01",
                     "--T", "0.05", "--dt", "0.005", "--out", str(tmp_path)])
@@ -565,6 +568,110 @@ def test_cli_evolve_n_from_config(tmp_path, capsys):
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["n"] == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("config", [{"omgea": 3}, {"tol_kernel": 1.0}])
+def test_cli_config_rejects_unknown_key(tmp_path, capsys, config):
+    # a key no subcommand takes was dropped without a word
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    ret = cli.main(["--config", str(cfg), "verdict", "--family", "dn",
+                    "--r", "1", "--k", "0.5"])
+    assert ret == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and next(iter(config)) in err
+
+
+def test_cli_config_ignores_other_subcommands_keys(tmp_path, capsys):
+    # one config serves several subcommands: evolve's epsilon is ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epsilon": 0.01, "k": 0.5}))
+    ret = cli.main(["--config", str(cfg), "verdict", "--family", "dn",
+                    "--r", "1", "--n", "128"])
+    assert ret == 0
+    assert json.loads(capsys.readouterr().out)["parameter"] == 0.5
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({}, ["--config", "missing.json", "verdict", "--family", "dn", "--r", "1"]),
+    ({"cfg.json": "{"}, ["--config", "cfg.json", "verdict", "--family", "dn", "--r", "1"]),
+    ({"cfg.json": "[1]"}, ["--config", "cfg.json", "verdict", "--family", "dn", "--r", "1"]),
+    ({}, ["spectrum", "--family", "dn", "--r", "1", "--k", "0.5", "--n", "64",
+          "--out", "nodir/s.json"]),
+    ({}, ["profile", "--family", "dn", "--r", "1", "--k", "0.5", "--n", "64",
+          "--out", "nodir/p.csv"]),
+], ids=["missing-config", "invalid-json", "json-array", "spectrum-out", "profile-out"])
+def test_cli_outside_input_exit(tmp_path, monkeypatch, capsys, files, argv):
+    # an unreadable config or an unwritable --out is exit 2, not a traceback
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_cli_evolve_zero_epsilon_is_strict_json(tmp_path, capsys):
+    # the initial distance is 0: the growth ratio was written as Infinity
+    ret = cli.main(["evolve", "--family", "dn", "--r", "1", "--k", "0.5",
+                    "--epsilon", "0", "--T", "0.1", "--dt", "0.01",
+                    "--n", "64", "--out", str(tmp_path)])
+    assert ret == 0
+    for text in (capsys.readouterr().out, (tmp_path / "manifest.json").read_text()):
+        man = json.loads(text, parse_constant=_reject_constant)
+        assert man["initial_distance"] == 0.0
+        assert man["growth_ratio"] is None
+
+
+def test_cli_evolve_blow_up_exit(tmp_path, monkeypatch, capsys):
+    # a non-finite state exits 4 after both files are written
+    step = ev.step_strang
+
+    def poisoned(state, dt):
+        new = step(state, dt)
+        if new.t > 0.065:
+            u = new.u.copy()
+            u[3] = np.nan
+            new = ev.EvolutionState(u, new.t, new.r, new.grid)
+        return new
+
+    monkeypatch.setattr(ev, "step_strang", poisoned)
+    ret = cli.main(["evolve", "--family", "dn", "--r", "1", "--k", "0.5",
+                    "--epsilon", "0.01", "--T", "0.5", "--dt", "0.01",
+                    "--n", "64", "--out", str(tmp_path)])
+    assert ret == 4
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: state became non-finite at t = 0.07\n"
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man == json.loads(captured.out)
+    assert man["blow_up"] == pytest.approx(0.07, abs=1e-12)
+    assert (tmp_path / "trajectory.csv").exists()
+
+
+def test_cli_spectrum_out_matches_stdout(tmp_path, capsys):
+    argv = ["spectrum", "--family", "dnq", "--r", "2", "--k", "0.95", "--n", "64"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "spec.json"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text() == printed
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every waves line of the README's CLI block, as written there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("waves ")]
+    assert any("--config cfg.json" in ln for ln in lines)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"k": 0.5}))
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_cli_evolve(tmp_path, capsys):
