@@ -14,6 +14,8 @@ Each value replaces the chosen subcommand's default for that flag, and
 explicit flags override it; required flags must still be given.  A key
 that no subcommand takes is an error, and one that only other
 subcommands take is ignored, so one file can serve several subcommands.
+A value is checked as its flag checks a command-line value (a flag
+without one, --even, takes a JSON boolean), and a wrong one is an error.
 All JSON is strict: a non-finite number is an error, not ``NaN``.
 """
 
@@ -195,19 +197,44 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return top, sub.choices
 
 
+def _config_value(path: str, action: argparse.Action, value):
+    """A config value as its flag parses it.  argparse converts a default
+    only if it is a string, so the value is given as one to the flag's
+    ``type`` and checked against its ``choices``; a flag that takes no
+    value (``store_true``) accepts a JSON boolean alone."""
+    parsed = value
+    try:
+        if action.nargs == 0:
+            ok = isinstance(value, bool)
+        elif action.type is None:
+            ok = isinstance(value, str)
+        else:
+            parsed = action.type(str(value))
+            ok = action.choices is None or parsed in action.choices
+    except ValueError:
+        ok = False
+    if not ok:
+        raise UsageError(f"config {path}: invalid value {json.dumps(value)} "
+                         f"for {action.dest}")
+    return parsed
+
+
 def _config_defaults(path: str, subparsers: dict, command: str) -> dict:
-    """The values of ``command``'s flags in the config file at ``path``."""
+    """The values of ``command``'s flags in the config file at ``path``,
+    each converted as its flag's own (``_config_value``)."""
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     config = {k.replace("-", "_"): v for k, v in config.items()}
-    flags = {name: {a.dest for a in p._actions} - {"help"}
+    flags = {name: {a.dest: a for a in p._actions if a.dest != "help"}
              for name, p in subparsers.items()}
     unknown = sorted(set(config).difference(*flags.values()))
     if unknown:
         raise UsageError(f"config {path}: no subcommand takes {', '.join(unknown)}")
-    return {k: v for k, v in config.items() if k in flags[command]}
+    actions = flags[command]
+    return {k: _config_value(path, actions[k], v) for k, v in config.items()
+            if k in actions}
 
 
 def main(argv=None) -> int:

@@ -52,9 +52,13 @@ the inertia of a 2x2 Schur complement,
     S = -C - U_e^T (A_e - s)^-1 U_e,
 
 which is formed on the core from the factors reduced by the same
-elimination.  A count costs O(m kd^2) plus the core's eigensolve, and
-the Schur growth of the elimination is its witness.  No dense n x n
-matrix is formed, and the even-subspace counts are the even block's own.
+elimination.  A count costs the far part's banded Cholesky, O(m kd^2),
+its coupling to the core, O(kd^3) for B on the factor's trailing
+triangle and O(m kd) for the coupling's factors, and the core's
+eigensolve; the Schur growth of the elimination is its witness.  The
+torus band's gather indices, masks and scales depend on (n, kd) alone
+and are tabulated once per grid size.  No dense n x n matrix is formed,
+and the even-subspace counts are the even block's own.
 ``lowest(op)`` is bisected on the secular count #(a < s) + n_neg(S) - 1,
 a the six lowest eigenvalues of A_e and S formed over the whole block by
 one banded solve: no Cholesky split, no Schur growth (Golub, 1973).
@@ -216,6 +220,29 @@ def _potential(kind: str, p: wv.Profile) -> np.ndarray:
     return p.params.omega - coeff * p.phi ** (2 * p.params.r)
 
 
+_TRIG_TABLES: dict = {}     # n -> the tables of ``_trig_band`` on n nodes
+
+
+def _trig_tables(n: int, rows: int) -> tuple:
+    """The lag-by-column tables of the cosine block of ``_trig_band`` on n
+    nodes, at least ``rows`` lags: with q = n/2 - j - k the lower mode of
+    column j at lag k, the gather index (2q + k) mod n, the mask q >= 0
+    and the scale alpha_(n/2-j) alpha_q.  They depend on (n, kd) alone,
+    so one set is kept per n, sized to the most lags asked for so far
+    and rebuilt when a wider band asks for more: at n = 512 and kd = 38
+    (dnq, k = 0.97) it is 39 x 257 entries of 17 bytes, 170 KB.  The
+    index is intp, for numpy gathers an int32 index three times slower."""
+    tables = _TRIG_TABLES.get(n)
+    if tables is None or len(tables[0]) < rows:
+        half, alpha = n // 2, _trig_scale(n)
+        k = np.arange(rows)[:, None]
+        j = np.arange(half + 1)
+        q = half - j - k          # entries with q < 0 are masked out
+        tables = (2 * q + k) % n, q >= 0, alpha[half - j] * alpha[q]
+        _TRIG_TABLES[n] = tables
+    return tables
+
+
 def _trig_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
     """-c d^2 + diag(potential) in the trig basis of ``_to_parity``, in lower
     band storage: the cosine block (columns 0..n/2), then the sine block.
@@ -228,6 +255,9 @@ def _trig_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
     (|omega| + max|omega - potential|), the roundoff floor of the
     potential's terms, are dropped; the largest lag left is the bandwidth.
     The cosine-sine entries, the potential's odd part, are roundoff.
+    The indices, masks and scales come from ``_trig_tables``, kept per
+    n: the sine block's are the cosine block's shifted, for its column j
+    has the index of cosine column j and the mask (q > 0) of column j + 1.
     """
     n, half = p.grid.n, p.grid.n // 2
     w = p.params.omega
@@ -236,15 +266,11 @@ def _trig_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
     floor = 1e-14 * n * (abs(w) + float(np.max(np.abs(w - potential))))
     kd = int(np.max(lag[np.abs(vh) > floor], initial=0))
     vh[lag > kd] = 0.0
-    alpha = _trig_scale(n)
-    k = np.arange(kd + 1)[:, None]
-    j = np.arange(half + 1)
-    q = half - j - k          # the lower mode; entries with q < 0 are zero
+    index, mask, scale = (t[:kd + 1] for t in _trig_tables(n, kd + 1))
+    vk, v2q = vh[:kd + 1, None], vh[index]
     band = np.zeros((kd + 1, n))
-    band[:, :half + 1] = np.where(
-        q >= 0, alpha[half - j] * alpha[q] * (vh[k] + vh[(2 * q + k) % n]) / 2, 0.0)
-    q = q[:, 1:-1]            # sine modes start at 1
-    band[:, half + 1:] = np.where(q > 0, (vh[k] - vh[(2 * q + k) % n]) / n, 0.0)
+    band[:, :half + 1] = np.where(mask, scale * (vk + v2q) / 2, 0.0)
+    band[:, half + 1:] = np.where(mask[:, 2:], ((vk - v2q) / n)[:, 1:-1], 0.0)
     m2 = c * p.grid.m2[half::-1]
     band[0, :half + 1] += m2
     band[0, half + 1:] += m2[1:-1]
@@ -287,7 +313,8 @@ def _kernel_residual(op: OperatorMatrix) -> float:
     taken in the operator's coordinates, in which the norms are nodal."""
     p = op.profile
     v = _to_parity(p.grid, p.dphi if op.kind == "L_Re" else p.phi)
-    return float(np.linalg.norm(_product(op, v)) / np.linalg.norm(v))
+    mv = _product(op, v)
+    return math.sqrt(mv @ mv) / math.sqrt(v @ v)
 
 
 def _parity_blocks(op: OperatorMatrix) -> tuple:
@@ -326,34 +353,39 @@ def _banded_solver(band: np.ndarray) -> Callable:
 
 
 def _far_correction(band: np.ndarray, chol: np.ndarray,
-                    factors: Optional[np.ndarray], p: int) -> tuple:
+                    factors: Optional[np.ndarray], p: int, norm: float) -> tuple:
     """[B, U_f]^T F^-1 [B, U_f] for the far part F, the leading ``p``
     rows of the block, with ``chol`` the Cholesky factor L of F or of a
     larger leading part; B holds F's coupling columns into the first
     t = min(kd, m - p) core rows, and U_f the far rows of the factors.
-    It is Y^T Y with Y = L^-1 [B, U_f], one forward substitution in
-    which B's columns, zero above F's last kd rows, stay zero there.
-    Returns the matrix and its growth g, its max|.| per max|band|."""
+    It is Y^T Y with Y = L^-1 [B, U_f].  B is zero above F's last kd
+    rows, lo = max(p - kd, 0) on, and forward substitution keeps those
+    zeros, so L^-1 B is solved on L's trailing triangle, rows lo..p-1,
+    in O(kd^3) rather than O(p kd^2); U_f takes all of L.  Both solves
+    fill one zeroed array of p rows, whose product is the full-length
+    solve's bit for bit.  Returns the matrix and its growth g, its
+    max|.| per ``norm``, the block's max|band|."""
     kd, m = band.shape[0] - 1, band.shape[1]
     t = min(kd, m - p)
     width = t if factors is None else t + 2
     if not (p and width):
         return np.zeros((width, width)), 0.0
-    rhs = np.zeros((p, width))
-    # B[i, j] = A[p + j, i], stored at band[p + j - i, i]
-    lo = max(p - kd, 0)
-    i = np.arange(lo, p)[:, None]
-    d = p + np.arange(t) - i
-    rhs[lo:, :t] = np.where(d <= kd, band[np.minimum(d, kd), i], 0.0)
+    y = np.zeros((p, width))
+    if t:   # dtbtrs aborts the interpreter on zero right-hand sides
+        # B[i, j] = A[p + j, i], stored at band[p + j - i, i]
+        lo = max(p - kd, 0)
+        i = np.arange(lo, p)[:, None]
+        d = p + np.arange(t) - i
+        b = np.where(d <= kd, band[np.minimum(d, kd), i], 0.0)
+        y[lo:, :t] = dtbtrs(chol[:min(kd, p - lo - 1) + 1, lo:p], b, uplo="L")[0]
     if factors is not None:
-        rhs[:, t:] = factors[:p]
-    y = dtbtrs(chol[:, :p], rhs, uplo="L")[0]
+        y[:, t:] = dtbtrs(chol[:, :p], factors[:p], uplo="L")[0]
     corr = y.T @ y
-    return corr, float(np.max(np.abs(corr), initial=0.0) / np.max(np.abs(band)))
+    return corr, float(np.abs(corr).max(initial=0.0)) / norm
 
 
-def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
-             s: float) -> tuple[int, int, int, float]:
+def _inertia(band: np.ndarray, factors: Optional[np.ndarray], s: float,
+             norm: float) -> tuple[int, int, int, float]:
     """Numbers of eigenvalues of the block A_b + U_b C U_b^T below and
     above the shift ``s``, with the core rows and the Schur growth g.
 
@@ -382,7 +414,8 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
     eps (1 + g) max|band| of A_b - s, with the Schur growth
     g = max|[B, U_f]^T F^-1 [B, U_f]| / max|band| and U_f the far rows of
     U_b.  g above GROWTH_BOUND at both splits raises LinAlgError instead
-    of counting.
+    of counting.  ``norm`` is the block's max|band|, which ``_count``
+    takes once for both shifts.
     """
     m = band.shape[1]
     kd = min(band.shape[0] - 1, m - 1)
@@ -391,10 +424,10 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
     shifted[0] -= s
     chol, info = dpbtrf(shifted, lower=1)
     p = m if info == 0 else info - 1
-    corr, growth = _far_correction(band, chol, factors, p)
+    corr, growth = _far_correction(band, chol, factors, p, norm)
     if growth > GROWTH_BOUND and p:
         p -= 1
-        corr, growth = _far_correction(band, chol, factors, p)
+        corr, growth = _far_correction(band, chol, factors, p, norm)
     if growth > GROWTH_BOUND:
         raise np.linalg.LinAlgError(
             f"Schur growth {growth:.3g} of the far part exceeds "
@@ -410,7 +443,7 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray],
         a, _, info = dsbev(core, compute_v=0, lower=1, overwrite_ab=0)
         if info:
             raise np.linalg.LinAlgError(f"dsbev failed on the core (info {info})")
-    below, above = int(np.sum(a < 0)), m - int(np.sum(a <= 0))
+    below, above = int(np.count_nonzero(a < 0)), m - int(np.count_nonzero(a <= 0))
     if factors is None:
         return below, above, q, growth
     w = factors[p:].copy()
@@ -426,7 +459,7 @@ def _haynsworth(schur: np.ndarray) -> tuple[int, int]:
     """In(S) - In(-C), the eigenvalues that the coupling adds below and
     above the shift, for the 2x2 Schur complement S = ``schur``."""
     e, _ = symmetric_eigen(schur)
-    return int(np.sum(e < 0)) - 1, int(np.sum(e > 0)) - 1
+    return int(np.count_nonzero(e < 0)) - 1, int(np.count_nonzero(e > 0)) - 1
 
 
 def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
@@ -484,13 +517,14 @@ def _count(op: OperatorMatrix, tol: float) -> SpectrumSummary:
     ess = params.omega / params.c if op.profile.grid.topology == "line" else None
 
     def summary(band, factors) -> SpectrumSummary:
-        _, above, core_hi, g_hi = _inertia(band, factors, tol)
+        norm = float(np.abs(band).max())
+        _, above, core_hi, g_hi = _inertia(band, factors, tol, norm)
         n_neg, core_lo, g_lo = 0, core_hi, g_hi
         if above < band.shape[1]:
-            n_neg, _, core_lo, g_lo = _inertia(band, factors, -tol)
+            n_neg, _, core_lo, g_lo = _inertia(band, factors, -tol, norm)
         return SpectrumSummary(n_neg, band.shape[1] - above - n_neg, ess, tol,
-                               LOWEST_WIDTH * float(np.max(np.abs(band))),
-                               max(core_lo, core_hi), max(g_lo, g_hi))
+                               LOWEST_WIDTH * norm, max(core_lo, core_hi),
+                               max(g_lo, g_hi))
 
     even, odd = (summary(*block) for block in _parity_blocks(op))
     return replace(block_summary(even, odd), even=even, odd=odd)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from scipy.linalg import eig_banded
-from scipy.linalg.lapack import dpbtrf
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from skwave import functionals as fn
 from skwave import spectral as sp
@@ -180,6 +180,28 @@ def reverse_loop(band: np.ndarray) -> np.ndarray:
     return out
 
 
+def far_correction_full(band: np.ndarray, chol: np.ndarray, factors, p: int) -> tuple:
+    """``spectral._far_correction`` as one forward substitution over all
+    ``p`` far rows: B's columns, zero above F's last kd rows, stay zero
+    there, rather than being solved on the trailing triangle alone."""
+    kd, m = band.shape[0] - 1, band.shape[1]
+    t = min(kd, m - p)
+    width = t if factors is None else t + 2
+    if not (p and width):
+        return np.zeros((width, width)), 0.0
+    rhs = np.zeros((p, width))
+    # B[i, j] = A[p + j, i], stored at band[p + j - i, i]
+    lo = max(p - kd, 0)
+    i = np.arange(lo, p)[:, None]
+    d = p + np.arange(t) - i
+    rhs[lo:, :t] = np.where(d <= kd, band[np.minimum(d, kd), i], 0.0)
+    if factors is not None:
+        rhs[:, t:] = factors[:p]
+    y = dtbtrs(chol[:, :p], rhs, uplo="L")[0]
+    corr = y.T @ y
+    return corr, float(np.max(np.abs(corr), initial=0.0) / np.max(np.abs(band)))
+
+
 def inertia_eig_banded(band: np.ndarray, factors, s: float) -> tuple:
     """``spectral._inertia`` with the core counted by scipy's
     ``eig_banded`` (the eigenvalues in (-inf, 0] by LAPACK ``dsbevx``):
@@ -193,10 +215,10 @@ def inertia_eig_banded(band: np.ndarray, factors, s: float) -> tuple:
     p = m if info == 0 else info - 1
     if info and p:
         chol = dpbtrf(shifted[:, :p], lower=1)[0]
-    corr, growth = sp._far_correction(band, chol, factors, p)
+    corr, growth = far_correction_full(band, chol, factors, p)
     if growth > sp.GROWTH_BOUND and p:
         p -= 1
-        corr, growth = sp._far_correction(band, chol, factors, p)
+        corr, growth = far_correction_full(band, chol, factors, p)
     if growth > sp.GROWTH_BOUND:
         raise np.linalg.LinAlgError("Schur growth exceeds the bound")
     q, t = m - p, min(kd, m - p)

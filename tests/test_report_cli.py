@@ -592,6 +592,37 @@ def test_cli_config_ignores_other_subcommands_keys(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["parameter"] == 0.5
 
 
+@pytest.mark.parametrize("config", [{"n": [64]}, {"n": 64.5}, {"n": True},
+                                    {"r": 3}],
+                         ids=["list", "fraction", "bool", "choice"])
+def test_cli_config_value_has_the_flags_type(tmp_path, capsys, config):
+    # argparse checks a default only when it is a string: a list reached
+    # the grid as a TypeError traceback and 64.5 the grid-size check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    ret = cli.main(["--config", str(cfg), "verdict", "--family", "dn",
+                    "--r", "1", "--k", "0.5"])
+    assert ret == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"for {next(iter(config))}" in err
+
+
+@pytest.mark.parametrize("even, ret", [("false", 2), (1, 2), (False, 0), (True, 0)])
+def test_cli_config_store_true_takes_booleans(tmp_path, capsys, even, ret):
+    # the string "false" ran the even perturbation
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"even": even, "n": 64}))
+    assert cli.main(["--config", str(cfg), "evolve", "--family", "dn",
+                     "--r", "1", "--k", "0.5", "--epsilon", "0.01", "--T", "0.02",
+                     "--dt", "0.01", "--out", str(tmp_path)]) == ret
+    captured = capsys.readouterr()
+    if ret:
+        assert captured.err.startswith("error:") and "for even" in captured.err
+    else:
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["even_perturbation"] is even
+
+
 @pytest.mark.parametrize("files, argv", [
     ({}, ["--config", "missing.json", "verdict", "--family", "dn", "--r", "1"]),
     ({"cfg.json": "{"}, ["--config", "cfg.json", "verdict", "--family", "dn", "--r", "1"]),

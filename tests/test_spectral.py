@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import circulant
+from scipy.linalg.lapack import dpbtrf
 
 from skwave import functionals as fn
 from skwave import spectral as sp
@@ -12,8 +13,9 @@ from skwave import waves as wv
 from skwave.errors import DegenerateProfileError, DomainError, UsageError
 from skwave.kernel import Grid, quadrature, symmetric_eigen, wavenumbers
 
-from oracles import (eta_equation_check, finite_difference_eta, fold_loop,
-                     inertia_eig_banded, isoinertia_sweep, nodal_line_band,
+from oracles import (eta_equation_check, far_correction_full,
+                     finite_difference_eta, fold_loop, inertia_eig_banded,
+                     isoinertia_sweep, nodal_line_band,
                      quadratic_form_LRe, reverse_loop, state_derivative,
                      theta_closed_form_mp, theta_full_period, trig_band_loop)
 
@@ -458,7 +460,8 @@ def test_split_count_core_matches_eig_banded_oracle(family, r, at, n, tols):
             s = sp.spectrum(op) if tol is None else sp._count(op, tol)
             for summ, block in zip((s.even, s.odd), sp._parity_blocks(op)):
                 shifts = (-s.tol_kernel, s.tol_kernel)
-                lo, hi = (sp._inertia(*block, t) for t in shifts)
+                norm = float(np.abs(block[0]).max())
+                lo, hi = (sp._inertia(*block, t, norm) for t in shifts)
                 assert (lo, hi) == tuple(inertia_eig_banded(*block, t)
                                          for t in shifts), (kind, tol)
                 assert summ.n_neg == lo[0]
@@ -476,7 +479,7 @@ def test_split_count_raises_where_the_core_eigensolve_fails(monkeypatch):
     # as an inconclusive spectrum stage, not a count
     monkeypatch.setattr(sp, "dsbev", lambda ab, **kw: (np.zeros(ab.shape[1]), None, 1))
     with pytest.raises(np.linalg.LinAlgError, match="dsbev"):
-        sp._inertia(np.array([[-1.0, 2.0]]), None, 0.0)
+        sp._inertia(np.array([[-1.0, 2.0]]), None, 0.0, 2.0)
 
 
 def test_lowest_bisects_past_a_midpoint_on_an_eigenvalue():
@@ -500,12 +503,12 @@ def test_split_count_guard_trips_on_nearly_singular_far_part():
     factors = np.zeros((6, 2))
     factors[[0, -1]] = 1.0
     with pytest.raises(np.linalg.LinAlgError, match="Schur growth"):
-        sp._inertia(band, factors, 0.0)
+        sp._inertia(band, factors, 0.0, 2.0)
     # without the coupling of that row the same band counts as the dense
     # block does
     factors[0] = 0.0
     w = np.linalg.eigvalsh(dense_block(band, factors))
-    below, above, core, growth = sp._inertia(band, factors, 0.0)
+    below, above, core, growth = sp._inertia(band, factors, 0.0, 2.0)
     assert (below, above) == (int(np.sum(w < 0)), int(np.sum(w > 0)))
     assert core == 1 and growth <= sp.GROWTH_BOUND
 
@@ -774,10 +777,11 @@ def _bits(a: np.ndarray) -> tuple:
 
 
 @pytest.mark.parametrize("family, r", [(wv.PERIODIC_DN, 1), (wv.PERIODIC_DNQ, 2)])
-@pytest.mark.parametrize("k", [0.05, 0.15, 0.5, 0.85, 0.97])
+@pytest.mark.parametrize("k", [1e-7, 1e-3, 0.05, 0.15, 0.5, 0.85, 0.97])
 def test_trig_band_and_reverse_match_lag_loops(family, r, k):
     # each far-first block of the trig band is the reversed block of the
-    # ascending-order lag loop, bit for bit, down to n = 64 where dnq
+    # ascending-order lag loop, bit for bit, from the diagonal band of
+    # k = 1e-7 (kd = 0) and kd = 2 at k = 1e-3 down to n = 64 where dnq
     # k = 0.97 is wider than the sine block
     p = wv.solve_family(family, r, k)
     for n in (64, 512, 1024):
@@ -788,6 +792,61 @@ def test_trig_band_and_reverse_match_lag_loops(family, r, k):
             ascending = trig_band_loop(prof, potential, p.c)
             for block in (slice(None, n // 2 + 1), slice(n // 2 + 1, None)):
                 assert _bits(band[:, block]) == _bits(reverse_loop(ascending[:, block]))
+
+
+def test_trig_tables_are_one_set_per_grid_size(monkeypatch):
+    # the tables grow to the widest band asked for on a grid size and
+    # stay within 256 KiB for the periodic waves at n = 512
+    monkeypatch.setattr(sp, "_TRIG_TABLES", {})
+    kd = 0
+    for family, r in ((wv.PERIODIC_DN, 1), (wv.PERIODIC_DNQ, 2)):
+        for k in (1e-3, 0.1, 0.5, 0.9, 0.97):
+            params = wv.solve_family(family, r, k)
+            prof = wv.sample_profile(params, wv.default_grid(params, 512))
+            for kind in sp.OPERATOR_KINDS:
+                kd = max(kd, sp.assemble(kind, prof).band.shape[0] - 1)
+    assert list(sp._TRIG_TABLES) == [512]
+    tables = sp._TRIG_TABLES[512]
+    assert all(len(t) == kd + 1 for t in tables)
+    assert sum(t.nbytes for t in tables) < 256 * 1024
+
+
+@pytest.mark.parametrize("family, r, at, n", [
+    ("periodic_dn_quotient", 2, 0.5, 512),
+    # the sine block is narrower than the band
+    ("periodic_dn_quotient", 2, 0.97, 64),
+    ("solitary", 2, 0.5, 256),
+])
+def test_far_correction_matches_full_length_solve(family, r, at, n):
+    # B solved on L's trailing triangle gives the full-length forward
+    # substitution's [B, U_f]^T F^-1 [B, U_f] and growth bit for bit: at
+    # the split of the count at +-rho, with no core left (p = m, t = 0,
+    # the coupling's columns alone on the even block), with p < kd
+    # (lo = 0), at the middle of the block and with no far part (p = 0)
+    params = wv.solve_family(family, r, at)
+    prof = wv.sample_profile(params, wv.default_grid(params, n))
+    for kind in sp.OPERATOR_KINDS:
+        op = sp.assemble(kind, prof)
+        tol = sp.spectrum(op).tol_kernel
+        for band, factors in sp._parity_blocks(op):
+            m = band.shape[1]
+            kd = min(band.shape[0] - 1, m - 1)
+            band = band[:kd + 1]
+            norm = float(np.abs(band).max())
+            splits = []
+            for s in (tol, -tol, -(2 * kd + 2) * norm):
+                shifted = band.copy()
+                shifted[0] -= s
+                chol, info = dpbtrf(shifted, lower=1)
+                splits.append((chol, m if info == 0 else info - 1))
+            chol = splits[-1][0]      # A_b - s positive definite
+            assert splits[-1][1] == m
+            splits += [(chol, p) for p in (kd // 2, m // 2, 0)]
+            for chol, p in splits:
+                got = sp._far_correction(band, chol, factors, p, norm)
+                want = far_correction_full(band, chol, factors, p)
+                assert _bits(got[0]) == _bits(want[0]), (kind, p)
+                assert got[1] == want[1]
 
 
 @pytest.mark.parametrize("family, r, at", [
