@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -49,13 +50,13 @@ FAMILY_ALIASES = {
 
 def _family_point(args) -> tuple[str, int, float]:
     family = FAMILY_ALIASES[args.family]
-    if family == wv.SOLITARY:
-        if args.omega is None:
-            raise UsageError("solitary waves are selected by --omega")
-        return family, args.r, args.omega
-    if args.k is None:
-        raise UsageError("periodic waves are selected by --k")
-    return family, args.r, args.k
+    kind, flag = ("solitary", "omega") if family == wv.SOLITARY else ("periodic", "k")
+    at = getattr(args, flag)
+    if at is None:
+        raise UsageError(f"{kind} waves are selected by --{flag}")
+    if not math.isfinite(at):
+        raise UsageError(f"--{flag} must be finite, got {at}")
+    return family, args.r, at
 
 
 def _print_json(obj, fh=None) -> None:
@@ -221,9 +222,13 @@ def _config_value(path: str, action: argparse.Action, value):
 
 def _config_defaults(path: str, subparsers: dict, command: str) -> dict:
     """The values of ``command``'s flags in the config file at ``path``,
-    each converted as its flag's own (``_config_value``)."""
+    each converted as its flag's own (``_config_value``).  The file is
+    strict JSON: ``NaN`` and ``Infinity`` are errors."""
+    def non_finite(name: str):
+        raise UsageError(f"config {path}: {name} is not JSON")
+
     with open(path) as fh:
-        config = json.load(fh)
+        config = json.load(fh, parse_constant=non_finite)
     if not isinstance(config, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     config = {k.replace("-", "_"): v for k, v in config.items()}

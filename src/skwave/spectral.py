@@ -10,7 +10,7 @@ operators acting on the real and imaginary perturbation parts:
 with c = 1 + int phi'^2.  Integrating the nonlocal coupling by parts,
 (phi', P') = -(phi'', P), turns it into the form +2 (phi'', .) phi''.
 Assembled against the quadrature weights w and symmetrized it is the
-rank-two term U C U^T, U = [phi'', w phi''], C = [[0, 1], [1, 0]].
+positive rank-one term g g^T, g = sqrt(2 w) phi''.
 
 Both operators commute with the reflection x -> -x, for the waves are
 even, so each splits into an even and an odd block, and its inertia is
@@ -26,9 +26,9 @@ orthonormal basis cos(m x), m = n/2..0, then sin(m x), m = n/2-1..1, of
 grid vectors (Fourier-Hill; Deconinck & Kutz, J. Comput. Phys. 219,
 2006): -c d^2 is diagonal, the potential couples modes through its
 decaying cosine coefficients, and the blocks are a banded cosine and a
-banded sine block.  The coupling's columns phi'' and w phi'' are even,
-so U C U^T lies in the even block: each operator is the direct sum of a
-coupled even block A_e + U_e C U_e^T and a bare banded odd block A_o.
+banded sine block.  The coupling's column g is even, so g g^T lies in
+the even block: each operator is the direct sum of a coupled even block
+A_e + g_e g_e^T and a bare banded odd block A_o.
 The negative direction of L_Re and the kernel phi of L_Im are even, the
 kernel phi' of L_Re is odd.
 
@@ -45,23 +45,24 @@ eigenvalues, by the LAPACK driver dsbev (spectrum slicing; Parlett, The
 Symmetric Eigenvalue Problem, 1980).  n_below(s) is nondecreasing in s,
 so a block with every eigenvalue above +tol has none below -tol, and
 its -tol count is not run.  For the coupled even block Haynsworth
-additivity over the bordered matrix [[A_e - s, U_e], [U_e^T, -C]] adds
-the inertia of a 2x2 Schur complement,
+additivity over the bordered matrix [[A_e - s, g_e], [g_e^T, -1]] adds
+the sign of a scalar Schur complement,
 
-    n_below(A_e + U_e C U_e^T, s) = n_below(A_e, s) + n_neg(S) - 1,
-    S = -C - U_e^T (A_e - s)^-1 U_e,
+    n_below(A_e + g_e g_e^T, s) = n_below(A_e, s) + n_neg(sigma) - 1,
+    sigma = -1 - g_e^T (A_e - s)^-1 g_e,
 
-which is formed on the core from the factors reduced by the same
-elimination.  A count costs the far part's banded Cholesky, O(m kd^2),
-its coupling to the core, O(kd^3) for B on the factor's trailing
-triangle and O(m kd) for the coupling's factors, and the core's
+which is formed on the core from g_e reduced by the same elimination.
+A count costs the far part's banded Cholesky, O(m kd^2), its coupling
+to the core, O(kd^3) for B on the factor's trailing triangle and
+O(m kd) for the coupling's column, and the core's
 eigensolve; the Schur growth of the elimination is its witness.  The
 torus band's gather indices, masks and scales depend on (n, kd) alone
 and are tabulated once per grid size.  No dense n x n matrix is formed,
 and the even-subspace counts are the even block's own.
-``lowest(op)`` is bisected on the secular count #(a < s) + n_neg(S) - 1,
-a the six lowest eigenvalues of A_e and S formed over the whole block by
-one banded solve: no Cholesky split, no Schur growth (Golub, 1973).
+``lowest(op)`` is bisected on the secular count #(a < s) + n_neg(sigma)
+- 1, a the six lowest eigenvalues of A_e and sigma formed over the whole
+block by one banded solve: no Cholesky split, no Schur growth (Golub,
+1973).
 
 The kernel is not guessed: the theory proves L_Re phi' = 0 and
 L_Im phi = 0, so the discretized kernel is counted within the residual
@@ -102,21 +103,19 @@ from .kernel import Grid, symmetric_eigen
 
 OPERATOR_KINDS = ("L_Re", "L_Im")
 
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])   # C, its own inverse
-
-GROWTH_BOUND = 100.0    # largest Schur growth g a split count accepts
+GROWTH_BOUND = 100.0    # largest Schur growth G a split count accepts
 LOWEST_WIDTH = 1e-14    # bisection width of ``lowest``, per max|band|
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """L_Re or L_Im discretized on a profile's grid, as A + U C U^T.
+    """L_Re or L_Im discretized on a profile's grid, as A + g g^T.
 
     ``band`` holds A = -c D2 + diag(omega - coeff phi^2r) in LAPACK lower
-    band storage (band[k, j] = A[j + k, j]), and ``factors`` holds
-    U = [phi'', w phi''] for L_Re and is None for L_Im, both in the
-    parity coordinates of ``_to_parity``: the even block's columns, then
-    the odd block's, each far end first.
+    band storage (band[k, j] = A[j + k, j]), and ``factors`` holds the
+    column g = sqrt(2 w) phi'' (n x 1) for L_Re and is None for L_Im,
+    both in the parity coordinates of ``_to_parity``: the even block's
+    columns, then the odd block's, each far end first.
     """
 
     kind: str
@@ -142,11 +141,11 @@ class OperatorMatrix:
 
 
 def _product(op: OperatorMatrix, x: np.ndarray) -> np.ndarray:
-    """(A + U C U^T) x in the operator's own coordinates: BLAS ``dsbmv``
-    on the stored lower band, plus the coupling's factors."""
+    """(A + g g^T) x in the operator's own coordinates: BLAS ``dsbmv``
+    on the stored lower band, plus the coupling's column."""
     out = dsbmv(op.band.shape[0] - 1, 1.0, op.band, x, lower=1)
     if op.factors is not None:
-        out += op.factors @ (SWAP @ (op.factors.T @ x))
+        out += op.factors @ (op.factors.T @ x)
     return out
 
 
@@ -279,7 +278,7 @@ def _trig_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
 
 def assemble(kind: str, p: wv.Profile) -> OperatorMatrix:
     """Symmetric discretization of L_Re or L_Im: a band plus the
-    coupling factors, in the parity coordinates of ``_to_parity``.  On
+    coupling's column, in the parity coordinates of ``_to_parity``.  On
     the line the folded stencil crosses the midpoint only in each
     block's last two rows: +-d1 on the diagonal, +-d2 below it (+ in
     the even block, - in the odd one)."""
@@ -287,7 +286,7 @@ def assemble(kind: str, p: wv.Profile) -> OperatorMatrix:
         raise UsageError(f"operator kind must be one of {OPERATOR_KINDS}")
     c, potential = p.params.c, _potential(kind, p)
     factors = None if kind == "L_Im" else _to_parity(
-        p.grid, np.column_stack((p.d2phi, p.grid.weights * p.d2phi)))
+        p.grid, (np.sqrt(2 * p.grid.weights) * p.d2phi)[:, None])
     if p.grid.topology == "torus":
         return OperatorMatrix(kind, p, _trig_band(p, potential, c), factors)
     m, h = p.grid.n // 2, p.grid.spacing
@@ -322,9 +321,9 @@ def _parity_blocks(op: OperatorMatrix) -> tuple:
     its band split after the even columns, n/2 fold vectors on the line
     and cos(m x), m = 0..n/2, on the torus.  No entry joins the blocks.
 
-    The coupling's factors phi'' and w phi'' are even, so they belong to
-    the even block, and the odd block is its band alone: their odd rows
-    are exactly zero on the line, roundoff (below 1e-12 max|U|) on the
+    The coupling's column g = sqrt(2 w) phi'' is even, so it belongs to
+    the even block, and the odd block is its band alone: g's odd rows
+    are exactly zero on the line, roundoff (below 1e-12 max|g|) on the
     torus.
     """
     m = op.profile.grid.n // 2 + (op.profile.grid.topology == "torus")
@@ -354,20 +353,20 @@ def _banded_solver(band: np.ndarray) -> Callable:
 
 def _far_correction(band: np.ndarray, chol: np.ndarray,
                     factors: Optional[np.ndarray], p: int, norm: float) -> tuple:
-    """[B, U_f]^T F^-1 [B, U_f] for the far part F, the leading ``p``
+    """[B, g_f]^T F^-1 [B, g_f] for the far part F, the leading ``p``
     rows of the block, with ``chol`` the Cholesky factor L of F or of a
     larger leading part; B holds F's coupling columns into the first
-    t = min(kd, m - p) core rows, and U_f the far rows of the factors.
-    It is Y^T Y with Y = L^-1 [B, U_f].  B is zero above F's last kd
+    t = min(kd, m - p) core rows, and g_f the far rows of the coupling.
+    It is Y^T Y with Y = L^-1 [B, g_f].  B is zero above F's last kd
     rows, lo = max(p - kd, 0) on, and forward substitution keeps those
     zeros, so L^-1 B is solved on L's trailing triangle, rows lo..p-1,
-    in O(kd^3) rather than O(p kd^2); U_f takes all of L.  Both solves
+    in O(kd^3) rather than O(p kd^2); g_f takes all of L.  Both solves
     fill one zeroed array of p rows, whose product is the full-length
-    solve's bit for bit.  Returns the matrix and its growth g, its
+    solve's bit for bit.  Returns the matrix and its growth G, its
     max|.| per ``norm``, the block's max|band|."""
     kd, m = band.shape[0] - 1, band.shape[1]
     t = min(kd, m - p)
-    width = t if factors is None else t + 2
+    width = t if factors is None else t + 1
     if not (p and width):
         return np.zeros((width, width)), 0.0
     y = np.zeros((p, width))
@@ -386,34 +385,34 @@ def _far_correction(band: np.ndarray, chol: np.ndarray,
 
 def _inertia(band: np.ndarray, factors: Optional[np.ndarray], s: float,
              norm: float) -> tuple[int, int, int, float]:
-    """Numbers of eigenvalues of the block A_b + U_b C U_b^T below and
-    above the shift ``s``, with the core rows and the Schur growth g.
+    """Numbers of eigenvalues of the block A_b + g_b g_b^T below and
+    above the shift ``s``, with the core rows and the Schur growth.
 
     The block is ordered far end first, where A_b - s is coercive.
     Cholesky (``dpbtrf``) of A_b - s fails at row k (k = m + 1 if it
     does not fail), so its leading k - 1 rows are positive definite, and
     that call's leading k - 1 columns hold their factor (it stops at the
     failing pivot).  The far part F is the leading p = k - 1
-    rows, or k - 2 where F's last pivot is so small that g exceeds
+    rows, or k - 2 where F's last pivot is so small that G exceeds
     GROWTH_BOUND (one row back the pivot is not small).  Eliminating F
-    from the bordered matrix [[A_b - s, U_b], [U_b^T, -C]] leaves the
-    core bordered matrix [[K', W], [W^T, -C']] of the trailing m - p
-    rows: K' is the core's band less B^T F^-1 B in its leading kd x kd
-    corner, with B the coupling columns of F, and W, C' are U_b's core
-    rows and C reduced by the same elimination.  Haynsworth additivity
-    gives
+    from the bordered matrix [[A_b - s, g_b], [g_b^T, -1]] leaves the
+    core bordered matrix [[K', w], [w^T, -1 - g_f^T F^-1 g_f]] of the
+    trailing m - p rows: K' is the core's band less B^T F^-1 B in its
+    leading kd x kd corner, with B the coupling columns of F, and w is
+    g_b's core rows less B^T F^-1 g_f, g_f its far rows.  Haynsworth
+    additivity gives
 
-        In(A_b + U_b C U_b^T - s) = (0, p) + In(K') + In(S') - In(-C),
-        S' = -C' - W^T K'^-1 W,  In(-C) = (1 below, 1 above),
+        In(A_b + g_b g_b^T - s) = (0, p) + In(K') + In(sigma) - In(-1),
+        sigma = -1 - g_f^T F^-1 g_f - w^T K'^-1 w,  In(-1) = (1 below, 0),
 
     where In(K') is counted by Sylvester's law from the core's
-    eigenvalues, by LAPACK ``dsbev`` on its band, and In(S') - In(-C)
-    by ``_haynsworth``; the -C terms enter only with coupling.
+    eigenvalues, by LAPACK ``dsbev`` on its band, and In(sigma) - In(-1)
+    by ``_haynsworth``; the last two terms enter only with coupling.
 
     The count is the exact inertia of a matrix within about
-    eps (1 + g) max|band| of A_b - s, with the Schur growth
-    g = max|[B, U_f]^T F^-1 [B, U_f]| / max|band| and U_f the far rows of
-    U_b.  g above GROWTH_BOUND at both splits raises LinAlgError instead
+    eps (1 + G) max|band| of A_b - s, with the Schur growth
+    G = max|[B, g_f]^T F^-1 [B, g_f]| / max|band|.  G above
+    GROWTH_BOUND at both splits raises LinAlgError instead
     of counting.  ``norm`` is the block's max|band|, which ``_count``
     takes once for both shifts.
     """
@@ -448,7 +447,7 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray], s: float,
         return below, above, q, growth
     w = factors[p:].copy()
     w[:t] -= corr[:t, t:]
-    schur = -SWAP - corr[t:, t:]
+    schur = -1.0 - corr[t:, t:]
     if q:
         schur = schur - w.T @ _banded_solver(core)(w)
     more_below, more_above = _haynsworth(schur)
@@ -456,45 +455,47 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray], s: float,
 
 
 def _haynsworth(schur: np.ndarray) -> tuple[int, int]:
-    """In(S) - In(-C), the eigenvalues that the coupling adds below and
-    above the shift, for the 2x2 Schur complement S = ``schur``."""
+    """In(sigma) - In(-1), the eigenvalues that the coupling adds below
+    and above the shift, for the 1x1 Schur complement sigma = ``schur``.
+
+    Its one eigenvalue is sigma itself, but it is read through
+    ``kernel.symmetric_eigen``: ``perfbench`` selects that call's spans
+    (``kernel.symmetric_eigen_ms.*`` and ``_calls``) as the count's
+    eigensolves.  A sign test replaces the call once the benchmark
+    stops selecting it."""
     e, _ = symmetric_eigen(schur)
-    return int(np.count_nonzero(e < 0)) - 1, int(np.count_nonzero(e > 0)) - 1
+    return int(np.count_nonzero(e < 0)) - 1, int(np.count_nonzero(e > 0))
 
 
 def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
             width: float) -> tuple:
-    """The five lowest eigenvalues of the block A_b + U_b C U_b^T.
+    """The five lowest eigenvalues of the block A_b + g_b g_b^T.
 
-    Without coupling they are A_b's own.  With U_b C U_b^T = p p^T - q
-    q^T (p, q = (u1 +- u2)/sqrt(2)), the k-th eigenvalue lies between
-    a_(k-1) and a_(k+1), the neighbours of the k-th eigenvalue of A_b
-    (a_0 = a_1 - |q|^2), and is bisected there to ``width`` on the
-    secular count #(a < s) + n_neg(S) - 1, S = -C - U_b^T (A_b - s)^-1
-    U_b, of eigenvalues below the midpoint s (Golub, SIAM Rev. 15, 1973).
-    No midpoint lies above a_6, so the six lowest of A_b give In(A_b - s)
-    to every count, and S takes one banded solve, whose storage each
-    midpoint only shifts: no Cholesky split, and no Schur growth.
+    Without coupling they are A_b's own.  The coupling is a positive
+    rank-one update, so the k-th eigenvalue interlaces a_k <= l_k <=
+    a_(k+1) with those of A_b (Weyl), and is bisected there to ``width``
+    on the secular count #(a < s) + n_neg(sigma) - 1, sigma = -1 -
+    g_b^T (A_b - s)^-1 g_b, of eigenvalues below the midpoint s (Golub,
+    SIAM Rev. 15, 1973).  Where g_b is orthogonal to an eigenvector of
+    A_b, its eigenvalue stays one of A_b + g_b g_b^T, at an end of a
+    bracket, and the bisection closes on that end.
+    No midpoint lies above a_6, so the six lowest of A_b give
+    In(A_b - s) to every count, and sigma takes one banded solve, whose
+    storage each midpoint only shifts: no Cholesky split, and no Schur
+    growth.  Each midpoint lies strictly between two neighbouring
+    eigenvalues of A_b, so A_b - s is not singular there.
     """
     a = eig_banded(band, lower=True, eigvals_only=True, select="i",
                    select_range=(0, 5))
     if factors is None:
         return tuple(a[:5])
-    q = (factors[:, 0] - factors[:, 1]) / math.sqrt(2)
-    edges = np.concatenate(([a[0] - float(q @ q)], a))
     solve = _banded_solver(band[:band.shape[1]])
     lowest = []
     for k in range(1, 6):
-        lo, hi = edges[k - 1], edges[k + 1]
+        lo, hi = a[k - 1], a[k]
         while hi - lo > width:
             mid = (lo + hi) / 2
-            try:
-                schur = -SWAP - factors.T @ solve(factors, mid)
-            except np.linalg.LinAlgError:
-                # mid is an eigenvalue of A_b (a diagonal band, as at
-                # k -> 0, has them on the dyadic midpoints): count above it
-                mid = math.nextafter(mid, hi)
-                schur = -SWAP - factors.T @ solve(factors, mid)
+            schur = -1.0 - factors.T @ solve(factors, mid)
             if np.sum(a < mid) + _haynsworth(schur)[0] >= k:
                 hi = mid
             else:

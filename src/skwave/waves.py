@@ -140,12 +140,15 @@ def solve_solitary(r: int, omega: float, validate: bool = True) -> WaveParams:
 
     and c = omega r^2 / b^2.  The discriminant under the square root
     changes sign at the family threshold; the clamp only absorbs roundoff
-    just above it.  Raises ExistenceError at or below the threshold.  The
+    just above it.  Raises DomainError for a non-finite omega and
+    ExistenceError at or below the threshold.  The
     returned parameters are cross-validated against the stationary
     equation on a default grid unless ``validate`` is disabled.
     """
     if r < 1:
         raise DomainError("nonlinearity exponent r must be >= 1")
+    if not math.isfinite(omega):
+        raise DomainError(f"frequency omega must be finite, got {omega}")
     thr = solitary_threshold(r)
     if omega <= thr:
         raise ExistenceError(
@@ -382,15 +385,16 @@ def ode_residual(p: Profile) -> float:
 
 def _validate_profile(profile: Profile) -> None:
     """A validated solve's checks, on its wave sampled on the default grid:
-    c by quadrature and the stationary residual, or DomainError."""
+    c by quadrature and the stationary residual, or DomainError.  Each
+    check passes only where its bound holds, so a nan fails it."""
     params = profile.params
     c_quad = 1 + quadrature(profile.grid, profile.dphi ** 2)
-    if abs(c_quad - params.c) > _VALIDATE_REL_C * params.c:
+    if not abs(c_quad - params.c) <= _VALIDATE_REL_C * params.c:
         raise DomainError(
             f"Kirchhoff constant mismatch: stored {params.c!r}, "
             f"from profile {c_quad!r}")
     resid = ode_residual(profile)
-    if resid > _VALIDATE_RESIDUAL:
+    if not resid <= _VALIDATE_RESIDUAL:
         raise DomainError(
             f"stationary-equation residual {resid:.3e} exceeds {_VALIDATE_RESIDUAL}")
 
@@ -407,8 +411,9 @@ def write_profile_csv(p: Profile, path) -> None:
         "k": p.params.k, "alpha": p.params.alpha,
         "topology": p.grid.topology, "n": p.grid.n,
     }
+    line = "# " + json.dumps(header, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        fh.write("# " + json.dumps(header) + "\n")
+        fh.write(line)
         fh.write("x,phi,dphi,d2phi\n")
         for row in zip(p.grid.nodes, p.phi, p.dphi, p.d2phi):
             fh.write("%.17g,%.17g,%.17g,%.17g\n" % row)

@@ -186,7 +186,7 @@ def far_correction_full(band: np.ndarray, chol: np.ndarray, factors, p: int) -> 
     there, rather than being solved on the trailing triangle alone."""
     kd, m = band.shape[0] - 1, band.shape[1]
     t = min(kd, m - p)
-    width = t if factors is None else t + 2
+    width = t if factors is None else t + 1
     if not (p and width):
         return np.zeros((width, width)), 0.0
     rhs = np.zeros((p, width))
@@ -232,7 +232,7 @@ def inertia_eig_banded(band: np.ndarray, factors, s: float) -> tuple:
         return below, above, q, growth
     w = factors[p:].copy()
     w[:t] -= corr[:t, t:]
-    schur = -sp.SWAP - corr[t:, t:]
+    schur = -1.0 - corr[t:, t:]
     if q:
         schur = schur - w.T @ sp._banded_solver(core)(w)
     more_below, more_above = sp._haynsworth(schur)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import skwave
 from skwave import cli
 from skwave import evolution as ev
+from skwave import functionals as fn
 from skwave import report as rp
 from skwave import waves as wv
 from skwave.errors import DomainError
@@ -102,26 +104,26 @@ def spy_eigensolves(monkeypatch):
 
 def test_line_verdict_counts_by_inertia(monkeypatch):
     # an r = 4 line verdict (full and even passes) assembles each operator
-    # once and runs no eigensolve larger than the 2x2 Schur complements:
+    # once and runs no eigensolve larger than the 1x1 Schur complements:
     # two of them, L_Re's coupled even block at -tol and +tol
     assembled, schur, shapes = spy_eigensolves(monkeypatch)
     v = rp.verdict("solitary", 4, 0.3, n=2048)
     assert v.verdict == rp.UNSTABLE_EVEN
     assert v.evidence["even_block"] == {"n_neg": 1, "z_kernel": 1}
     assert assembled == ["L_Re", "L_Im"]
-    assert schur == [(2, 2)] * 2
-    assert shapes and max(shapes) <= (2, 2)
+    assert schur == [(1, 1)] * 2
+    assert shapes and max(shapes) <= (1, 1)
 
 
 def test_periodic_verdict_counts_by_inertia(monkeypatch):
     # the torus twin: a dnq verdict counts the trig-basis bands, with the
-    # same two 2x2 Schur complements and no larger eigensolve
+    # same two 1x1 Schur complements and no larger eigensolve
     assembled, schur, shapes = spy_eigensolves(monkeypatch)
     v = rp.verdict("periodic_dn_quotient", 2, 0.5, n=512)
     assert v.verdict == rp.STABLE
     assert assembled == ["L_Re", "L_Im"]
-    assert schur == [(2, 2)] * 2
-    assert shapes and max(shapes) <= (2, 2)
+    assert schur == [(1, 1)] * 2
+    assert shapes and max(shapes) <= (1, 1)
 
 
 @pytest.mark.parametrize("family, r, at, n, orders", [
@@ -492,6 +494,50 @@ def test_zero_grid_size_is_rejected(family, r, at):
     assert v.verdict == rp.INCONCLUSIVE
     assert v.evidence["failed_stage"] == "construct"
     assert v.evidence["error"] == "DomainError: grid size must be even and >= 16, got 0"
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf])
+def test_non_finite_frequency_is_rejected(omega):
+    # the solve rejects it, so the verdict fails at construct and the
+    # slope raises, rather than reading a nan slope as "-"
+    v = rp.verdict("solitary", 1, omega)
+    assert v.verdict == rp.INCONCLUSIVE
+    assert v.evidence["failed_stage"] == "construct"
+    assert v.evidence["error"].startswith("DomainError: frequency omega must be finite")
+    with pytest.raises(DomainError, match="finite"):
+        fn.vk_slope("solitary", 1, omega)
+
+
+SOLITARY_1 = ["--family", "solitary", "--r", "1"]
+DN_1 = ["--family", "dn", "--r", "1"]
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["verdict", *SOLITARY_1, "--omega", "nan"], None, "--omega"),
+    (["verdict", *SOLITARY_1, "--omega", "inf"], None, "--omega"),
+    (["vk-slope", *SOLITARY_1, "--omega", "nan"], None, "--omega"),
+    (["evolve", *SOLITARY_1, "--omega", "inf", "--epsilon", "0.01", "--T", "0.1",
+      "--out", "{out}"], None, "--omega"),
+    (["spectrum", *SOLITARY_1, "--omega", "nan"], None, "--omega"),
+    (["verdict", *DN_1, "--k", "nan"], None, "--k"),
+    (["verdict", *DN_1, "--k", "inf"], None, "--k"),
+    (["profile", *SOLITARY_1, "--omega", "nan", "--out", "{out}"], None, "--omega"),
+    (["profile", *SOLITARY_1, "--omega=-inf", "--out", "{out}"], None, "--omega"),
+    (["--config", "{cfg}", "profile", *SOLITARY_1, "--out", "{out}"],
+     '{"omega": NaN}', "NaN"),
+    (["--config", "{cfg}", "verdict", *DN_1], '{"k": Infinity}', "Infinity"),
+])
+def test_cli_non_finite_selector_exits_2(tmp_path, capsys, argv, config, named):
+    # a non-finite --omega or --k, on the command line or in a config, is
+    # a usage error naming it: not a traceback from the strict JSON
+    # writer or from LAPACK, and not a CSV of nan
+    cfg, out = tmp_path / "c.json", tmp_path / "out"
+    if config is not None:
+        cfg.write_text(config)
+    assert cli.main([a.format(cfg=cfg, out=out) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
 
 
 def test_cli_zero_grid_size_exit(capsys, tmp_path):

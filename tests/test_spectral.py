@@ -98,13 +98,13 @@ def trig_basis(grid: Grid) -> np.ndarray:
 def coordinate_matrix(op: sp.OperatorMatrix) -> np.ndarray:
     """The dense matrix of an assembled operator in its own coordinates
     (the line fold, or the trig basis), built from the band and the
-    coupling factors."""
+    coupling's column."""
     n = op.band.shape[1]
     M = np.diag(op.band[0])
     for k in range(1, op.band.shape[0]):
         M += np.diag(op.band[k, :n - k], -k) + np.diag(op.band[k, :n - k], k)
     if op.factors is not None:
-        M += op.factors @ sp.SWAP @ op.factors.T
+        M += op.factors @ op.factors.T
     return M
 
 
@@ -398,14 +398,14 @@ def test_banded_counts_match_dense_oracle_torus(family, r, k, n):
 
 
 def dense_block(band: np.ndarray, factors) -> np.ndarray:
-    """A parity block A_b + U_b C U_b^T, given in lower band storage, as
-    a dense matrix."""
+    """A parity block A_b + g_b g_b^T, given in lower band storage, as a
+    dense matrix."""
     m = band.shape[1]
     M = np.diag(band[0])
     for k in range(1, min(band.shape[0], m)):
         M += np.diag(band[k, :m - k], -k) + np.diag(band[k, :m - k], k)
     if factors is not None:
-        M += factors @ sp.SWAP @ factors.T
+        M += factors @ factors.T
     return M
 
 
@@ -482,25 +482,68 @@ def test_split_count_raises_where_the_core_eigensolve_fails(monkeypatch):
         sp._inertia(np.array([[-1.0, 2.0]]), None, 0.0, 2.0)
 
 
-def test_lowest_bisects_past_a_midpoint_on_an_eigenvalue():
-    # a diagonal band, as at periodic k -> 0: the bisection of the 5th
-    # eigenvalue between 8 and 24 reaches the midpoint 15, an eigenvalue
-    # of A_b, where the shifted band is exactly singular
+def test_lowest_on_a_diagonal_band():
+    # a diagonal band, as at periodic k -> 0, with its eigenvalues on
+    # dyadic points: each bisection runs inside the interlacing bracket
+    # [a_k, a_(k+1)], which holds no eigenvalue of A_b, so no midpoint
+    # makes the shifted band singular.  The coupling reaches row 0 alone,
+    # so l_2..l_5 are a_2..a_5, the lower ends of their brackets
     band = np.array([[-1.0, 0.0, 3.0, 8.0, 15.0, 24.0, 35.0]])
-    factors = np.zeros((7, 2))
+    factors = np.zeros((7, 1))
     factors[0] = 1e-3
     width = sp.LOWEST_WIDTH * 35.0
     w = np.linalg.eigvalsh(dense_block(band, factors))
     assert np.max(np.abs(np.array(sp._lowest(band, factors, width)) - w[:5])) <= width
 
 
+def test_lowest_at_the_ends_of_the_bracket():
+    # g in the span of the eigenvectors v_1, v_2 of A_b leaves a_3..a_6
+    # eigenvalues of A_b + g g^T, where 1 + g^T (A_b - s)^-1 g has no
+    # pole; the secular count still finds them.  A small g leaves a_k the
+    # k-th, the lower end of its bracket [a_k, a_(k+1)]; a large g lifts
+    # the 2nd past a_6, so that a_k is the (k-1)-th, the upper end of
+    # [a_(k-1), a_k]
+    band = np.zeros((2, 10))
+    band[0] = np.arange(10.0)
+    band[1, :-1] = 0.3
+    a, v = np.linalg.eigh(dense_block(band, None))
+    width = sp.LOWEST_WIDTH * 9.0
+    for gamma, shift in ((0.1, 0), (10.0, 1)):
+        g = gamma * (v[:, :1] + v[:, 1:2]) / math.sqrt(2)
+        w = np.linalg.eigvalsh(dense_block(band, g))
+        assert np.max(np.abs(w[2 - shift:5 - shift] - a[2:5])) <= 1e-12 * 9.0, gamma
+        got = np.array(sp._lowest(band, g, width))
+        assert np.max(np.abs(got - w[:5])) <= width, gamma
+
+
+@pytest.mark.parametrize("gamma, drop", [(1.5, 1), (0.5, 0)])
+def test_coupling_lifts_an_eigenvalue_past_the_shift(gamma, drop):
+    # A_b has one eigenvalue a_1 < 0, its eigenvector v_1 on the core row;
+    # g = gamma v_1 moves it to a_1 + gamma^2, past s = 0 where gamma^2 >
+    # |a_1|: then sigma = -1 - g^T A_b^-1 g > 0 and the count below s
+    # drops by one, and otherwise it stays
+    band = np.zeros((2, 8))
+    band[0] = [2.0] * 7 + [-1.0]
+    band[1, :7] = 0.5
+    A = dense_block(band, None)
+    a, v = np.linalg.eigh(A)
+    g = gamma * v[:, :1]
+    assert ((-1.0 - g.T @ np.linalg.solve(A, g)).item() > 0) == bool(drop)
+    w = np.linalg.eigvalsh(dense_block(band, g))
+    bare = sp._inertia(band, None, 0.0, 2.0)
+    below, above, core, growth = sp._inertia(band, g, 0.0, 2.0)
+    assert (below, above) == (int(np.sum(w < 0)), int(np.sum(w > 0)))
+    assert (below, above) == (bare[0] - drop, bare[1] + drop)
+    assert core == 1 and 0 < growth <= sp.GROWTH_BOUND
+
+
 def test_split_count_guard_trips_on_nearly_singular_far_part():
     # the far rows 0..4 are positive definite, but row 0 is 1e-9 from
-    # singular and the coupling reaches it, so U_f^T F^-1 U_f is huge
+    # singular and the coupling reaches it, so g_f^T F^-1 g_f is huge
     band = np.zeros((2, 6))
     band[0] = [1e-9, 2.0, 2.0, 2.0, 2.0, -1.0]
     band[1, 1:5] = 0.5
-    factors = np.zeros((6, 2))
+    factors = np.zeros((6, 1))
     factors[[0, -1]] = 1.0
     with pytest.raises(np.linalg.LinAlgError, match="Schur growth"):
         sp._inertia(band, factors, 0.0, 2.0)
@@ -819,9 +862,9 @@ def test_trig_tables_are_one_set_per_grid_size(monkeypatch):
 ])
 def test_far_correction_matches_full_length_solve(family, r, at, n):
     # B solved on L's trailing triangle gives the full-length forward
-    # substitution's [B, U_f]^T F^-1 [B, U_f] and growth bit for bit: at
+    # substitution's [B, g_f]^T F^-1 [B, g_f] and growth bit for bit: at
     # the split of the count at +-rho, with no core left (p = m, t = 0,
-    # the coupling's columns alone on the even block), with p < kd
+    # the coupling column alone on the even block), with p < kd
     # (lo = 0), at the middle of the block and with no far part (p = 0)
     params = wv.solve_family(family, r, at)
     prof = wv.sample_profile(params, wv.default_grid(params, n))
@@ -870,8 +913,8 @@ def test_parity_blocks_add_up(family, r, at):
             assert s.even.tol_kernel == s.odd.tol_kernel == s.tol_kernel
             if prof.grid.topology == "line":
                 band = nodal_line_band(prof, sp._potential(kind, prof), params.c)
-                nodal = None if op.factors is None else np.column_stack(
-                    (prof.d2phi, prof.grid.weights * prof.d2phi))
+                nodal = None if op.factors is None else (
+                    np.sqrt(2 * prof.grid.weights) * prof.d2phi)[:, None]
                 for (block, factors), sign in zip(sp._parity_blocks(op), (1.0, -1.0)):
                     want, want_factors = fold_loop(band, nodal if sign > 0 else None, sign)
                     assert _bits(block) == _bits(want)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -274,6 +275,23 @@ def test_root_r1_width_cubic_matches_closed_form():
 def test_solitary_existence_rejection(r, omega):
     with pytest.raises(ExistenceError):
         wv.solve_solitary(r, omega)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_solitary_rejects_non_finite_omega(omega):
+    # nan passes omega <= thr, and inf passes the threshold
+    with pytest.raises(DomainError, match="finite"):
+        wv.solve_solitary(1, omega)
+
+
+@pytest.mark.parametrize("field, check", [("c", "Kirchhoff"), ("omega", "residual")])
+def test_validation_fails_a_nan_wave(field, check):
+    # a nan Kirchhoff constant, or a nan omega and so a nan residual,
+    # fails its check
+    params = wv.solve_solitary(1, 1.0)
+    bad = dataclasses.replace(params, **{field: math.nan})
+    with pytest.raises(DomainError, match=check):
+        wv._validate_profile(wv.sample_profile(bad, wv.default_grid(params)))
 
 
 @pytest.mark.parametrize("r,omega", [(1, 0.44), (2, 0.29), (4, 0.21)])
