@@ -5,13 +5,15 @@ parameter m = k^2).  One arithmetic-geometric mean chain, built by
 ``_agm_chain`` alone, serves everything: K is its limit, E adds the
 companion sum (A&S 17.6), Pi the sequence p_n, Q_n carried along it
 (DLMF 19.8(i)), and sn/cn/dn are its descending Landen
-back-substitution (A&S 16.4).
+back-substitution (A&S 16.4).  The chain is kept for the last modulus,
+so a run of calls at one k builds it once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,12 +30,19 @@ def _check_modulus(k: float) -> None:
         raise DomainError(f"modulus {k} too close to 1 (limit {_K_MAX})")
 
 
-def _agm_chain(k: float) -> tuple[list[float], list[float], list[float]]:
+@lru_cache(maxsize=1)
+def _agm_chain(k: float) -> tuple[tuple[float, ...], ...]:
     """AGM iterates (a_n, b_n, c_n) starting from (1, k', k).  c_(n+1) is
     (a_n - b_n)/2 written as c_n^2 / (4 a_(n+1)), which does not cancel:
     c_1 ~ k^2/4 keeps full relative precision at small k.  The chain
     takes at least one step, so that c_1 is there even where k^2 < eps
-    rounds k' to 1 and the stop test already holds at n = 0."""
+    rounds k' to 1 and the stop test already holds at n = 0.
+
+    The chain of the last modulus is kept, so every K, E, Pi, t and
+    ``jacobi`` at one k shares one chain.  It is built from float(k) and
+    returned as tuples: no caller can change it under another, and its
+    values are plain floats whatever type of k built it."""
+    k = float(k)
     a = [1.0]
     b = [math.sqrt((1.0 - k) * (1.0 + k))]
     c = [k]
@@ -42,7 +51,7 @@ def _agm_chain(k: float) -> tuple[list[float], list[float], list[float]]:
         a.append((an + bn) / 2)
         b.append(math.sqrt(an * bn))
         c.append(c[-1] ** 2 / (4 * a[-1]))
-    return a, b, c
+    return tuple(a), tuple(b), tuple(c)
 
 
 def _K_and_t(k: float) -> tuple[float, float]:

@@ -59,10 +59,11 @@ eigensolve; the Schur growth of the elimination is its witness.  The
 torus band's gather indices, masks and scales depend on (n, kd) alone
 and are tabulated once per grid size.  No dense n x n matrix is formed,
 and the even-subspace counts are the even block's own.
-``lowest(op)`` is bisected on the secular count #(a < s) + n_neg(sigma)
-- 1, a the six lowest eigenvalues of A_e and sigma formed over the whole
-block by one banded solve: no Cholesky split, no Schur growth (Golub,
-1973).
+``lowest(op)`` bisects each of the five lowest eigenvalues of the
+coupled block between two neighbouring eigenvalues of A_e, where the
+secular count (Golub, 1973) is the sign of sigma alone, formed over the
+whole block by one banded solve: no Cholesky split, no Schur growth and
+no eigensolve per midpoint.
 
 The kernel is not guessed: the theory proves L_Re phi' = 0 and
 L_Im phi = 0, so the discretized kernel is counted within the residual
@@ -473,17 +474,17 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
 
     Without coupling they are A_b's own.  The coupling is a positive
     rank-one update, so the k-th eigenvalue interlaces a_k <= l_k <=
-    a_(k+1) with those of A_b (Weyl), and is bisected there to ``width``
-    on the secular count #(a < s) + n_neg(sigma) - 1, sigma = -1 -
-    g_b^T (A_b - s)^-1 g_b, of eigenvalues below the midpoint s (Golub,
-    SIAM Rev. 15, 1973).  Where g_b is orthogonal to an eigenvector of
-    A_b, its eigenvalue stays one of A_b + g_b g_b^T, at an end of a
-    bracket, and the bisection closes on that end.
-    No midpoint lies above a_6, so the six lowest of A_b give
-    In(A_b - s) to every count, and sigma takes one banded solve, whose
-    storage each midpoint only shifts: no Cholesky split, and no Schur
-    growth.  Each midpoint lies strictly between two neighbouring
-    eigenvalues of A_b, so A_b - s is not singular there.
+    a_(k+1) with those of A_b (Weyl), and is bisected there to ``width``.
+    Each midpoint s lies strictly between a_k and a_(k+1), so k
+    eigenvalues of A_b lie below it, and the secular count k - 1 +
+    n_neg(sigma), sigma = -1 - g_b^T (A_b - s)^-1 g_b, of eigenvalues
+    below s (Golub, SIAM Rev. 15, 1973) reaches k exactly where sigma < 0:
+    the bisection reads the sign of sigma alone.  Where g_b is orthogonal
+    to an eigenvector of A_b, its eigenvalue stays one of A_b + g_b g_b^T,
+    at an end of a bracket, and the bisection closes on that end.  sigma
+    takes one banded solve, whose storage each midpoint only shifts: no
+    Cholesky split, no Schur growth, and no eigensolve.  A_b - s is not
+    singular at a midpoint.
     """
     a = eig_banded(band, lower=True, eigvals_only=True, select="i",
                    select_range=(0, 5))
@@ -495,11 +496,8 @@ def _lowest(band: np.ndarray, factors: Optional[np.ndarray],
         lo, hi = a[k - 1], a[k]
         while hi - lo > width:
             mid = (lo + hi) / 2
-            schur = -1.0 - factors.T @ solve(factors, mid)
-            if np.sum(a < mid) + _haynsworth(schur)[0] >= k:
-                hi = mid
-            else:
-                lo = mid
+            sigma = -1.0 - (factors.T @ solve(factors, mid)).item()
+            lo, hi = (lo, mid) if sigma < 0 else (mid, hi)
         lowest.append((lo + hi) / 2)
     return tuple(lowest)
 

@@ -27,6 +27,8 @@ The dnoidal parameters are closed forms in K(k) and E(k).  The dn quotient
 has b = K(k)/pi and alpha, kappa from k; its squared amplitude is the
 positive root of a quadratic in int psi_u^2 over the period, which
 ``_dnq_rule``, the family's one quadrature, gives with the slope's integrals.
+The rule runs once per modulus: its last result is kept, so a verdict's
+solve, re-solve and slope read one 512-node sample.
 """
 
 from __future__ import annotations
@@ -238,12 +240,15 @@ def _dnq_kappa_log_derivative(k: float) -> float:
     return ds / s + 2 * dd / d - 2 * (dd + k) / (2 * d + k2)
 
 
+@lru_cache(maxsize=1)
 def _dnq_rule(k: float, alpha: float, b: float) -> tuple:
     """(I, J, I'/k, J'/k): I = int psi^2 du and J = int psi_u^2 du of the
     quotient shape psi = dn/sqrt(g), g = 1 - alpha sn^2, over u in [0, 2K],
     and their k-derivatives at fixed amplitude phi = am u (sn = sin phi,
     du = dphi/dn), written back in u.  Periodic trapezoidal rules on analytic
-    integrands, at roundoff from one ``jacobi`` sample at u_j = 2K j/512."""
+    integrands, at roundoff from one ``jacobi`` sample at u_j = 2K j/512.
+    The rule of the last (k, alpha, b) is kept: the solve and the slope at
+    one modulus share it."""
     h, k2 = 2 * math.pi * b / DEFAULT_N_TORUS, k * k
     dal = -2 - (2 * k2 - 1) / math.sqrt(k2 * k2 - k2 + 1)     # alpha'/k
     sn, cn, dn = el.jacobi(h * np.arange(DEFAULT_N_TORUS), k)

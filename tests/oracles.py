@@ -239,6 +239,36 @@ def inertia_eig_banded(band: np.ndarray, factors, s: float) -> tuple:
     return below + more_below, above + more_above, q, growth
 
 
+def lowest_secular_count(op: sp.OperatorMatrix) -> tuple:
+    """``spectral.lowest`` with each block's bisection on the secular
+    count #(a < s) + n_neg(sigma) - 1 of eigenvalues below the midpoint
+    s, a the six lowest eigenvalues of A_b and n_neg(sigma) read from
+    ``spectral._haynsworth``'s eigensolve of the 1x1 sigma."""
+    def block_lowest(band, factors, width):
+        a = eig_banded(band, lower=True, eigvals_only=True, select="i",
+                       select_range=(0, 5))
+        if factors is None:
+            return tuple(a[:5])
+        solve = sp._banded_solver(band[:band.shape[1]])
+        lowest = []
+        for k in range(1, 6):
+            lo, hi = a[k - 1], a[k]
+            while hi - lo > width:
+                mid = (lo + hi) / 2
+                schur = -1.0 - factors.T @ solve(factors, mid)
+                if np.sum(a < mid) + sp._haynsworth(schur)[0] >= k:
+                    hi = mid
+                else:
+                    lo = mid
+            lowest.append((lo + hi) / 2)
+        return tuple(lowest)
+
+    s = op.summary
+    even, odd = (block_lowest(band, factors, block.lowest_width)
+                 for (band, factors), block in zip(sp._parity_blocks(op), (s.even, s.odd)))
+    return tuple(sorted(even + odd)[:5])
+
+
 def theta_full_period(p: wv.Profile) -> tuple:
     """(theta, (ybar, ybar')(2*pi)) of the Hill equation of
     ``spectral.floquet_theta`` as a product of 4th-order Magnus

@@ -1,4 +1,7 @@
+import itertools
 import math
+import random
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -82,6 +85,39 @@ def test_agm_chain_c1_without_cancellation(k):
     with mpmath.workdps(50):
         exact = (1 - mpmath.sqrt(1 - mpmath.mpf(k) ** 2)) / 2
         assert abs(c[1] - exact) <= math.ulp(float(exact))
+
+
+def bits(values) -> list:
+    """The bytes of a value or of each member of a tuple of values."""
+    values = values if isinstance(values, tuple) else (values,)
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def chain_readers(k) -> dict:
+    """Every reader of the AGM chain at modulus k, by name."""
+    u = np.linspace(-3.0, 3.0, 7)
+    return {"K": lambda: el.complete_K(k), "E": lambda: el.complete_E(k),
+            "Pi": lambda: el.complete_Pi(-0.4, k), "K_and_t": lambda: el._K_and_t(k),
+            "jacobi": lambda: el.jacobi(u, k), "jacobi_scalar": lambda: el.jacobi(0.7, k)}
+
+
+def test_shared_chain_serves_every_reader_in_any_order(monkeypatch):
+    # the kept chain of the last modulus, whatever type of k built it,
+    # gives every reader the values of a chain built afresh for it
+    moduli = (0.3, np.float64(0.3), 0.8, np.float64(0.8))
+    monkeypatch.setattr(el, "_agm_chain", el._agm_chain.__wrapped__)
+    fresh = {float(k): {name: f() for name, f in chain_readers(float(k)).items()}
+             for k in moduli}
+    monkeypatch.setattr(el, "_agm_chain", lru_cache(maxsize=1)(el._agm_chain))
+    calls = [(k, name, f) for k in moduli for name, f in chain_readers(k).items()]
+    rng = random.Random(0)
+    for _ in range(20):
+        rng.shuffle(calls)
+        for k, name, f in calls:
+            assert bits(f()) == bits(fresh[float(k)][name]), (k, name)
+    el.complete_K(np.float64(0.5))
+    assert type(el.complete_K(0.5)) is float
+    assert all(type(v) is float for v in itertools.chain(*el._agm_chain(0.5)))
 
 
 @pytest.mark.parametrize("k", [1e-9, 1e-8])

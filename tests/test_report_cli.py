@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import skwave
 from skwave import cli
+from skwave import elliptic as el
 from skwave import evolution as ev
 from skwave import functionals as fn
 from skwave import report as rp
@@ -227,6 +229,56 @@ def test_periodic_verdict_samples_its_grid_once(monkeypatch, family, r, at):
     sizes.clear()
     assert rp.verdict(family, r, at, n=default // 2).verdict == rp.STABLE
     assert (sizes.count(default), sizes.count(default // 2)) == (1, 1)
+
+
+def spy_evaluations(monkeypatch) -> tuple[list, list, list]:
+    """Record the sizes of ``el.jacobi``'s arguments and the moduli at
+    which the AGM chain and the dn-quotient rule are evaluated, behind
+    fresh one-entry memos of the functions the program's memos wrap."""
+    for memo in (el._agm_chain, wv._dnq_rule):
+        assert memo.cache_parameters() == {"maxsize": 1, "typed": False}
+    sizes, chains, rules = [], [], []
+    jacobi, chain, rule = el.jacobi, el._agm_chain.__wrapped__, wv._dnq_rule.__wrapped__
+
+    def spy_jacobi(u, k):
+        sizes.append(np.size(u))
+        return jacobi(u, k)
+
+    def spy_chain(k):
+        chains.append(k)
+        return chain(k)
+
+    def spy_rule(k, alpha, b):
+        rules.append(k)
+        return rule(k, alpha, b)
+
+    monkeypatch.setattr(el, "jacobi", spy_jacobi)
+    monkeypatch.setattr(el, "_agm_chain", lru_cache(maxsize=1)(spy_chain))
+    monkeypatch.setattr(wv, "_dnq_rule", lru_cache(maxsize=1)(spy_rule))
+    return sizes, chains, rules
+
+
+@pytest.mark.parametrize("family, r, sizes_seen, rules_seen", [
+    ("periodic_dn", 1, [512, 1], []),
+    ("periodic_dn_quotient", 2, [512, 512, 1], [0.5]),
+])
+def test_periodic_verdict_evaluates_its_modulus_once(monkeypatch, family, r,
+                                                      sizes_seen, rules_seen):
+    # the solve, the profile, theta and the slope's re-solve share one
+    # AGM chain and, on the dn quotient, one rule: the rule's 512-node
+    # sample, the profile's and theta's scalar phi''(0) are the only
+    # jacobi calls
+    sizes, chains, rules = spy_evaluations(monkeypatch)
+    assert rp.verdict(family, r, 0.5).verdict == rp.STABLE
+    assert (sorted(sizes, reverse=True), chains, rules) == (sizes_seen, [0.5], rules_seen)
+
+
+def test_alternating_moduli_evaluate_their_own_rules(monkeypatch):
+    sizes, chains, rules = spy_evaluations(monkeypatch)
+    for k in (0.3, 0.6, 0.3):
+        rp.verdict("periodic_dn_quotient", 2, k)
+    assert chains == rules == [0.3, 0.6, 0.3]
+    assert sizes.count(512) == 6
 
 
 @pytest.mark.parametrize("n", [None, 256])

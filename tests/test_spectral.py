@@ -15,7 +15,7 @@ from skwave.kernel import Grid, quadrature, symmetric_eigen, wavenumbers
 
 from oracles import (eta_equation_check, far_correction_full,
                      finite_difference_eta, fold_loop, inertia_eig_banded,
-                     isoinertia_sweep, nodal_line_band,
+                     isoinertia_sweep, lowest_secular_count, nodal_line_band,
                      quadratic_form_LRe, reverse_loop, state_derivative,
                      theta_closed_form_mp, theta_full_period, trig_band_loop)
 
@@ -514,6 +514,19 @@ def test_lowest_at_the_ends_of_the_bracket():
         assert np.max(np.abs(w[2 - shift:5 - shift] - a[2:5])) <= 1e-12 * 9.0, gamma
         got = np.array(sp._lowest(band, g, width))
         assert np.max(np.abs(got - w[:5])) <= width, gamma
+
+
+@pytest.mark.parametrize("kind", sp.OPERATOR_KINDS)
+@pytest.mark.parametrize("family, r, at", [
+    ("solitary", 1, 1.0), ("solitary", 2, 0.5), ("solitary", 4, 0.3),
+    ("periodic_dn", 1, 0.5), ("periodic_dn_quotient", 2, 0.5),
+])
+def test_lowest_sign_bisection_matches_the_secular_count(family, r, at, kind):
+    # every midpoint lies strictly inside [a_k, a_(k+1)], so #(a < s) is
+    # k there and the count k - 1 + n_neg(sigma) >= k is sigma < 0 itself
+    params = wv.solve_family(family, r, at)
+    op = sp.assemble(kind, wv.sample_profile(params, wv.default_grid(params)))
+    assert sp.lowest(op) == lowest_secular_count(op)
 
 
 @pytest.mark.parametrize("gamma, drop", [(1.5, 1), (0.5, 0)])
