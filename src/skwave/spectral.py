@@ -51,14 +51,18 @@ the sign of a scalar Schur complement,
     n_below(A_e + g_e g_e^T, s) = n_below(A_e, s) + n_neg(sigma) - 1,
     sigma = -1 - g_e^T (A_e - s)^-1 g_e,
 
-which is formed on the core from g_e reduced by the same elimination.
-A count costs the far part's banded Cholesky, O(m kd^2), its coupling
-to the core, O(kd^3) for B on the factor's trailing triangle and
-O(m kd) for the coupling's column, and the core's
-eigensolve; the Schur growth of the elimination is its witness.  The
-torus band's gather indices, masks and scales depend on (n, kd) alone
-and are tabulated once per grid size.  No dense n x n matrix is formed,
-and the even-subspace counts are the even block's own.
+which is formed on the core from g_e reduced by the same elimination;
+its core term is summed over the core's eigenpairs, which the same
+dsbev call gives.  A count costs the far part's banded Cholesky,
+O(m kd^2), its coupling to the core, O(kd^3) for B on the factor's
+trailing triangle and O(m kd) for the coupling's column, and the
+core's eigensolve; the Schur growth of the elimination is its witness.
+What depends on the grid alone is tabulated: per torus size n the
+lags, the scales alpha_m and, per band, the gather index with the
+cosine block's weight and the sine block's divisor, so that each block
+is one arithmetic pass; per bandwidth kd the gather of B.  No dense
+n x n matrix is formed, and the even-subspace counts are the even
+block's own.
 ``lowest(op)`` bisects each of the five lowest eigenvalues of the
 coupled block between two neighbouring eigenvalues of A_e, where the
 secular count (Golub, 1973) is the sign of sigma alone, formed over the
@@ -88,8 +92,8 @@ so that nothing cancels at small k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -193,11 +197,23 @@ class FloquetResult:
 # operator assembly
 # ----------------------------------------------------------------------
 
+@cache
 def _trig_scale(n: int) -> np.ndarray:
-    """alpha_m = 1/|cos(m x)| on the grid, m = 0..n/2 (and 1/|sin(m x)|)."""
+    """alpha_m = 1/|cos(m x)| on the grid, m = 0..n/2 (and 1/|sin(m x)|),
+    built once per n and read-only."""
     alpha = np.full(n // 2 + 1, math.sqrt(2.0 / n))
     alpha[[0, -1]] = 1.0 / math.sqrt(n)
+    alpha.flags.writeable = False
     return alpha
+
+
+@cache
+def _trig_lag(n: int) -> np.ndarray:
+    """min(j, n - j), the lag of Fourier index j on n nodes, built once per
+    n and read-only."""
+    lag = np.minimum(np.arange(n), n - np.arange(n))
+    lag.flags.writeable = False
+    return lag
 
 
 def _to_parity(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -224,21 +240,26 @@ _TRIG_TABLES: dict = {}     # n -> the tables of ``_trig_band`` on n nodes
 
 
 def _trig_tables(n: int, rows: int) -> tuple:
-    """The lag-by-column tables of the cosine block of ``_trig_band`` on n
-    nodes, at least ``rows`` lags: with q = n/2 - j - k the lower mode of
-    column j at lag k, the gather index (2q + k) mod n, the mask q >= 0
-    and the scale alpha_(n/2-j) alpha_q.  They depend on (n, kd) alone,
-    so one set is kept per n, sized to the most lags asked for so far
-    and rebuilt when a wider band asks for more: at n = 512 and kd = 38
-    (dnq, k = 0.97) it is 39 x 257 entries of 17 bytes, 170 KB.  The
-    index is intp, for numpy gathers an int32 index three times slower."""
+    """The lag-by-column tables of ``_trig_band`` on n nodes, at least
+    ``rows`` lags: with q = n/2 - j - k the lower mode of cosine column j
+    at lag k, the gather index (2q + k) mod n, the cosine block's weight
+    alpha_(n/2-j) alpha_q / 2, 0 where q < 0, and the sine block's
+    divisor n, inf where the entry is masked out (its columns are the
+    cosine columns 1..n/2-1, each with the mask of the next one).  They
+    depend on (n, kd) alone, so one set is kept per n, sized to the most
+    lags asked for so far and rebuilt when a wider band asks for more:
+    at n = 512 and kd = 38 (dnq, k = 0.97) it is 39 x 257 entries of
+    index and of weight and 39 x 255 of divisor, 234 KiB.  The index is
+    intp, for numpy gathers an int32 index three times slower."""
     tables = _TRIG_TABLES.get(n)
     if tables is None or len(tables[0]) < rows:
         half, alpha = n // 2, _trig_scale(n)
         k = np.arange(rows)[:, None]
         j = np.arange(half + 1)
-        q = half - j - k          # entries with q < 0 are masked out
-        tables = (2 * q + k) % n, q >= 0, alpha[half - j] * alpha[q]
+        q = half - j - k
+        tables = ((2 * q + k) % n,
+                  np.where(q >= 0, alpha[half - j] * alpha[q] / 2, 0.0),
+                  np.where(q[:, 2:] >= 0, float(n), np.inf))
         _TRIG_TABLES[n] = tables
     return tables
 
@@ -255,22 +276,25 @@ def _trig_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
     (|omega| + max|omega - potential|), the roundoff floor of the
     potential's terms, are dropped; the largest lag left is the bandwidth.
     The cosine-sine entries, the potential's odd part, are roundoff.
-    The indices, masks and scales come from ``_trig_tables``, kept per
-    n: the sine block's are the cosine block's shifted, for its column j
-    has the index of cosine column j and the mask (q > 0) of column j + 1.
+    Each block is one operation on the gathered sums with its table from
+    ``_trig_tables``, kept per n like the lags and alpha: the cosine
+    block a product with its weight (halving is exact), the sine block
+    a quotient by its divisor.  A masked entry is a signed zero, and
+    adding +0.0 makes it +0.0 and leaves every nonzero entry as it is.
     """
     n, half = p.grid.n, p.grid.n // 2
     w = p.params.omega
     vh = np.fft.fft(potential).real
-    lag = np.minimum(np.arange(n), n - np.arange(n))
+    lag = _trig_lag(n)
     floor = 1e-14 * n * (abs(w) + float(np.max(np.abs(w - potential))))
     kd = int(np.max(lag[np.abs(vh) > floor], initial=0))
-    vh[lag > kd] = 0.0
-    index, mask, scale = (t[:kd + 1] for t in _trig_tables(n, kd + 1))
+    vh[kd + 1:n - kd] = 0.0      # the lags above kd
+    index, weight, divisor = (t[:kd + 1] for t in _trig_tables(n, kd + 1))
     vk, v2q = vh[:kd + 1, None], vh[index]
-    band = np.zeros((kd + 1, n))
-    band[:, :half + 1] = np.where(mask, scale * (vk + v2q) / 2, 0.0)
-    band[:, half + 1:] = np.where(mask[:, 2:], ((vk - v2q) / n)[:, 1:-1], 0.0)
+    band = np.empty((kd + 1, n))
+    np.multiply(vk + v2q, weight, out=band[:, :half + 1])
+    np.divide(vk - v2q[:, 1:-1], divisor, out=band[:, half + 1:])
+    band += 0.0
     m2 = c * p.grid.m2[half::-1]
     band[0, :half + 1] += m2
     band[0, half + 1:] += m2[1:-1]
@@ -352,6 +376,25 @@ def _banded_solver(band: np.ndarray) -> Callable:
     return solve
 
 
+_FAR_TABLES: dict = {}      # kd -> the gather tables of ``_far_correction``
+
+
+def _far_tables(kd: int) -> tuple:
+    """The gather of B on F's last r = min(p, kd) rows, lo = p - r on:
+    B[lo + i, j] = A[p + j, lo + i] sits at band[d, lo + i] with
+    d = r - i + j, where d <= kd.  Row kd - r + i of the kd x kd tables
+    of the mask d <= kd and the lag min(d, kd), built for r = kd, holds
+    row i for every r, so one set, with the row offsets i, is kept per
+    kd."""
+    tables = _FAR_TABLES.get(kd)
+    if tables is None:
+        i = np.arange(kd)[:, None]
+        d = kd - i + np.arange(kd)
+        tables = d <= kd, np.minimum(d, kd), i
+        _FAR_TABLES[kd] = tables
+    return tables
+
+
 def _far_correction(band: np.ndarray, chol: np.ndarray,
                     factors: Optional[np.ndarray], p: int, norm: float) -> tuple:
     """[B, g_f]^T F^-1 [B, g_f] for the far part F, the leading ``p``
@@ -361,7 +404,8 @@ def _far_correction(band: np.ndarray, chol: np.ndarray,
     It is Y^T Y with Y = L^-1 [B, g_f].  B is zero above F's last kd
     rows, lo = max(p - kd, 0) on, and forward substitution keeps those
     zeros, so L^-1 B is solved on L's trailing triangle, rows lo..p-1,
-    in O(kd^3) rather than O(p kd^2); g_f takes all of L.  Both solves
+    in O(kd^3) rather than O(p kd^2); g_f takes all of L.  B is gathered
+    through the tables of ``_far_tables``, kept per kd.  Both solves
     fill one zeroed array of p rows, whose product is the full-length
     solve's bit for bit.  Returns the matrix and its growth G, its
     max|.| per ``norm``, the block's max|band|."""
@@ -373,11 +417,11 @@ def _far_correction(band: np.ndarray, chol: np.ndarray,
     y = np.zeros((p, width))
     if t:   # dtbtrs aborts the interpreter on zero right-hand sides
         # B[i, j] = A[p + j, i], stored at band[p + j - i, i]
-        lo = max(p - kd, 0)
-        i = np.arange(lo, p)[:, None]
-        d = p + np.arange(t) - i
-        b = np.where(d <= kd, band[np.minimum(d, kd), i], 0.0)
-        y[lo:, :t] = dtbtrs(chol[:min(kd, p - lo - 1) + 1, lo:p], b, uplo="L")[0]
+        r = min(p, kd)
+        lo = p - r
+        mask, lag, offset = _far_tables(kd)
+        b = np.where(mask[kd - r:, :t], band[:, lo:p][lag[kd - r:, :t], offset[:r]], 0.0)
+        y[lo:, :t] = dtbtrs(chol[:r, lo:p], b, uplo="L")[0]
     if factors is not None:
         y[:, t:] = dtbtrs(chol[:, :p], factors[:p], uplo="L")[0]
     corr = y.T @ y
@@ -407,8 +451,12 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray], s: float,
         sigma = -1 - g_f^T F^-1 g_f - w^T K'^-1 w,  In(-1) = (1 below, 0),
 
     where In(K') is counted by Sylvester's law from the core's
-    eigenvalues, by LAPACK ``dsbev`` on its band, and In(sigma) - In(-1)
-    by ``_haynsworth``; the last two terms enter only with coupling.
+    eigenvalues a_i, by LAPACK ``dsbev`` on its band (ascending, so two
+    ``searchsorted`` bounds read the counts), and In(sigma) - In(-1) by
+    ``_haynsworth``; the last two terms enter only with coupling.  There
+    ``dsbev`` also gives the core's eigenvectors z_i, and w^T K'^-1 w is
+    sum (z_i^T w)^2 / a_i; an exactly zero a_i makes K' singular and
+    raises LinAlgError.
 
     The count is the exact inertia of a matrix within about
     eps (1 + G) max|band| of A_b - s, with the Schur growth
@@ -438,19 +486,20 @@ def _inertia(band: np.ndarray, factors: Optional[np.ndarray], s: float,
         core[k, :t - k] -= corr.diagonal(-k)[:t - k]
     a = np.empty(0)
     if q:
-        # the coupled block solves with the core below, and a 1-row core
-        # is contiguous both ways: dsbev must not overwrite it
-        a, _, info = dsbev(core, compute_v=0, lower=1, overwrite_ab=0)
+        a, z, info = dsbev(core, compute_v=factors is not None, lower=1)
         if info:
             raise np.linalg.LinAlgError(f"dsbev failed on the core (info {info})")
-    below, above = int(np.count_nonzero(a < 0)), m - int(np.count_nonzero(a <= 0))
+    below, above = int(a.searchsorted(0.0)), m - int(a.searchsorted(0.0, "right"))
     if factors is None:
         return below, above, q, growth
     w = factors[p:].copy()
     w[:t] -= corr[:t, t:]
     schur = -1.0 - corr[t:, t:]
     if q:
-        schur = schur - w.T @ _banded_solver(core)(w)
+        if not a.all():
+            raise np.linalg.LinAlgError("singular shifted core")
+        zw = (z.T @ w)[:, 0]
+        schur = schur - (zw * zw / a).sum()
     more_below, more_above = _haynsworth(schur)
     return below + more_below, above + more_above, q, growth
 
@@ -508,9 +557,11 @@ def _count(op: OperatorMatrix, tol: float) -> SpectrumSummary:
     at -tol unless the first found every eigenvalue above +tol; n_below
     is nondecreasing in the shift, so n_neg = 0 then (of the four blocks,
     L_Im's odd one).  The operator's counts are the two blocks' added,
-    as for any direct sum.  A block's ``core_rows`` and ``growth`` are
-    the larger of its counts'.  Nothing is cached here: ``op.summary``
-    keeps the count at the operator's own residual.
+    as for any direct sum, and its ``lowest_width`` is the larger of
+    theirs; each block's max|band| is taken once.  A block's
+    ``core_rows`` and ``growth`` are the larger of its counts'.  Nothing
+    is cached here: ``op.summary`` keeps the count at the operator's own
+    residual.
     """
     params = op.profile.params
     ess = params.omega / params.c if op.profile.grid.topology == "line" else None
@@ -526,7 +577,9 @@ def _count(op: OperatorMatrix, tol: float) -> SpectrumSummary:
                                max(g_lo, g_hi))
 
     even, odd = (summary(*block) for block in _parity_blocks(op))
-    return replace(block_summary(even, odd), even=even, odd=odd)
+    return SpectrumSummary(even.n_neg + odd.n_neg, even.z_kernel + odd.z_kernel,
+                           ess, tol, max(even.lowest_width, odd.lowest_width),
+                           even=even, odd=odd)
 
 
 def spectrum(op: OperatorMatrix) -> SpectrumSummary:

@@ -133,6 +133,34 @@ def trig_band_loop(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray
     return band
 
 
+def trig_band_where(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
+    """``spectral._trig_band`` with each block's entries masked by
+    ``np.where`` from the gather index, the mask q >= 0 and the scale
+    alpha_(n/2-j) alpha_q of q = n/2 - j - k, built here on every call,
+    rather than one product with a tabulated weight: a masked entry is
+    +0.0, whatever the sign of its sum."""
+    n, half = p.grid.n, p.grid.n // 2
+    w = p.params.omega
+    vh = np.fft.fft(potential).real
+    lag = np.minimum(np.arange(n), n - np.arange(n))
+    floor = 1e-14 * n * (abs(w) + float(np.max(np.abs(w - potential))))
+    kd = int(np.max(lag[np.abs(vh) > floor], initial=0))
+    vh[lag > kd] = 0.0
+    alpha = sp._trig_scale(n)
+    k = np.arange(kd + 1)[:, None]
+    j = np.arange(half + 1)
+    q = half - j - k
+    index, mask, scale = (2 * q + k) % n, q >= 0, alpha[half - j] * alpha[q]
+    vk, v2q = vh[:kd + 1, None], vh[index]
+    band = np.zeros((kd + 1, n))
+    band[:, :half + 1] = np.where(mask, scale * (vk + v2q) / 2, 0.0)
+    band[:, half + 1:] = np.where(mask[:, 2:], ((vk - v2q) / n)[:, 1:-1], 0.0)
+    m2 = c * p.grid.m2[half::-1]
+    band[0, :half + 1] += m2
+    band[0, half + 1:] += m2[1:-1]
+    return band
+
+
 def nodal_line_band(p: wv.Profile, potential: np.ndarray, c: float) -> np.ndarray:
     """-c D2 + diag(potential) on the nodes of a line grid, with D2 the
     4th-order centered differences truncated at the ends, in lower band

@@ -138,7 +138,8 @@ def test_verdict_solves_each_parity_block_once(monkeypatch, family, r, at, n, or
     # has every eigenvalue above +tol and so none below -tol; the even
     # pass of the r = 4 verdict reads the even blocks of the full pass.
     # A count factors the far part and eigensolves only its core (LAPACK
-    # dsbev), so no banded eigensolve reaches the order of a block
+    # dsbev), so no banded eigensolve reaches the order of a block, and
+    # sigma's core term comes from the core's eigenpairs: no LU (dgbsv)
     counted, solved = [], []
 
     def spy(fn, log):
@@ -149,10 +150,14 @@ def test_verdict_solves_each_parity_block_once(monkeypatch, family, r, at, n, or
 
     monkeypatch.setattr(rp.sp, "_inertia", spy(rp.sp._inertia, counted))
     monkeypatch.setattr(rp.sp, "dsbev", spy(rp.sp.dsbev, solved))
+    lu = []
+    dgbsv = rp.sp.dgbsv
+    monkeypatch.setattr(rp.sp, "dgbsv", lambda *a, **kw: lu.append(a) or dgbsv(*a, **kw))
     v = rp.verdict(family, r, at, n=n)
     assert v.verdict != rp.INCONCLUSIVE
     assert sorted(counted) == sorted(orders + orders[:-1])
     assert solved and max(solved) <= 3 < n // 2
+    assert not lu
 
 
 def test_verdict_inconclusive_when_schur_growth_exceeds_bound(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,8 @@ from oracles import (eta_equation_check, far_correction_full,
                      finite_difference_eta, fold_loop, inertia_eig_banded,
                      isoinertia_sweep, lowest_secular_count, nodal_line_band,
                      quadratic_form_LRe, reverse_loop, state_derivative,
-                     theta_closed_form_mp, theta_full_period, trig_band_loop)
+                     theta_closed_form_mp, theta_full_period, trig_band_loop,
+                     trig_band_where)
 
 
 # ----------------------------------------------------------------------
@@ -482,6 +484,55 @@ def test_split_count_raises_where_the_core_eigensolve_fails(monkeypatch):
         sp._inertia(np.array([[-1.0, 2.0]]), None, 0.0, 2.0)
 
 
+@pytest.mark.parametrize("family, r, at, n", [
+    ("solitary", 1, 1.0, None), ("solitary", 2, 0.5, None),
+    ("solitary", 4, 0.3, None), ("periodic_dn", 1, 0.5, None),
+    ("periodic_dn_quotient", 2, 0.5, None),
+    # the band is wider than the sine block
+    ("periodic_dn_quotient", 2, 0.97, 64),
+])
+def test_core_term_from_eigenpairs_matches_lu_oracle(monkeypatch, family, r, at, n):
+    # sigma's core term w^T K'^-1 w, summed over the core's eigenpairs,
+    # gives every parity block at +-rho the counts, core rows and growth
+    # of the LU solve on the core; sigma itself moves in its last bits
+    # only, and never changes sign
+    sigmas = []
+
+    def spy(schur):
+        sigmas.append(schur.item())
+        return haynsworth(schur)
+
+    haynsworth = sp._haynsworth
+    monkeypatch.setattr(sp, "_haynsworth", spy)
+    params = wv.solve_family(family, r, at)
+    prof = wv.sample_profile(params, wv.default_grid(params, n))
+    for kind in sp.OPERATOR_KINDS:
+        op = sp.assemble(kind, prof)
+        tol = sp.spectrum(op).tol_kernel
+        for band, factors in sp._parity_blocks(op):
+            norm = float(np.abs(band).max())
+            for s in (tol, -tol):
+                del sigmas[:]
+                got = sp._inertia(band, factors, s, norm)
+                assert got == inertia_eig_banded(band, factors, s), (kind, s)
+                if factors is not None:
+                    eig, lu = sigmas
+                    assert eig * lu > 0
+                    assert abs(eig - lu) <= 1e-13 * abs(lu)
+
+
+def test_split_count_raises_on_a_singular_core():
+    # rows 0..2 are positive definite and row 3 is not coupled to them,
+    # so the shifted core is the 1 x 1 zero: K' is singular and sigma is
+    # undefined.  The count raises, as the LU on the core did, before any
+    # division by the zero eigenvalue
+    band = np.array([[2.0, 2.0, 2.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            sp._inertia(band, np.ones((4, 1)), 0.0, 2.0)
+
+
 def test_lowest_on_a_diagonal_band():
     # a diagonal band, as at periodic k -> 0, with its eigenvalues on
     # dyadic points: each bisection runs inside the interlacing bracket
@@ -848,6 +899,24 @@ def test_trig_band_and_reverse_match_lag_loops(family, r, k):
             ascending = trig_band_loop(prof, potential, p.c)
             for block in (slice(None, n // 2 + 1), slice(n // 2 + 1, None)):
                 assert _bits(band[:, block]) == _bits(reverse_loop(ascending[:, block]))
+
+
+@pytest.mark.parametrize("family, r", [(wv.PERIODIC_DN, 1), (wv.PERIODIC_DNQ, 2)])
+@pytest.mark.parametrize("k", [1e-3, 0.5, 0.97])
+def test_trig_band_tabulated_weights_match_where_oracle(family, r, k):
+    # each block as one product with its tabulated weight (cosine) or one
+    # quotient by its divisor (sine) is the np.where masking it replaced,
+    # bit for bit: a masked entry is +0.0, never the -0.0 of 0 times a
+    # negative sum.  At dnq k = 0.97 on n = 64 the sine block is narrower
+    # than the band
+    p = wv.solve_family(family, r, k)
+    for n in (64, 512):
+        prof = wv.sample_profile(p, wv.default_grid(p, n))
+        for kind in sp.OPERATOR_KINDS:
+            potential = sp._potential(kind, prof)
+            band = sp._trig_band(prof, potential, p.c)
+            want = trig_band_where(prof, potential, p.c)
+            assert _bits(band) == _bits(want), (n, kind)
 
 
 def test_trig_tables_are_one_set_per_grid_size(monkeypatch):
