@@ -34,12 +34,7 @@ from . import functionals as fn
 from . import report as rp
 from . import spectral as sp
 from . import waves as wv
-from .errors import (
-    DegenerateProfileError,
-    DimensionError,
-    DomainError,
-    UsageError,
-)
+from .errors import StageError, UsageError
 
 FAMILY_ALIASES = {
     "solitary": wv.SOLITARY,
@@ -254,8 +249,7 @@ def main(argv=None) -> int:
                 **_config_defaults(args.config, subparsers, args.command))
             args = top.parse_args(argv)
         return args.func(args)
-    except (DomainError, UsageError, DimensionError, DegenerateProfileError,
-            OSError, json.JSONDecodeError) as exc:
+    except (StageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as exc:

@@ -38,8 +38,8 @@ recorded at steps 0, log_every, 2*log_every, ... and at the last step.
 Blow-up detection stays per step: one sum over each new state, which
 is non-finite exactly when an entry is, since the norm-conserving
 substeps keep finite entries from overflowing it.  Every int |u_x|^2
-and squared H^1 norm is ``kernel.parseval``, the sum
-``functionals.energy`` takes too, over the grid's ``Grid.m2``.
+and squared H^1 norm is ``kernel.parseval`` over the grid's ``Grid.m2``,
+and the monitored energy is ``functionals.kirchhoff_energy`` of that sum.
 
 Solitary waves are evolved on a torus wide enough that the periodized
 tail sits below 1e-12 of the peak; the wraparound level is monitored.

@@ -1,8 +1,9 @@
-"""Conserved quantities, closed-form integral identities, quadratic
+"""The Kirchhoff energy, closed-form integral identities, quadratic
 forms, and the frequency slope of the squared norm.
 
-A raw torus state's int |u_x|^2 is ``kernel.parseval``, Nyquist mode
-included, so its energy is the one the time stepper conserves.
+``kirchhoff_energy`` takes the sums: the evolution monitors give it a
+raw torus state's int |u_x|^2 as ``kernel.parseval``, Nyquist mode
+included, so the energy they record is the one the time stepper conserves.
 
 The slope d/domega int phi^2, whose sign decides orbital stability with
 the linearization's counts, is the derivative of the family's closed forms
@@ -15,12 +16,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import elliptic as el
 from . import waves as wv
-from .errors import DomainError, UsageError
-from .kernel import Grid, parseval, quadrature
+from .errors import DomainError
+from .kernel import quadrature
 
 
 @dataclass(frozen=True)
@@ -42,59 +41,14 @@ _SLOPE_EPS = 64 * sys.float_info.epsilon     # c eps of the slope's bound
 
 
 # ----------------------------------------------------------------------
-# derivatives of sampled states
+# energy
 # ----------------------------------------------------------------------
-
-def state_derivative(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """d/dx of a sampled line state: 4th-order centered differences with
-    zero extension (a torus state's gradient is ``kernel.parseval``'s)."""
-    if grid.topology != "line":
-        raise UsageError("the difference stencil is defined on line grids")
-    v = np.asarray(v)
-    h = grid.spacing
-    vp = np.zeros(grid.n + 4, dtype=v.dtype)
-    vp[2:-2] = v
-    return (vp[:-4] - 8 * vp[1:-3] + 8 * vp[3:-1] - vp[4:]) / (12 * h)
-
-
-def _gradient_norm_sq(state, grid: Grid) -> float:
-    if grid.topology == "torus":
-        return parseval(grid, grid.m2, np.fft.fft(state))
-    return quadrature(grid, np.abs(state_derivative(grid, state)) ** 2)
-
-
-# ----------------------------------------------------------------------
-# mass and energy
-# ----------------------------------------------------------------------
-
-def mass(state, grid: Grid = None) -> float:
-    """F = (1/2) int |u|^2."""
-    if isinstance(state, wv.Profile):
-        state, grid = state.phi, state.grid
-    return 0.5 * quadrature(grid, np.abs(np.asarray(state)) ** 2)
-
 
 def kirchhoff_energy(grad: float, moment: float, r: int) -> float:
     """The Hamiltonian of i u_t + (1 + G) u_xx + |u|^2r u = 0 from
     G = int |u_x|^2 and ``moment`` = int |u|^(2r+2):
     E = G/2 + G^2/4 - moment/(2r+2)."""
     return 0.5 * grad + 0.25 * grad ** 2 - moment / (2 * r + 2)
-
-
-def energy(state, grid: Grid = None, r: int = None) -> float:
-    """E = 1/2 int |u_x|^2 + 1/4 (int |u_x|^2)^2 - 1/(2r+2) int |u|^(2r+2)."""
-    if isinstance(state, wv.Profile):
-        if r is None:
-            r = state.params.r
-        grid = state.grid
-        grad = quadrature(grid, state.dphi ** 2)
-        u = state.phi
-    else:
-        if r is None:
-            raise UsageError("nonlinearity exponent r is required for raw states")
-        grad = _gradient_norm_sq(state, grid)
-        u = np.asarray(state)
-    return kirchhoff_energy(grad, quadrature(grid, np.abs(u) ** (2 * r + 2)), r)
 
 
 # ----------------------------------------------------------------------
@@ -129,12 +83,8 @@ def closed_form_tau(k: float) -> tuple[float, float, float]:
     K and E; tau = -2*tau2 + 2*tau1^2 is the quadratic-form value of the
     linearized operator at the wave itself.
     """
-    if not 0 < k < 1:
-        raise DomainError(f"modulus must lie in (0, 1), got {k}")
+    wv.solve_periodic_r1(k, validate=False)     # raises where no dn wave exists
     den = wv._dn_denominator(k)
-    if den <= 0:
-        raise DomainError(
-            f"modulus {k} beyond the dnoidal limit k* ~ {wv.dn_modulus_limit():.6f}")
     K, E = el.complete_K(k), el.complete_E(k)
     tau1 = (-8 * (1 - k * k) * K ** 4 + 4 * (2 - k * k) * E * K ** 3) / den
     tau2 = (24 * math.pi ** 3 * K ** 3

@@ -17,19 +17,14 @@ import csv
 import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import functionals as fn
 from . import spectral as sp
 from . import waves as wv
-from .errors import (
-    DegenerateProfileError,
-    DimensionError,
-    DomainError,
-    UsageError,
-)
+from .errors import DegenerateProfileError, StageError
 
 SLOPE_PLUS = "+"
 SLOPE_MINUS = "-"
@@ -57,9 +52,13 @@ class StabilityVerdict:
 
 
 def decide(n_neg_L: int, z_kernel_L: int, slope_sign: str,
-           even_counts: Optional[tuple] = None) -> str:
+           even_counts: Optional[tuple] = None,
+           unresolved: Sequence[str] = ()) -> str:
     """Pure counting rule; re-running on stored evidence reproduces the
-    verdict."""
+    verdict.  A count made where an operator is ``unresolved`` (its
+    kernel tolerance reaches the continuum edge) settles nothing."""
+    if unresolved:
+        return INCONCLUSIVE
     if slope_sign == SLOPE_PLUS and n_neg_L == 1 and z_kernel_L == 2:
         return STABLE
     if slope_sign == SLOPE_MINUS and even_counts == (1, 1):
@@ -80,14 +79,9 @@ def _solve(family: str, r: int, at: float) -> wv.WaveParams:
 
 
 def _profile(family: str, r: int, at: float, n: Optional[int]) -> wv.Profile:
-    """``_solve``'s wave on its default grid with ``n`` nodes, validated
-    as ``_solve`` validates it: on this one sample at the default n."""
-    params = wv.solve_family(family, r, at, validate=False)
-    prof = wv.sample_profile(params, wv.default_grid(params, n))
-    default_n = wv.DEFAULT_N_LINE if family == wv.SOLITARY else wv.DEFAULT_N_TORUS
-    wv._validate_profile(prof if prof.grid.n == default_n
-                         else wv.sample_profile(params, wv.default_grid(params)))
-    return prof
+    """``_solve``'s wave, validated as ``_solve`` validates it, sampled on
+    its default grid with ``n`` nodes."""
+    return wv.validated_profile(wv.solve_family(family, r, at, validate=False), n)
 
 
 def _operator_evidence(s: sp.SpectrumSummary) -> dict:
@@ -153,15 +147,14 @@ def verdict(family: str, r: int, at: float, n: Optional[int] = None) -> Stabilit
             even_counts = (even.n_neg, even.z_kernel)
             evidence["even_block"] = {"n_neg": even.n_neg,
                                       "z_kernel": even.z_kernel}
-    except (DomainError, UsageError, DimensionError,
-            DegenerateProfileError, np.linalg.LinAlgError) as exc:
+    except (StageError, np.linalg.LinAlgError) as exc:
         # verdicts never guess past a failed stage; any other exception
         # is a programming error and propagates
         evidence["failed_stage"] = stage
         evidence["error"] = f"{type(exc).__name__}: {exc}"
         return StabilityVerdict(family, r, at, None, None, None, None,
                                 INCONCLUSIVE, evidence)
-    call = decide(block.n_neg, block.z_kernel, sign, even_counts)
+    call = decide(block.n_neg, block.z_kernel, sign, even_counts, unresolved)
     return StabilityVerdict(family, r, at, block.n_neg, block.z_kernel,
                             sign, theta, call, evidence)
 

@@ -23,16 +23,42 @@ MAGNUS_CELLS = 2048     # a power of two, for the pairwise product
 
 def state_derivative(grid, v: np.ndarray) -> np.ndarray:
     """d/dx of a sampled state: spectral on the torus, with the Nyquist
-    mode's derivative (not representable on the grid) zeroed, and the
-    program's 4th-order differences (``functionals.state_derivative``)
-    on the line."""
-    if grid.topology == "line":
-        return fn.state_derivative(grid, v)
+    mode's derivative (not representable on the grid) zeroed, and
+    4th-order centered differences with zero extension on the line."""
     v = np.asarray(v)
+    if grid.topology == "line":
+        vp = np.zeros(grid.n + 4, dtype=v.dtype)
+        vp[2:-2] = v
+        return (vp[:-4] - 8 * vp[1:-3] + 8 * vp[3:-1] - vp[4:]) / (12 * grid.spacing)
     symbol = 1j * wavenumbers(grid)
     symbol[grid.n // 2] = 0.0
     du = np.fft.ifft(symbol * np.fft.fft(v))
     return du.real if np.isrealobj(v) else du
+
+
+def mass(state, grid=None) -> float:
+    """F = (1/2) int |u|^2 by the program's quadrature; a profile brings
+    its own grid."""
+    if isinstance(state, wv.Profile):
+        state, grid = state.phi, state.grid
+    return 0.5 * quadrature(grid, np.abs(np.asarray(state)) ** 2)
+
+
+def energy(state, grid=None, r: int = None) -> float:
+    """E = G/2 + G^2/4 - int |u|^(2r+2) / (2r+2) by the program's
+    ``functionals.kirchhoff_energy``, with G = int |u_x|^2 taken as the
+    quadrature of a profile's stored phi'^2, as ``kernel.parseval`` of a
+    raw torus state (Nyquist mode included, the monitors' sum), or as
+    the quadrature of a raw line state's 4th-order differences."""
+    if isinstance(state, wv.Profile):
+        grid, u = state.grid, state.phi
+        r = state.params.r if r is None else r
+        grad = quadrature(grid, state.dphi ** 2)
+    else:
+        u = np.asarray(state)
+        grad = (parseval(grid, grid.m2, np.fft.fft(u)) if grid.topology == "torus"
+                else quadrature(grid, np.abs(state_derivative(grid, u)) ** 2))
+    return fn.kirchhoff_energy(grad, quadrature(grid, np.abs(u) ** (2 * r + 2)), r)
 
 
 def quadratic_form_LRe(p: wv.Profile, P: np.ndarray) -> float:

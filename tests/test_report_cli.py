@@ -31,6 +31,7 @@ from oracles import read_profile_header
 
 def test_decide_stable():
     assert rp.decide(1, 2, "+") == rp.STABLE
+    assert rp.decide(1, 2, "+", unresolved=["L_Re"]) == rp.INCONCLUSIVE
 
 
 def test_decide_unstable_needs_even_counts():
@@ -57,7 +58,8 @@ def test_decide_never_mislabels(n_neg, z, sign, even):
 
 def test_verdict_reproducible_from_evidence():
     v = rp.verdict("periodic_dn", 1, 0.5, n=128)
-    again = rp.decide(v.n_neg_L, v.z_kernel_L, v.slope_sign)
+    again = rp.decide(v.n_neg_L, v.z_kernel_L, v.slope_sign,
+                      unresolved=v.evidence["block"]["unresolved"])
     assert again == v.verdict == rp.STABLE
 
 
@@ -341,15 +343,22 @@ def test_kernel_tolerance_reported_as_evidence():
         assert v.evidence[kind]["tol_kernel"] == rep[kind]["tol_kernel"] == tol
 
 
-@pytest.mark.parametrize("r", [4, 5])
-@pytest.mark.parametrize("n, unresolved", [(256, ["L_Re"]), (1024, [])])
-def test_coarse_line_grid_names_itself(r, n, unresolved):
+@pytest.mark.parametrize("r, omega, n, unresolved", [
+    pytest.param(4, 0.3, 256, ["L_Re"], id="256-unresolved0-4"),
+    pytest.param(5, 0.3, 256, ["L_Re"], id="256-unresolved0-5"),
+    pytest.param(4, 0.3, 1024, [], id="1024-unresolved1-4"),
+    pytest.param(5, 0.3, 1024, [], id="1024-unresolved1-5"),
+    pytest.param(1, 2e4, None, ["L_Re"], id="omega2e4-1"),
+])
+def test_coarse_line_grid_names_itself(r, omega, n, unresolved):
     # at n = 256 the residual of phi' (0.65 at r = 4, 1.39 at r = 5)
     # reaches the continuum edge omega/c = 0.21, so the count at +-rho
-    # takes in the discretized continuum; at n = 1024 it is below 0.014
-    v = rp.verdict("solitary", r, 0.3, n=n)
+    # takes in the discretized continuum; at n = 1024 it is below 0.014.
+    # At omega = 2e4 the wave is narrow on the default grid and rho of
+    # L_Re (0.98) passes the edge 0.83, though the counts come out (1, 2)
+    v = rp.verdict("solitary", r, omega, n=n)
     block = v.evidence["block"]
-    assert block["ess_edge"] == pytest.approx(0.3 / v.evidence["params"]["c"])
+    assert block["ess_edge"] == pytest.approx(omega / v.evidence["params"]["c"])
     assert block["unresolved"] == unresolved
     for kind in rp.sp.OPERATOR_KINDS:
         assert (v.evidence[kind]["tol_kernel"] >= block["ess_edge"]) == (kind in unresolved)

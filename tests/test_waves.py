@@ -291,11 +291,14 @@ def test_validation_fails_a_nan_wave(field, check):
     params = wv.solve_solitary(1, 1.0)
     bad = dataclasses.replace(params, **{field: math.nan})
     with pytest.raises(DomainError, match=check):
-        wv._validate_profile(wv.sample_profile(bad, wv.default_grid(params)))
+        wv.validated_profile(bad)
 
 
-@pytest.mark.parametrize("r,omega", [(1, 0.44), (2, 0.29), (4, 0.21)])
+@pytest.mark.parametrize("r,omega", [(1, 0.44), (2, 0.29), (4, 0.21),
+                                     (1, 10 ** 5.375), (2, 10 ** 6.25)])
 def test_solitary_existence_acceptance(r, omega):
+    # far above the threshold the stationary residual passes 1e-7, yet
+    # it stays within 1e-15 of the equation's largest term
     p = wv.solve_solitary(r, omega)
     assert p.a > 0 and p.b > 0 and p.c > 1
 
