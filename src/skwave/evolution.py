@@ -16,13 +16,17 @@ discrete squared norm, so the mass drift stays at roundoff level.
 Because the half nonlinear step preserves |u|, a step's trailing
 half-kick and the next step's leading half-kick multiply by the same
 phase exp(i dt/2 |u|^2r) (the first-same-as-last property of symmetric
-splittings).  ``step_strang`` keeps the trailing phase on the state it
-returns and the next step of the same dt reuses it, so a run of N steps
-evaluates N + 1 nonlinear phases instead of 2N.  Every phase, the two
-half-kicks and the linear propagator, is taken as cos and sin written
-into one complex array, which is cheaper than a complex exp.  The
-forward and inverse transforms run in place on the kicked state's
-array, and the half-kick's exponent is built in place.
+splittings).  ``evolve`` advances one record interval per call of
+``step_strang(state, dt, steps)``; inside the call each step's trailing
+phase is the next step's leading one, and the last is kept on the
+returned state, which the next call of the same dt reuses, so a run of
+N steps evaluates N + 1 nonlinear phases instead of 2N.  Every phase,
+the two half-kicks and the linear propagator, is taken as cos and sin
+written into one complex array, which is cheaper than a complex exp.
+The call owns its work arrays and overwrites them on every step: the
+state, on which the forward and inverse transforms run in place, the
+phase and the |u|^2 scratch.  Only the state it returns is new, so no
+state a caller holds is ever changed.
 
 Every transform here, the step's, the records' and the orbital
 distance's, is ``kernel.dft_into``/``idft_into``: numpy's pocketfft
@@ -35,9 +39,11 @@ private call convention so that a numpy changing it fails loudly.
 Monitoring runs on the logging cadence, not every step: mass, energy,
 the Kirchhoff coefficient, the orbital distance and the tail level are
 recorded at steps 0, log_every, 2*log_every, ... and at the last step.
-Blow-up detection stays per step: one sum over each new state, which
-is non-finite exactly when an entry is, since the norm-conserving
-substeps keep finite entries from overflowing it.  Every int |u_x|^2
+Blow-up detection stays per step, inside ``step_strang``: one sum over
+each new state, which is non-finite exactly when an entry is, since the
+norm-conserving substeps keep finite entries from overflowing it.  The
+call stops at the first non-finite state and returns it with its own
+time, so ``evolve`` checks each returned state once.  Every int |u_x|^2
 and squared H^1 norm is ``kernel.parseval`` over the grid's ``Grid.m2``,
 and the monitored energy is ``functionals.kirchhoff_energy`` of that sum.
 
@@ -96,54 +102,79 @@ class EvolutionState:
         default=None, init=False, repr=False)
 
 
-def _phase(theta: np.ndarray) -> np.ndarray:
+def _phase(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
     """exp(i theta) for real theta, as cos and sin written into the real
-    and imaginary parts of one complex array."""
-    z = np.empty(theta.shape, dtype=complex)
+    and imaginary parts of the complex array z; returns z."""
     np.cos(theta, out=z.real)
     np.sin(theta, out=z.imag)
     return z
 
 
-def _half_kick(u: np.ndarray, r: int, dt: float) -> np.ndarray:
-    """Phase of the half nonlinear step, exp(i dt/2 |u|^2r)."""
-    theta = u.real * u.real
-    theta += u.imag * u.imag
+def _half_kick(u: np.ndarray, r: int, dt: float, mod2: np.ndarray,
+               kick: np.ndarray) -> np.ndarray:
+    """Phase of the half nonlinear step, exp(i dt/2 |u|^2r), written into
+    ``kick``, with ``mod2`` as the |u|^2 scratch.  The squares of u's
+    float view go into ``kick``'s float view first, so |u|^2 is
+    re*re + im*im in that order with no temporary."""
+    squares = kick.view(float)
+    np.multiply(u.view(float), u.view(float), out=squares)
+    np.add(squares[0::2], squares[1::2], out=mod2)
     if r > 1:
-        theta **= r
-    theta *= 0.5 * dt
-    return _phase(theta)
+        mod2 **= r
+    mod2 *= 0.5 * dt
+    return _phase(mod2, kick)
 
 
-def step_strang(state: EvolutionState, dt: float) -> EvolutionState:
-    """One Strang step: half nonlinear, full linear, half nonlinear.
+def step_strang(state: EvolutionState, dt: float,
+                steps: int = 1) -> EvolutionState:
+    """``steps`` Strang steps (half nonlinear, full linear, half
+    nonlinear) in work arrays this call allocates once; stops at the
+    first non-finite state and returns it with its own time.
 
     The leading half-kick reuses ``state.half_kick`` when it belongs to
-    this u and dt; the trailing one is kept on the returned state.
+    this u and dt; the last trailing one is kept on the returned state,
+    the only new object, whose u is read-only.
     """
     if not dt > 0:
         raise DomainError(f"dt must be positive, got {dt}")
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
     grid, r = state.grid, state.r
-    m2 = grid.m2
-    cached = state.half_kick
-    if cached is not None and cached[0] is state.u and cached[1] == dt:
-        kick = cached[2]
-    else:
-        kick = _half_kick(state.u, r, dt)
-    uh = state.u * kick
-    dft_into(uh, uh)
-    c = 1.0 + parseval(grid, m2, uh)
     # m^2 is even in m and m[-j] = -m[j] exactly, so the propagator over
     # the n/2 + 1 distinct values, mirrored, is the full one bit for bit
     h = grid.n // 2 + 1
-    prop = _phase((-c * dt) * m2[:h])
-    uh[:h] *= prop
-    uh[h:] *= prop[h - 2:0:-1]
-    u = idft_into(uh, uh)
-    kick = _half_kick(u, r, dt)
-    u *= kick
+    m2, m2_half = grid.m2, grid.m2[:h]
+    u = np.array(state.u, dtype=complex)
+    low, high = u[:h], u[h:]
+    mod2, kick = np.empty(grid.n), np.empty(grid.n, dtype=complex)
+    angle, prop = np.empty(h), np.empty(h, dtype=complex)
+    mirrored = prop[h - 2:0:-1]
+    cached = state.half_kick
+    if cached is not None and cached[0] is state.u and cached[1] == dt:
+        lead = cached[2]
+    else:
+        lead = _half_kick(u, r, dt, mod2, kick)
+    t = state.t
+    for _ in range(steps):
+        u *= lead
+        dft_into(u, u)
+        c = 1.0 + parseval(grid, m2, u)
+        np.multiply(-c * dt, m2_half, out=angle)
+        _phase(angle, prop)
+        low *= prop
+        high *= mirrored
+        idft_into(u, u)
+        # the trailing half-kick, and the next step's leading one
+        lead = _half_kick(u, r, dt, mod2, kick)
+        u *= lead
+        t += dt
+        # one reduction is exact here: a non-finite entry makes the sum
+        # non-finite, and finite entries cannot overflow it because both
+        # substeps conserve sum |u|^2
+        if not cmath.isfinite(u.sum()):
+            break
     u.flags.writeable = False
-    new = EvolutionState(u, state.t + dt, r, grid)
+    new = EvolutionState(u, t, r, grid)
     new.half_kick = (u, dt, kick)
     return new
 
@@ -233,19 +264,20 @@ def evolve(u0: np.ndarray, grid: Grid, r: int, T: float, dt: float,
     if not np.isfinite(state.u).all():
         blow_up = 0.0
         n_steps = 0
-    for step in range(1, n_steps + 1):
-        state = step_strang(state, dt)
-        # one reduction is exact here: a non-finite entry makes the sum
-        # non-finite, and finite entries cannot overflow it because both
-        # substeps conserve sum |u|^2
+    # one call per record interval: the stepper stops at the first
+    # non-finite state, so one check of the state it returns finds it
+    step = 0
+    while step < n_steps:
+        steps = min(log_every, n_steps - step)
+        state = step_strang(state, dt, steps)
+        step += steps
         if not cmath.isfinite(state.u.sum()):
             blow_up = state.t
             break
-        if step % log_every == 0 or step == n_steps:
-            record(state, step)
-            if tail is not None:
-                tail = max(tail, float(np.abs(state.u[edge])
-                                       / np.max(np.abs(state.u))))
+        record(state, step)
+        if tail is not None:
+            tail = max(tail, float(np.abs(state.u[edge])
+                                   / np.max(np.abs(state.u))))
 
     def drift(values):
         ref = values[0]

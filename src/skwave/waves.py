@@ -358,8 +358,16 @@ def tail_half_length(params: WaveParams) -> float:
 
 
 def default_grid(params: WaveParams, n: Optional[int] = None) -> Grid:
+    """The wave's grid with n nodes: the torus of its period, or the line
+    cut at the solitary tail level.  The default line n is
+    ``DEFAULT_N_LINE`` up to r = 4 and grows in steps of it with r above:
+    the box L = r ln(2 a 1e12)/b grows like r, and at r = 8 on 1024 nodes
+    (b h near 0.45) the trapezoidal c misses its closed form by more
+    than 1e-8."""
     if params.family == SOLITARY:
-        return line_grid(tail_half_length(params), DEFAULT_N_LINE if n is None else n)
+        if n is None:
+            n = DEFAULT_N_LINE * math.ceil(params.r / 4)
+        return line_grid(tail_half_length(params), n)
     return torus_grid(DEFAULT_N_TORUS if n is None else n)
 
 

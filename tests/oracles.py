@@ -95,13 +95,7 @@ def _half_kick_allocating(u: np.ndarray, r: int, dt: float) -> np.ndarray:
     return _phase_allocating(0.5 * dt * (u.real ** 2 + u.imag ** 2) ** r)
 
 
-def step_strang_allocating(state: EvolutionState, dt: float) -> EvolutionState:
-    """``evolution.step_strang`` as it was before its transforms and
-    half-kick worked in place: a fresh array for the kicked state, the
-    transform, the inverse transform and each term of the half-kick
-    phase.  The in-place step must match it bit for bit."""
-    if dt <= 0:
-        raise DomainError("dt must be positive")
+def _step_allocating(state: EvolutionState, dt: float) -> EvolutionState:
     grid, r = state.grid, state.r
     m2 = grid.m2
     cached = state.half_kick
@@ -124,6 +118,23 @@ def step_strang_allocating(state: EvolutionState, dt: float) -> EvolutionState:
     new = EvolutionState(u, state.t + dt, r, grid)
     new.half_kick = (u, dt, kick)
     return new
+
+
+def step_strang_allocating(state: EvolutionState, dt: float,
+                           steps: int = 1) -> EvolutionState:
+    """``evolution.step_strang`` as it was before its transforms and
+    half-kick worked in place and before it took a step count: one call,
+    and a fresh state, per step, with a fresh array for the kicked
+    state, the transform, the inverse transform and each term of the
+    half-kick phase.  Like the program it stops at the first non-finite
+    state.  The in-place step must match it bit for bit."""
+    if dt <= 0:
+        raise DomainError("dt must be positive")
+    for _ in range(steps):
+        state = _step_allocating(state, dt)
+        if not np.isfinite(state.u).all():
+            break
+    return state
 
 
 def read_profile_header(path) -> dict:

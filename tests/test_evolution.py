@@ -455,41 +455,103 @@ def test_blow_up_flagged():
 
 
 def _poison_step_7(monkeypatch, value):
-    """Run 100 steps with ``value`` written into the state of step 7."""
+    """Run 100 steps with ``value`` written into the state of step 7; the
+    steps taken, one entry each."""
     g = torus_grid(64)
     step = ev.step_strang
-    calls = []
+    taken = []
 
-    def poison_at_step_7(state, dt):
-        calls.append(1)
-        new = step(state, dt)
-        if len(calls) == 7:
-            # a stepped u is read-only: hand back a poisoned copy
-            u = new.u.copy()
-            u[3] = value
-            new = ev.EvolutionState(u, new.t, new.r, new.grid)
-        return new
+    def poison_at_step_7(state, dt, steps=1):
+        # one step at a time, stopping on a non-finite state as the
+        # program does
+        for _ in range(steps):
+            taken.append(1)
+            state = step(state, dt)
+            if len(taken) == 7:
+                # a stepped u is read-only: hand back a poisoned copy
+                u = state.u.copy()
+                u[3] = value
+                state = ev.EvolutionState(u, state.t, state.r, state.grid)
+            if not np.isfinite(state.u).all():
+                break
+        return state
 
     monkeypatch.setattr(ev, "step_strang", poison_at_step_7)
     return ev.evolve(0.5 * np.exp(1j * g.nodes), g, 1, 1.0, 1e-2,
-                     log_every=50), calls
+                     log_every=50), taken
 
 
 def test_blow_up_detected_between_records(monkeypatch):
     # the finiteness check runs every step, not on the logging cadence
-    res, calls = _poison_step_7(monkeypatch, np.nan)
+    res, taken = _poison_step_7(monkeypatch, np.nan)
     assert abs(res.blow_up - 7e-2) < 1e-12
-    assert len(calls) == 7
+    assert len(taken) == 7
     assert res.state.t == res.blow_up
     assert res.monitors.steps == [0]
 
 
 def test_blow_up_inf_detected_between_records(monkeypatch):
     # the check sums the state: one inf entry makes the sum non-finite
-    res, calls = _poison_step_7(monkeypatch, np.inf)
+    res, taken = _poison_step_7(monkeypatch, np.inf)
     assert abs(res.blow_up - 7e-2) < 1e-12
-    assert len(calls) == 7
+    assert len(taken) == 7
     assert res.monitors.steps == [0]
+
+
+def test_blow_up_stops_inside_the_stepper(monkeypatch):
+    # a NaN in the 7th inverse transform: the stepper itself stops at
+    # that step, inside its first record interval, and evolve stamps it
+    g = torus_grid(64)
+    idft_into = ev.idft_into
+    outputs = []
+
+    def poison_7th_output(*args):
+        out = idft_into(*args)
+        outputs.append(1)
+        if len(outputs) == 7:
+            out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(ev, "idft_into", poison_7th_output)
+    res = ev.evolve(0.5 * np.exp(1j * g.nodes), g, 1, 1.0, 1e-2,
+                    log_every=50)
+    assert abs(res.blow_up - 7e-2) < 1e-12
+    assert res.state.t == res.blow_up
+    assert not np.isfinite(res.state.u).all()
+    assert len(outputs) == 7
+    assert res.monitors.steps == [0]
+
+
+@pytest.mark.parametrize("steps", [1, 7, 100])
+def test_step_count_is_chained_single_steps(dn_wave, steps):
+    # the c9 dn state: one call of k steps against k one-step calls,
+    # bit for bit in u, t and the phase the next call reuses
+    g, dt = dn_wave.grid, 1e-3
+    u0 = dn_wave.phi.astype(complex) + 1e-2 * (np.cos(g.nodes)
+                                               + 1j * np.sin(2 * g.nodes))
+    for start in (ev.EvolutionState(u0, 0.0, 1, g),
+                  ev.step_strang(ev.EvolutionState(u0, 0.0, 1, g), dt)):
+        held = (start.u.copy(), start.half_kick and start.half_kick[2].copy())
+        chained = start
+        for _ in range(steps):
+            chained = ev.step_strang(chained, dt)
+        whole = ev.step_strang(start, dt, steps)
+        assert np.array_equal(whole.u, chained.u)
+        assert whole.t == chained.t
+        assert whole.half_kick[0] is whole.u and whole.half_kick[1] == dt
+        assert np.array_equal(whole.half_kick[2], chained.half_kick[2])
+        assert not whole.u.flags.writeable
+        # the state the caller holds, and its phase, are untouched
+        assert np.array_equal(start.u, held[0])
+        assert held[1] is None or np.array_equal(start.half_kick[2], held[1])
+
+
+@pytest.mark.parametrize("steps", [0, -3, 2.5])
+def test_step_rejects_a_step_count_below_one_or_fractional(steps):
+    g = torus_grid(64)
+    st = ev.EvolutionState(0.5 * np.exp(1j * g.nodes), 0.0, 1, g)
+    with pytest.raises(DomainError):
+        ev.step_strang(st, 1e-2, steps)
 
 
 def test_evolution_rejects_line_grid():

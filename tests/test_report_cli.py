@@ -773,13 +773,18 @@ def test_cli_evolve_blow_up_exit(tmp_path, monkeypatch, capsys):
     # a non-finite state exits 4 after both files are written
     step = ev.step_strang
 
-    def poisoned(state, dt):
-        new = step(state, dt)
-        if new.t > 0.065:
-            u = new.u.copy()
-            u[3] = np.nan
-            new = ev.EvolutionState(u, new.t, new.r, new.grid)
-        return new
+    def poisoned(state, dt, steps=1):
+        # one step at a time, stopping on a non-finite state as the
+        # program does
+        for _ in range(steps):
+            state = step(state, dt)
+            if state.t > 0.065:
+                u = state.u.copy()
+                u[3] = np.nan
+                state = ev.EvolutionState(u, state.t, state.r, state.grid)
+            if not np.isfinite(state.u).all():
+                break
+        return state
 
     monkeypatch.setattr(ev, "step_strang", poisoned)
     ret = cli.main(["evolve", "--family", "dn", "--r", "1", "--k", "0.5",

@@ -303,6 +303,24 @@ def test_solitary_existence_acceptance(r, omega):
     assert p.a > 0 and p.b > 0 and p.c > 1
 
 
+@pytest.mark.parametrize("omega", [100.0, 1e4])
+def test_solitary_r8_validates_on_its_default_grid(omega):
+    # on 1024 nodes the trapezoidal c misses params.c by more than 1e-8
+    # at r = 8 from omega ~ 68 up; the default line grid doubles past
+    # r = 4, and both checks pass there
+    p = wv.solve_solitary(8, omega)
+    prof = wv.validated_profile(p)
+    assert prof.grid.n == 2 * wv.DEFAULT_N_LINE
+    c_quad = 1 + quadrature(prof.grid, prof.dphi ** 2)
+    assert abs(c_quad - p.c) <= 1e-8 * p.c
+    top = np.max(np.abs(prof.phi))
+    scale = max(c_quad * np.max(np.abs(prof.d2phi)), omega * top, top ** 17)
+    assert wv.ode_residual(prof) <= 1e-8 * scale
+    # r <= 4 keeps its 1024-node line
+    for r in (1, 2, 3, 4):
+        assert wv.default_grid(wv.solve_solitary(r, 1.0)).n == wv.DEFAULT_N_LINE
+
+
 def test_solitary_general_r_consistency():
     # the width equation is equivalent to a^(2r) = (r+1) omega
     for r, omega in [(2, 0.5), (4, 0.3), (3, 0.4)]:
